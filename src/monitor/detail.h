@@ -16,10 +16,12 @@ struct LoopResult {
   serde::Bytes collected;  // bytes drained from read_fd during the run
 };
 
-// Poll `pid`'s /proc subtree until it exits, enforcing options.limits (the
-// whole process group is killed on violation), draining `read_fd`
-// (non-blocking) into the result, updating `usage` peaks and, when enabled,
-// `timeline`. `read_fd` is closed before returning.
+// Sample `pid`'s /proc subtree right away and then every poll interval until
+// `pid` exits, enforcing options.limits (the whole process group is killed
+// on violation), draining `read_fd` (non-blocking) into the result as bytes
+// arrive, updating `usage` peaks and, when enabled, `timeline`. Returns as
+// soon as `pid` exits, even while a grandchild still holds `read_fd`'s pipe
+// open. `read_fd` is closed before returning.
 LoopResult monitor_loop(pid_t pid, int read_fd, const MonitorOptions& options,
                         ResourceUsage& usage, UsageTimeline& timeline);
 

@@ -1,15 +1,19 @@
 #include "monitor/lfm.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 
 #include "monitor/detail.h"
 #include "monitor/proc_reader.h"
@@ -28,6 +32,25 @@ constexpr uint8_t kReportException = 1;
 double now_seconds() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
+}
+
+double timeval_seconds(const timeval& tv) {
+  return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
+}
+
+// Block until the child exits (`pidfd` readable), report bytes arrive, or
+// `deadline` passes, draining the pipe into `collected` as it fills. poll()
+// skips negative descriptors, so a failed pidfd_open, or a pipe already at
+// EOF, drops out of the wait set: a finished report cannot spin the loop.
+void wait_for_event(int pidfd, int read_fd, bool& pipe_open, double deadline,
+                    serde::Bytes& collected) {
+  pollfd fds[2] = {{pidfd, POLLIN, 0}, {pipe_open ? read_fd : -1, POLLIN, 0}};
+  const double left_ms = std::clamp((deadline - now_seconds()) * 1e3, 0.0, 1e9);
+  if (::poll(fds, 2, static_cast<int>(std::ceil(left_ms))) > 0 &&
+      fds[1].revents != 0 &&
+      io::read_available(read_fd, collected) != io::ReadStatus::kAgain) {
+    pipe_open = false;
+  }
 }
 
 [[noreturn]] void child_main(const TaskFn& fn, const serde::Value& args, int report_fd) {
@@ -71,14 +94,36 @@ namespace detail {
 LoopResult monitor_loop(pid_t pid, int read_fd, const MonitorOptions& options,
                         ResourceUsage& usage, UsageTimeline& timeline) {
   ::fcntl(read_fd, F_SETFL, O_NONBLOCK);
+  // Readable once the child exits: the exit event that ends the wait below
+  // as soon as the task is done. Without it (kernels before 5.3) the wait
+  // ends on report bytes or when the next sample is due.
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
   LoopResult result;
+  struct rusage child_usage {};
   const double start = now_seconds();
+  double next_sample = start;
+  bool pipe_open = true;
   const uint64_t trace_tid =
       options.trace_tid != 0 ? options.trace_tid : static_cast<uint64_t>(pid);
 
   while (true) {
-    const pid_t w = ::waitpid(pid, &result.wait_status, WNOHANG);
-    if (w == pid) break;
+    const pid_t w = ::wait4(pid, &result.wait_status, WNOHANG, &child_usage);
+    if (w == pid) {
+      // The kernel's own peak and CPU totals for the child (and whatever
+      // it reaped) lift the polled figures: a sample can miss a short peak.
+      // They never lower them, and limits stay judged on polled values.
+      usage.max_rss_bytes = std::max<int64_t>(
+          usage.max_rss_bytes, int64_t{child_usage.ru_maxrss} * 1024);
+      usage.cpu_time = std::max(usage.cpu_time, timeval_seconds(child_usage.ru_utime) +
+                                                    timeval_seconds(child_usage.ru_stime));
+      break;
+    }
+    if (w < 0 && errno == ECHILD) break;  // reaped elsewhere: nothing to wait for
+
+    if (now_seconds() < next_sample) {
+      wait_for_event(pidfd, read_fd, pipe_open, next_sample, result.collected);
+      continue;
+    }
 
     const double wall = now_seconds() - start;
     const ResourceUsage snapshot = sample_subtree(pid, wall);
@@ -123,18 +168,19 @@ LoopResult monitor_loop(pid_t pid, int read_fd, const MonitorOptions& options,
         ::kill(pid, SIGKILL);   // in case setpgid had not run yet
       }
     }
-
-    io::read_available(read_fd, result.collected);
-    std::this_thread::sleep_for(std::chrono::duration<double>(options.poll_interval));
+    next_sample = now_seconds() + options.poll_interval;
   }
 
   // Final wall time; the child is gone so /proc reads are moot.
   usage.wall_time = now_seconds() - start;
   usage.cores = usage.wall_time > 0.0 ? usage.cpu_time / usage.wall_time : 0.0;
 
-  // Collect any remaining bytes (the pipe outlives the child).
+  // Collect any remaining bytes. The loop ends on the direct child's exit,
+  // so a background grandchild may still hold the pipe open: take what is
+  // there without waiting for EOF.
   io::read_available(read_fd, result.collected);
   ::close(read_fd);
+  if (pidfd >= 0) ::close(pidfd);
   return result;
 }
 

@@ -5,9 +5,14 @@
 // mutations are confined to the copy-on-write child. Results (or the error
 // description on exception) return to the parent over a pipe, serialized with
 // the serde codec — the C++ analogue of the multiprocessing result queue the
-// paper establishes before forking. The parent polls the child's /proc
-// subtree on an interval, tracks peaks, invokes the user callback at each
-// poll, and kills the task's process group when any limit is exceeded.
+// paper establishes before forking. The parent samples the child's /proc
+// subtree right after the fork and then once per poll interval, tracks
+// peaks, invokes the user callback at each sample, and kills the task's
+// process group when any limit is exceeded. Between samples it waits on the
+// child's exit (a pidfd — the event half of the paper's fork/exit
+// interception) and on the result pipe, so a task is reaped the moment it
+// exits rather than at the next poll. The reap's kernel rusage sets a floor
+// under the measured peak RSS and CPU time.
 #pragma once
 
 #include <functional>
@@ -28,7 +33,7 @@ using PollCallback = std::function<void(const ResourceUsage&)>;
 
 struct MonitorOptions {
   ResourceLimits limits;
-  double poll_interval = 0.02;   // seconds between /proc polls
+  double poll_interval = 0.02;   // seconds between /proc samples
   PollCallback on_poll;          // optional
   bool record_timeline = false;  // keep one UsageSample per poll
   // Trace lane (obs tid) for this invocation's span and per-poll resource

@@ -1,14 +1,14 @@
 #include "monitor/proc_reader.h"
 
+#include <dirent.h>
+#include <fcntl.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <string>
+
+#include "util/io.h"
 
 namespace lfm::monitor {
 namespace {
@@ -23,21 +23,41 @@ long page_size() {
   return sz > 0 ? sz : 4096;
 }
 
+// Read a /proc file whole, NUL-terminated so the text parses in place.
+// False when it cannot be read, as once the process or thread has exited.
+bool read_proc_file(const char* path, std::vector<uint8_t>& text) {
+  const int fd = ::open(path, O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  text.clear();
+  const io::ReadStatus status = io::read_available(fd, text);
+  ::close(fd);
+  if (status != io::ReadStatus::kEof) return false;
+  text.push_back('\0');
+  return true;
+}
+
+const char* as_text(const std::vector<uint8_t>& text) {
+  return reinterpret_cast<const char*>(text.data());
+}
+
+// The value on the line that starts with `key` in a /proc/<pid>/io dump.
+int64_t io_field(const char* text, const char* key) {
+  const char* at = std::strstr(text, key);
+  return at == nullptr ? 0 : std::strtoll(at + std::strlen(key), nullptr, 10);
+}
+
 }  // namespace
 
 std::optional<ProcSample> sample_process(pid_t pid) {
   char path[64];
+  std::vector<uint8_t> text;
   std::snprintf(path, sizeof path, "/proc/%d/stat", pid);
-  std::ifstream stat_file(path);
-  if (!stat_file) return std::nullopt;
-  std::string line;
-  std::getline(stat_file, line);
-  if (line.empty()) return std::nullopt;
+  if (!read_proc_file(path, text)) return std::nullopt;
 
   // Field 2 (comm) may contain spaces/parens; skip past the last ')'.
-  const size_t close = line.rfind(')');
-  if (close == std::string::npos) return std::nullopt;
-  const char* rest = line.c_str() + close + 1;
+  const char* rest = std::strrchr(as_text(text), ')');
+  if (rest == nullptr) return std::nullopt;
+  ++rest;
 
   // After comm: state(3) ppid(4) ... utime(14) stime(15) cutime(16)
   // cstime(17) ... rss(24, pages).
@@ -60,50 +80,50 @@ std::optional<ProcSample> sample_process(pid_t pid) {
 
   ProcSample s;
   s.pid = pid;
-  s.ppid = static_cast<pid_t>(ppid);
   s.utime = ticks_to_seconds(utime);
   s.stime = ticks_to_seconds(stime);
   s.cutime = ticks_to_seconds(static_cast<unsigned long long>(cutime < 0 ? 0 : cutime));
   s.cstime = ticks_to_seconds(static_cast<unsigned long long>(cstime < 0 ? 0 : cstime));
   s.rss_bytes = static_cast<int64_t>(rss_pages) * page_size();
 
-  // /proc/<pid>/io requires no special privilege for our own children.
+  // /proc/<pid>/io requires no special privilege for our own children. Its
+  // first line is rchar, so both keys match only at a line start.
   std::snprintf(path, sizeof path, "/proc/%d/io", pid);
-  std::ifstream io_file(path);
-  if (io_file) {
-    std::string key;
-    int64_t value = 0;
-    while (io_file >> key >> value) {
-      if (key == "read_bytes:") s.read_bytes = value;
-      if (key == "write_bytes:") s.write_bytes = value;
-    }
+  if (read_proc_file(path, text)) {
+    s.read_bytes = io_field(as_text(text), "\nread_bytes:");
+    s.write_bytes = io_field(as_text(text), "\nwrite_bytes:");
   }
   return s;
 }
 
 std::vector<pid_t> process_subtree(pid_t root) {
-  namespace fs = std::filesystem;
-  // One pass over /proc building the ppid map, then chase ancestry.
-  std::map<pid_t, pid_t> parent_of;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator("/proc", ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.empty() || !std::isdigit(static_cast<unsigned char>(name[0]))) continue;
-    const pid_t pid = static_cast<pid_t>(std::stol(name));
-    if (auto s = sample_process(pid)) parent_of[pid] = s->ppid;
-  }
+  // Walk down from the root. A child is listed under the thread that forked
+  // it, so every thread's children file is read, not only the main one's.
   std::vector<pid_t> out;
-  for (const auto& [pid, _] : parent_of) {
-    pid_t cur = pid;
-    for (int hops = 0; hops < 128; ++hops) {
-      if (cur == root) {
-        out.push_back(pid);
-        break;
+  std::vector<pid_t> pending{root};
+  std::vector<uint8_t> text;
+  char path[64];
+  while (!pending.empty()) {
+    const pid_t pid = pending.back();
+    pending.pop_back();
+    std::snprintf(path, sizeof path, "/proc/%d/task", pid);
+    DIR* tasks = ::opendir(path);
+    if (tasks == nullptr) continue;  // exited since its parent listed it
+    out.push_back(pid);
+    while (const dirent* entry = ::readdir(tasks)) {
+      if (entry->d_name[0] == '.') continue;
+      std::snprintf(path, sizeof path, "/proc/%d/task/%.16s/children", pid,
+                    entry->d_name);
+      if (!read_proc_file(path, text)) continue;  // the thread exited
+      for (const char* cur = as_text(text);;) {
+        char* end = nullptr;
+        const long child = std::strtol(cur, &end, 10);
+        if (end == cur) break;
+        pending.push_back(static_cast<pid_t>(child));
+        cur = end;
       }
-      const auto it = parent_of.find(cur);
-      if (it == parent_of.end() || it->second == cur || it->second == 0) break;
-      cur = it->second;
     }
+    ::closedir(tasks);
   }
   return out;
 }
@@ -113,7 +133,7 @@ ResourceUsage sample_subtree(pid_t root, double wall_time) {
   usage.wall_time = wall_time;
   for (const pid_t pid : process_subtree(root)) {
     const auto s = sample_process(pid);
-    if (!s) continue;  // exited between scan and sample
+    if (!s) continue;  // exited between the walk and the sample
     usage.cpu_time += s->utime + s->stime;
     // Children that already exited and were reaped fold their CPU time into
     // the parent's cumulative counters — this is how short-lived forks are

@@ -2,11 +2,13 @@
 //
 // The paper combines interval polling of /proc/PID with LD_PRELOAD
 // interception of fork/exit so short-lived children are not missed. Here the
-// subtree is discovered at each poll by scanning /proc for processes whose
-// ancestry chain reaches the root PID — the same measurement surface without
-// a preloaded library (documented substitution in DESIGN.md). Exited
-// children's CPU time is still captured through the parent's cumulative
-// children-time counters (cutime/cstime in /proc/PID/stat).
+// subtree is discovered at each sample by walking down from the root PID
+// through every thread's /proc/PID/task/TID/children list, so a sample costs
+// O(subtree), not O(processes on the host) — the same measurement surface
+// without a preloaded library (documented substitution in DESIGN.md; needs
+// CONFIG_PROC_CHILDREN). Exited children's CPU time is still captured
+// through the parent's cumulative children-time counters (cutime/cstime in
+// /proc/PID/stat).
 #pragma once
 
 #include <sys/types.h>
@@ -20,7 +22,6 @@ namespace lfm::monitor {
 
 struct ProcSample {
   pid_t pid = 0;
-  pid_t ppid = 0;
   double utime = 0.0;   // user CPU seconds
   double stime = 0.0;   // system CPU seconds
   double cutime = 0.0;  // reaped children user CPU seconds
@@ -33,7 +34,8 @@ struct ProcSample {
 // Read one process's counters; nullopt if it vanished.
 std::optional<ProcSample> sample_process(pid_t pid);
 
-// All live PIDs whose ancestry reaches `root` (including root itself).
+// All live PIDs descended from `root`, root first; empty if root is gone.
+// An orphan reparented away from the tree is no longer part of it.
 std::vector<pid_t> process_subtree(pid_t root);
 
 // Aggregate a subtree into a usage snapshot. `wall_time` is supplied by the

@@ -1,6 +1,7 @@
 // Tests for monitored external-command execution (the bash_app path).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 
 #include "monitor/command.h"
@@ -98,6 +99,17 @@ TEST(Command, TimelineRecordedForCommands) {
   const auto outcome = run_command_monitored({"/bin/sleep", "0.2"}, options);
   ASSERT_TRUE(outcome.ok());
   EXPECT_GE(outcome.timeline.size(), 2u);
+}
+
+TEST(Command, ReturnsWhenCommandExitsNotAtNextPoll) {
+  CommandOptions options;
+  options.monitor.poll_interval = 1.0;
+  const auto start = std::chrono::steady_clock::now();
+  const auto outcome = run_command_monitored({"/bin/true"}, options);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_LT(elapsed, 0.5);
 }
 
 TEST(Command, SignalTermination) {

@@ -322,7 +322,9 @@ pid_t fork_foreman(uint16_t root_port, const std::string& name, int workers,
     ForemanConfig fc;
     fc.name = name;
     fc.root_port = root_port;
-    fc.stats_interval = 0.02;
+    // Far shorter than a run whose tasks each take about a millisecond, so
+    // kStats frames reach the root before its bye.
+    fc.stats_interval = 0.002;
     fc.service.tasks_per_worker = 4;
     Foreman foreman(fc);
     // The shard's workers are forked from inside the shard process, so no

@@ -206,42 +206,88 @@ TEST(Lfm, MeasuresCpuBoundWork) {
   EXPECT_GT(outcome.usage.cpu_time, 0.05);
 }
 
+void fork_child_and_outlive_it() {
+  const pid_t child = ::fork();
+  if (child == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ::_exit(0);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+}
+
 TEST(Lfm, TracksChildProcessesOfTask) {
-  // A task that forks its own child: the subtree scan must see the combined
-  // process count.
-  MonitorOptions options;
-  options.poll_interval = 0.01;
-  int max_procs = 0;
-  options.on_poll = [&max_procs](const ResourceUsage& u) {
-    max_procs = std::max(max_procs, u.processes);
+  // A task that forks its own child: the subtree walk must see the combined
+  // process count. The kernel lists a child under the thread that forked
+  // it, so a walk that reads only the main thread's children list misses
+  // the child a live second thread forked.
+  const TaskFn from_main_thread = [](const Value&) {
+    fork_child_and_outlive_it();
+    return Value(1);
   };
-  const auto outcome = run_monitored(
-      [](const Value&) {
-        const pid_t child = ::fork();
-        if (child == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(200));
-          ::_exit(0);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        return Value(1);
-      },
-      Value(), options);
-  EXPECT_TRUE(outcome.ok());
-  EXPECT_GE(max_procs, 2);
+  const TaskFn from_second_thread = [](const Value&) {
+    std::thread forker(fork_child_and_outlive_it);
+    forker.join();
+    return Value(1);
+  };
+  for (const TaskFn& fn : {from_main_thread, from_second_thread}) {
+    MonitorOptions options;
+    options.poll_interval = 0.01;
+    int max_procs = 0;
+    options.on_poll = [&max_procs](const ResourceUsage& u) {
+      max_procs = std::max(max_procs, u.processes);
+    };
+    const auto outcome = run_monitored(fn, Value(), options);
+    EXPECT_TRUE(outcome.ok());
+    EXPECT_GE(max_procs, 2);
+  }
+}
+
+Value fifty_thousand_ints(const Value&) {
+  serde::ValueList big;
+  for (int i = 0; i < 50000; ++i) big.push_back(Value(int64_t{i}));
+  return Value(std::move(big));
 }
 
 TEST(Lfm, LargeResultPayload) {
   // Results bigger than the pipe buffer must still arrive intact.
-  const auto outcome = run_monitored(
-      [](const Value&) {
-        serde::ValueList big;
-        for (int i = 0; i < 50000; ++i) big.push_back(Value(int64_t{i}));
-        return Value(std::move(big));
-      },
-      Value());
+  const auto outcome = run_monitored(fifty_thousand_ints, Value());
   ASSERT_TRUE(outcome.ok());
   ASSERT_EQ(outcome.result.as_list().size(), 50000u);
   EXPECT_EQ(outcome.result.as_list()[49999].as_int(), 49999);
+}
+
+TEST(Lfm, ReturnsWhenTaskExitsNotAtNextPoll) {
+  // The monitor wakes on the child's exit and on result bytes, so a coarse
+  // poll interval delays neither a trivial task nor a result that refills
+  // the pipe buffer several times.
+  MonitorOptions options;
+  options.poll_interval = 1.0;
+  const TaskFn trivial = [](const Value&) { return Value(1); };
+  for (const TaskFn& fn : {trivial, TaskFn(fifty_thousand_ints)}) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto outcome = run_monitored(fn, Value(), options);
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_TRUE(outcome.ok());
+    EXPECT_LT(elapsed, 0.5);
+  }
+}
+
+TEST(Lfm, KernelPeakCoversMemoryBetweenSamples) {
+  // Only the sample right after the fork runs before this task ends; the
+  // reap's rusage still reports the 64 MiB it touched after that sample.
+  constexpr size_t kBytes = size_t{64} << 20;
+  MonitorOptions options;
+  options.poll_interval = 1.0;
+  const auto outcome = run_monitored(
+      [](const Value&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        const std::string hoard(kBytes, 'x');  // writes, so maps, every page
+        return Value(static_cast<int64_t>(hoard[kBytes / 2]));
+      },
+      Value(), options);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_GE(outcome.usage.max_rss_bytes, static_cast<int64_t>(kBytes));
 }
 
 TEST(Lfm, MonitoredDecoratorBindsOptions) {
