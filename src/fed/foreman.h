@@ -1,14 +1,17 @@
 // Foreman: the middle tier of the federated dispatch hierarchy (DESIGN.md
 // §14).
 //
-// One process, one event loop, two faces. Upward it is a protocol peer of a
+// One process, one event loop, two faces. Upward it is a net::Uplink to a
 // fed::RootMaster — it connects out like a worker would (hello, then task /
 // file / control frames in, result / stats frames out), reconnecting with
-// chaos::RetryPolicy backoff when the link drops. Downward it runs a full
+// chaos::RetryPolicy backoff when the link drops; each relay of results
+// upward restores its full reconnect budget. Downward it runs a
 // net::MasterService over its own worker pool: every task frame the root
-// sends is decoded, re-batched, and re-encoded into the local dispatch
-// stream (the relay hop), and every local result is coalesced into batch
-// frames travelling back up.
+// sends is decoded and submitted into the local dispatch stream (the relay
+// hop), and every local result is coalesced into batch frames travelling
+// back up. The foreman drives its loop itself and never runs the service to
+// completion: the run ends when the root says bye, which shuts the local
+// tier down.
 //
 // The foreman is also the second-tier file cache. Each file the root ships
 // is content-chunked into the shard's own pkg::ChunkStore and remembered as
@@ -22,10 +25,8 @@
 // occupancy, so the root observes the whole subtree through one link.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,7 @@
 #include "net/conn.h"
 #include "net/event_loop.h"
 #include "net/master_service.h"
-#include "net/worker_client.h"
+#include "net/uplink.h"
 #include "pkg/chunk.h"
 #include "wq/protocol.h"
 
@@ -50,8 +51,6 @@ struct ForemanConfig {
   alloc::Resources capacity{4.0, 8e9, 50e9};
   // The worker-facing MasterService tier. `service.port` is the local
   // listen port (0 = ephemeral; read back via worker_port()).
-  // `service.persistent` is forced true: the shard never self-finishes,
-  // the root's bye ends the run.
   net::MasterServiceConfig service;
   chaos::RetryPolicy reconnect = net::default_reconnect_policy();
   // Upstream failures tolerated since the last relayed progress (the same
@@ -71,7 +70,7 @@ struct ForemanConfig {
   size_t telemetry_backpressure_bytes = 4u << 20;
 };
 
-class Foreman {
+class Foreman : private net::Uplink {
  public:
   explicit Foreman(ForemanConfig config);
 
@@ -85,55 +84,54 @@ class Foreman {
   // lfm::Error if the root was never reached at all.
   int64_t run();
 
-  // Thread-safe: make run() return after the current callback.
-  void stop();
+  using Uplink::gave_up;
+  using Uplink::stop;
 
   int64_t results_relayed() const { return relayed_; }
   int64_t tasks_received() const { return received_; }
-  bool gave_up() const { return gave_up_; }
   const pkg::ChunkStore& cache() const { return cache_; }
   net::MasterService& service() { return service_; }
 
  private:
-  struct CachedFile {
-    pkg::ChunkManifest manifest;
-    bool cacheable = false;
+  struct Metrics {
+    obs::Metrics* sink;
+    net::Count connects{sink, "foreman.connects"};
+    net::Count frames_in{sink, "foreman.frames_in"};
+    net::Count files_cached{sink, "foreman.files_cached"};
+    net::Count file_bytes_in{sink, "foreman.file_bytes_in"};
+    net::Count tasks_received{sink, "foreman.tasks_received"};
+    net::Count cache_reassemblies{sink, "foreman.cache_reassemblies"};
+    net::Count results_relayed{sink, "foreman.results_relayed"};
+    net::Count stats_sent{sink, "foreman.stats_sent"};
+    net::Count telemetry_dropped_frames{sink, "foreman.telemetry_dropped_frames"};
+    net::Count telemetry_relayed{sink, "foreman.telemetry_relayed"};
   };
 
-  net::MasterServiceConfig shard_config_with_telemetry(const ForemanConfig& c);
-  void count(const char* name, int64_t n = 1);
-  void try_connect();
-  void schedule_reconnect(const std::string& reason);
-  void on_upstream_message(net::Connection& conn, std::string&& wire);
-  void handle_file(const std::string& wire);
-  void handle_tasks(const std::string& wire);
+  net::MasterServiceConfig shard_config();
+  void on_message(net::Connection& conn, std::string&& wire) override;
+  void on_file(wq::FileMessage&& file) override;
+  void on_tasks(net::Connection& conn, const std::string& wire) override;
+  void on_bye(net::Connection& conn) override;
+  void on_connected() override;
+  // Abandon the run but land the local tier cleanly: workers get byes and
+  // the loop stops once their connections drain.
+  void wind_down() override { service_.shutdown(); }
   void on_local_result(const wq::ResultMessage& result);
   void flush_results();
   void send_stats();
   // Relay a worker's kTelemetry frame upward (the local MasterService has
   // already added its worker-link clock offset to it).
   void relay_telemetry(wq::TelemetryMessage&& msg);
-  // Ship the foreman's OWN buffered trace events/metrics upward.
-  void ship_telemetry();
 
   ForemanConfig config_;
-  net::EventLoop loop_;
+  Metrics m_;
   net::MasterService service_;
   pkg::ChunkStore cache_;
-  std::shared_ptr<net::Connection> upstream_;
-  std::map<std::string, CachedFile> file_cache_;
+  std::map<std::string, pkg::ChunkManifest> file_cache_;
   std::vector<wq::ResultMessage> pending_results_;
   bool flush_scheduled_ = false;
-  uint64_t next_conn_id_ = 1;
-  int attempt_ = 0;  // upstream failures since last relayed progress
-  bool ever_connected_ = false;
-  bool bye_ = false;
-  bool gave_up_ = false;
-  std::atomic<bool> stopped_{false};
   int64_t relayed_ = 0;
   int64_t received_ = 0;
-  uint64_t stats_timer_ = 0;
-  int64_t telemetry_dropped_ = 0;  // own events discarded under backpressure
 };
 
 }  // namespace lfm::fed

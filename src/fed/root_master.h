@@ -1,51 +1,47 @@
 // RootMaster: the top tier of the federated dispatch hierarchy (DESIGN.md
 // §14).
 //
-// A root master does not talk to workers. It shards *task groups* across N
-// fed::Foreman peers, each of which runs a full net::MasterService over its
-// own worker pool. Foremen connect inbound over the same framed transport
-// workers use (hello / file / task / result / control), plus the kStats
-// frame that aggregates shard telemetry upward — so one root sees the whole
-// tree's health without polling any worker directly.
+// The foreman-facing policy over net::Dispatcher, the same dispatch core a
+// net::MasterService runs over its workers. A root master does not talk to
+// workers: it shards *task groups* across N fed::Foreman peers, each of
+// which runs a net::MasterService over its own worker pool. Foremen connect
+// inbound over the same framed transport workers use (hello / file / task /
+// result / control), plus the kStats frame that aggregates shard telemetry
+// upward — so one root sees the whole tree's health without polling any
+// worker directly.
 //
 // Routing is cache-affinity-aware: a group is steered to the foreman that
-// already holds the most of its cacheable input files (ship-once per link,
-// the same idiom wq::Master's file_holders_ index applies per worker),
-// tie-broken by lightest current load. Dispatches coalesce into v2 batch
-// frames per foreman link, and a link whose write queue is past the high
-// watermark is skipped until it drains (backpressure).
+// already holds the most of its cacheable input files (ship-once per link),
+// tie-broken by lightest current load. A group's tasks travel in v2 batch
+// frames of their own. A foreman keeps sending kStats while busy, so a
+// silent link is dead whether or not it holds groups, and it is closed after
+// idle_timeout.
 //
 // Failure semantics extend the transport's exactly-once discipline one
 // level up: a dead foreman's in-flight groups requeue to sibling shards
 // (minus tasks already completed), and a straggler result arriving later
 // for a re-dispatched task is counted and discarded against the per-task
-// done flag. With a chaos::Journal attached, every completion is journaled
-// (write-ahead) and recover() re-arms the done-flag set from a previous
-// run's journal, so a restarted root never re-runs a task that already
-// completed — the done-flag path from src/chaos/ applied across shards.
+// done flag. A link that closes before the root's bye is a lost foreman;
+// one that closes after it has departed. With a chaos::Journal attached,
+// every completion (and every lost foreman) is journaled write-ahead, and
+// recover() re-arms the done-flag set from a previous run's journal, so a
+// restarted root never re-runs a task that already completed.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "chaos/journal.h"
-#include "net/conn.h"
+#include "net/dispatcher.h"
 #include "net/event_loop.h"
-#include "obs/clock.h"
 #include "wq/protocol.h"
 #include "wq/worker.h"
 
 namespace lfm::obs {
 class Collector;
-class Metrics;
 }  // namespace lfm::obs
 
 namespace lfm::fed {
@@ -93,7 +89,8 @@ struct RootStats {
   int64_t requeued_groups = 0;    // groups returned by foreman deaths
   int64_t requeued_tasks = 0;     // not-yet-done tasks inside those groups
   int64_t foremen_accepted = 0;
-  int64_t foremen_lost = 0;
+  int64_t foremen_lost = 0;      // links closed before the root's bye
+  int64_t foremen_departed = 0;  // links closed after it
   int64_t files_sent = 0;
   int64_t stats_frames = 0;      // shard kStats frames received
   int64_t telemetry_frames = 0;  // kTelemetry frames received (incl. relays)
@@ -101,12 +98,14 @@ struct RootStats {
   int64_t bytes_received = 0;
 };
 
-class RootMaster {
+class RootMaster : private net::Dispatcher {
  public:
   RootMaster(net::EventLoop& loop, RootMasterConfig config = {});
-  ~RootMaster();
 
-  uint16_t port() const { return listener_.port(); }
+  using Dispatcher::port;
+  using Dispatcher::results;
+  using Dispatcher::set_on_result;
+  using Dispatcher::statusz_value;
 
   // Arm the done-flag set from a previous run's journal: any subsequently
   // submitted task whose id has a kCompleted record is marked done at
@@ -117,103 +116,51 @@ class RootMaster {
   // across all submitted groups.
   void submit(TaskGroup group);
 
-  // Fires once per completed task, on the loop thread (not for tasks
-  // short-circuited by recover()).
-  void set_on_result(std::function<void(const wq::ResultMessage&)> fn) {
-    on_result_ = std::move(fn);
-  }
-
   // Run the loop until every submitted task has a result, then send bye to
   // all foremen, flush, and return the aggregate stats. Throws lfm::Error
   // if `timeout` (> 0) wall seconds elapse first.
-  RootStats run_until_complete(double timeout = 0.0);
+  RootStats run_until_complete(double timeout = 0.0) {
+    run(timeout);
+    return stats();
+  }
 
   // --- fault injection & introspection -------------------------------------
   // Abruptly close the k-th (by accept order) live foreman link, as a crash
   // would: its in-flight groups requeue to surviving siblings. Returns
   // false if no such link.
-  bool kill_foreman(size_t k);
+  bool kill_foreman(size_t k) { return drop_link(k); }
 
-  size_t pending_tasks() const { return pending_; }
-  int connected_foremen() const;
+  size_t pending_tasks() const { return pending(); }
+  int connected_foremen() const { return connected(); }
   RootStats stats() const;
-  // JSON snapshot for the /statusz endpoint: group/task progress plus
-  // per-foreman liveness, in-flight groups, backlog, shard stats, and the
-  // current clock-offset estimate.
-  serde::Value statusz_value() const;
   // Last telemetry frame per live foreman, by name.
   std::map<std::string, wq::StatsMessage> shard_stats() const;
   // Groups currently in flight per live foreman, by name (root's own
   // bookkeeping, no telemetry lag) — fault-injection tests key off this.
   std::map<std::string, size_t> shard_loads() const;
-  // Results in submission order across all groups (default-constructed
-  // where not completed, including recover()-skipped tasks).
-  const std::vector<wq::ResultMessage>& results() const { return results_; }
 
  private:
-  struct ForemanConn {
-    std::shared_ptr<net::Connection> conn;
-    bool helloed = false;
-    wq::WireVersion version = wq::WireVersion::kV2;
-    std::string name;
-    std::set<size_t> groups;             // group indices in flight here
-    std::set<std::string> shipped_files; // cacheable files on this link
-    wq::StatsMessage last_stats;
-    double last_ping_sent = 0.0;
-    uint64_t ping_nonce = 0;
-    // Foreman-clock-minus-root-clock, fed from pongs carrying peer_time.
-    obs::ClockOffsetEstimator offset;
-  };
+  Link* route(const Unit& group) override;
+  void on_task_done(const Task& t, const wq::ResultMessage& msg) override;
+  void on_unit_done() override;
+  void on_link_closed(const Link& link, const std::string& reason) override;
+  bool on_frame(Link& link, wq::MessageKind kind,
+                const std::string& wire) override;
+  void add_statusz(serde::ValueDict& d) const override;
+  void add_link_statusz(const Link& link, serde::ValueDict& d) const override;
 
-  struct PendingTask {
-    wq::TaskMessage task;
-    size_t group = 0;
-    bool done = false;
-    double submitted_at = 0.0;  // EventLoop::now() at submit()
-  };
-
-  struct Group {
-    std::string name;
-    wq::FileSet files;
-    std::vector<size_t> task_indices;
-    size_t remaining = 0;   // tasks not yet done
-    uint64_t assigned = 0;  // conn id currently running it (0 = queued)
-  };
-
-  void count(const char* name, int64_t n = 1);
-  void observe(const char* name, double v, double lo, double hi);
-  void on_accept(int fd);
-  void on_message(uint64_t conn_id, net::Connection& conn, std::string&& wire);
-  void handle_result(ForemanConn& f, const wq::ResultMessage& msg);
-  void handle_stats(ForemanConn& f, const wq::StatsMessage& msg);
-  void handle_close(uint64_t conn_id, const std::string& reason);
-  void dispatch();
-  // Best open link for `g` by cache affinity, else nullptr.
-  ForemanConn* route(const Group& g);
-  void assign_group(ForemanConn& f, size_t group_index);
-  void send_files_for(ForemanConn& f, const Group& g);
-  void heartbeat();
-  void begin_finish();
-  void check_finished();
-  void absorb_conn_totals(const net::Connection& conn);
-
-  net::EventLoop& loop_;
-  RootMasterConfig config_;
-  net::Listener listener_;
-  std::map<uint64_t, ForemanConn> conns_;  // accept order == key order
-  uint64_t next_conn_id_ = 1;
-  std::vector<PendingTask> tasks_;
-  std::vector<wq::ResultMessage> results_;
-  std::vector<Group> groups_;
-  std::deque<size_t> group_queue_;
-  std::unordered_map<uint64_t, size_t> index_by_task_id_;
+  chaos::Journal* journal_;
   std::unordered_set<uint64_t> recovered_done_;
-  std::function<void(const wq::ResultMessage&)> on_result_;
-  size_t pending_ = 0;
-  bool finishing_ = false;
-  bool timed_out_ = false;
-  uint64_t heartbeat_timer_ = 0;
-  RootStats stats_;
+  std::map<uint64_t, wq::StatsMessage> last_stats_;  // by link id
+  RootStats own_;  // the counts the dispatch core does not keep
+  net::Count recovered_m_{metrics(), "fed.recovered_done"};
+  net::Count groups_submitted_m_{metrics(), "fed.groups_submitted"};
+  net::Count groups_completed_m_{metrics(), "fed.groups_completed"};
+  net::Count requeued_groups_m_{metrics(), "fed.requeued_groups"};
+  net::Count affinity_hits_m_{metrics(), "fed.affinity_hits"};
+  net::Count stats_frames_m_{metrics(), "fed.stats_frames"};
+  net::Level tree_workers_m_{metrics(), "fed.tree_workers"};
+  net::Level tree_cache_bytes_m_{metrics(), "fed.tree_cache_bytes"};
 };
 
 }  // namespace lfm::fed

@@ -21,9 +21,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/event_loop.h"
 #include "net/framing.h"
+#include "wq/protocol.h"
 
 namespace lfm::net {
 
@@ -118,5 +120,19 @@ class Listener {
   AcceptFn on_accept_;
   bool started_ = false;
 };
+
+// Send `msgs` (task or result messages) as one v2 batch frame, or as one
+// frame each where a batch frame does not apply: a single message, or the v1
+// dialect. Returns the number of frames sent.
+template <class Msg>
+size_t send_batch(Connection& conn, const std::vector<Msg>& msgs,
+                  wq::WireVersion version) {
+  if (msgs.size() > 1 && version == wq::WireVersion::kV2) {
+    conn.send(wq::encode_batch(msgs, version));
+    return 1;
+  }
+  for (const Msg& msg : msgs) conn.send(wq::encode(msg, version));
+  return msgs.size();
+}
 
 }  // namespace lfm::net

@@ -1,51 +1,36 @@
-// MasterService: real-socket task dispatch (DESIGN.md §13).
+// MasterService: real-socket task dispatch to workers (DESIGN.md §13).
 //
-// Serves the Work Queue dialogue the simulated wq::Master only accounts
-// for: workers connect over TCP, introduce themselves with a hello (which
-// pins the wire version spoken to them — version negotiation), receive
-// staged input files and task dispatches, and stream results back. The
-// dispatcher drains the ready queue into per-worker sends, coalescing up to
-// max_batch dispatches into one v2 batch frame, and consults each
-// connection's write-queue depth before assigning more work (backpressure:
-// a worker that stops reading stops receiving tasks, not the whole
-// master).
+// The worker-facing policy over net::Dispatcher, which serves the Work
+// Queue dialogue (hello, staged files, task dispatches, results, ping/pong,
+// telemetry) and holds the exactly-once bookkeeping. Each submitted task is
+// its own unit of work, and a unit goes to the first worker link, in accept
+// order, with room: fewer than tasks_per_worker tasks in flight and a write
+// queue under the high watermark. Consecutive dispatches to one worker
+// coalesce into v2 batch frames of up to max_batch tasks.
 //
-// Failure semantics are exactly-once on results, at-least-once on
-// attempts: every task completes exactly once at the master. A dropped
-// connection requeues its in-flight tasks; a result arriving later from a
-// reconnected worker that had already been re-dispatched elsewhere is
-// counted and discarded as a duplicate. Idle connections are pinged every
-// heartbeat_interval (pongs feed the net.rtt_seconds histogram) and closed
-// after idle_timeout of silence — a dead peer cannot hold the run hostage.
+// A worker running a task through its LFM reads and sends nothing until
+// the task finishes, so a busy link is never pinged or closed for idleness;
+// an idle one is pinged every heartbeat_interval (pongs feed the
+// net.rtt_seconds histogram) and closed after idle_timeout of silence — a
+// dead peer cannot hold the run hostage. A dropped connection requeues its
+// in-flight tasks; a result arriving later from a reconnected worker whose
+// task was re-dispatched elsewhere is counted and discarded as a duplicate.
+//
+// Standalone, run_until_complete() serves until every task has a result.
+// Embedded in a fed::Foreman, the owner drives the loop itself, relays
+// tasks in with submit(), and ends the run with shutdown().
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "net/conn.h"
+#include "net/dispatcher.h"
 #include "net/event_loop.h"
-#include "obs/clock.h"
 #include "wq/protocol.h"
 #include "wq/worker.h"
 
-namespace lfm::obs {
-class Metrics;
-}  // namespace lfm::obs
-
 namespace lfm::net {
-
-// Deterministic, nonzero trace id for a task (derived from its id alone).
-// Minted at whatever process is the root of the running tree — a standalone
-// MasterService or a fed::RootMaster — when tracing is enabled, then
-// carried in the task/result frames' trailing extension fields.
-uint64_t mint_trace_id(uint64_t task_id);
 
 struct MasterServiceConfig {
   uint16_t port = 0;  // 0 = ephemeral; read back via port()
@@ -58,11 +43,6 @@ struct MasterServiceConfig {
   size_t write_high_watermark = 4u << 20;
   double heartbeat_interval = 2.0;  // ping idle connections this often
   double idle_timeout = 30.0;       // close after this much silence (0 = off)
-  // A persistent service never declares the run over on its own: draining
-  // the queue does NOT send bye or stop the loop, because more submissions
-  // may arrive from above (a fed::Foreman relaying for a RootMaster). The
-  // owner ends the run explicitly with shutdown().
-  bool persistent = false;
   // Metrics sink. Null records into the process-wide registry gated on
   // obs::Recorder::enabled() (the historical behaviour); non-null records
   // unconditionally into the given instance, which is how co-hosted fed
@@ -76,115 +56,41 @@ struct MasterServiceConfig {
   std::function<void(wq::TelemetryMessage&&)> on_telemetry;
 };
 
-struct NetMasterStats {
-  int64_t tasks_completed = 0;
-  int64_t duplicate_results = 0;  // results for already-completed tasks
-  int64_t requeued_tasks = 0;     // in-flight dispatches returned by drops
-  int64_t connections_accepted = 0;
-  int64_t disconnects = 0;
-  int64_t files_sent = 0;
-  int64_t bytes_sent = 0;
-  int64_t bytes_received = 0;
-  int64_t messages_sent = 0;
-  int64_t messages_received = 0;
-  int64_t telemetry_frames = 0;  // kTelemetry frames received from workers
-};
-
-class MasterService {
+class MasterService : private Dispatcher {
  public:
   MasterService(EventLoop& loop, MasterServiceConfig config = {});
-  ~MasterService();
 
-  uint16_t port() const { return listener_.port(); }
+  using Dispatcher::port;
+  using Dispatcher::results;
+  using Dispatcher::set_on_result;
+  using Dispatcher::shutdown;
+  using Dispatcher::statusz_value;
 
   // Queue a task (with its transferable input files) for dispatch. Safe
   // before or during run_until_complete (loop thread only).
   void submit(wq::TaskMessage task, wq::FileSet files = {});
 
-  // Fires once per completed task, on the loop thread.
-  void set_on_result(std::function<void(const wq::ResultMessage&)> fn) {
-    on_result_ = std::move(fn);
-  }
-
   // Run the loop until every submitted task has a result, then send bye to
   // all workers, flush, and return the aggregate stats. Throws lfm::Error
-  // if `timeout` (> 0) wall seconds elapse first. Not meaningful for a
-  // persistent service (throws): the owner drives the loop and calls
-  // shutdown() itself.
-  NetMasterStats run_until_complete(double timeout = 0.0);
-
-  // End a persistent run: send bye to every worker, close connections after
-  // their write queues flush, and stop the loop once the last one is gone.
-  // Idempotent; also usable mid-run on a non-persistent service.
-  void shutdown();
+  // if `timeout` (> 0) wall seconds elapse first.
+  NetMasterStats run_until_complete(double timeout = 0.0) { return run(timeout); }
 
   // --- fault injection & introspection -------------------------------------
   // Abruptly close the k-th (by accept order) live worker connection, as a
   // network fault would: its in-flight tasks requeue, the worker is
   // expected to reconnect with backoff. Returns false if no such
   // connection.
-  bool drop_connection(size_t k);
+  bool drop_connection(size_t k) { return drop_link(k); }
 
-  size_t pending() const { return pending_; }
-  int connected_workers() const;
-  NetMasterStats stats() const;
-  // JSON snapshot for the /statusz endpoint: queue depth, completion
-  // counts, and per-worker liveness / in-flight / backlog.
-  serde::Value statusz_value() const;
-  // Results in submission order (default-constructed where not completed).
-  const std::vector<wq::ResultMessage>& results() const { return results_; }
+  using Dispatcher::pending;
+  int connected_workers() const { return connected(); }
+  NetMasterStats stats() const { return totals(); }
 
  private:
-  struct WorkerConn {
-    std::shared_ptr<Connection> conn;
-    bool helloed = false;
-    wq::WireVersion version = wq::WireVersion::kV2;
-    std::string name;
-    std::set<size_t> inflight;           // task indices dispatched here
-    std::set<std::string> cached_files;  // cacheable files already shipped
-    double last_ping_sent = 0.0;
-    uint64_t ping_nonce = 0;
-    // Worker-clock-minus-local-clock, fed from pongs that carry peer_time.
-    obs::ClockOffsetEstimator offset;
-  };
-
-  struct PendingTask {
-    wq::TaskMessage task;
-    wq::FileSet files;
-    bool done = false;
-    double submitted_at = 0.0;   // EventLoop::now() at submit()
-    double dispatched_at = 0.0;  // last dispatch (re-dispatch overwrites)
-  };
-
-  void count(const char* name, int64_t n = 1);
-  void observe(const char* name, double v, double lo, double hi);
-  void begin_finish();
-  void on_accept(int fd);
-  void on_message(uint64_t conn_id, Connection& conn, std::string&& wire);
-  void handle_result(WorkerConn& w, const wq::ResultMessage& msg);
-  void handle_close(uint64_t conn_id, const std::string& reason);
-  void dispatch();
-  void dispatch_to(WorkerConn& w);
-  void send_files_for(WorkerConn& w, const PendingTask& t);
-  void heartbeat();
-  void check_finished();
-  void absorb_conn_totals(const Connection& conn);
-
-  EventLoop& loop_;
-  MasterServiceConfig config_;
-  Listener listener_;
-  std::map<uint64_t, WorkerConn> conns_;  // accept order == key order
-  uint64_t next_conn_id_ = 1;
-  std::vector<PendingTask> tasks_;
-  std::vector<wq::ResultMessage> results_;
-  std::deque<size_t> queue_;
-  std::unordered_map<uint64_t, size_t> index_by_task_id_;
-  std::function<void(const wq::ResultMessage&)> on_result_;
-  size_t pending_ = 0;
-  bool finishing_ = false;
-  bool timed_out_ = false;
-  uint64_t heartbeat_timer_ = 0;
-  NetMasterStats stats_;
+  Link* route(const Unit& unit) override;
+  void on_task_done(const Task& t, const wq::ResultMessage& msg) override;
+  void add_statusz(serde::ValueDict& d) const override;
+  void add_link_statusz(const Link& link, serde::ValueDict& d) const override;
 };
 
 }  // namespace lfm::net

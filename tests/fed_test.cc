@@ -416,7 +416,7 @@ def mul(a, b):
 
   EXPECT_TRUE(killed);
   EXPECT_EQ(stats.tasks_completed, kTasks);
-  EXPECT_EQ(stats.foremen_lost, 2);  // one murdered, one clean bye
+  EXPECT_EQ(stats.foremen_lost, 1);  // the murdered one; the bye is a departure
   EXPECT_GE(stats.requeued_groups, 1);
   EXPECT_GE(stats.requeued_tasks, 1);
   EXPECT_GE(stats.stats_frames, 1);
@@ -554,6 +554,102 @@ def inc(x):
   EXPECT_GE(nested_three_lanes, 1)
       << "no trace id spanned three process lanes with nested "
          "task / task.inflight / lfm.run spans";
+}
+
+// --- the foreman-facing dispatch policy ---------------------------------------
+
+TEST(Federation, SilentForemanHoldingAGroupIsClosedAndTheGroupRunsOnASibling) {
+  // A foreman keeps sending kStats while it works, so unlike a busy worker,
+  // a link that holds a group and goes silent is dead. The fake foreman is
+  // a raw socket that says hello and then nothing: the root must close it
+  // after idle_timeout and run its group, exactly once, on a real sibling.
+  obs::Metrics m("silent.");
+  net::EventLoop loop;
+  RootMasterConfig rc;
+  rc.metrics = &m;
+  rc.heartbeat_interval = 0.05;
+  rc.idle_timeout = 0.3;
+  RootMaster root(loop, rc);
+
+  const int fake = net::connect_tcp("127.0.0.1", root.port());
+  ASSERT_GE(fake, 0);
+  const std::string hello = wq::encode(
+      wq::HelloMessage{"fake", wq::WireVersion::kV2, alloc::Resources{1.0, 1e9, 1e9}});
+  ASSERT_EQ(::write(fake, hello.data(), hello.size()),
+            static_cast<ssize_t>(hello.size()));
+  await_foremen(loop, root, 1);
+
+  const int kTasks = 4;
+  TaskGroup group;
+  group.name = "held";
+  for (int i = 0; i < kTasks; ++i) {
+    group.tasks.push_back(echo_task(700 + static_cast<uint64_t>(i)));
+  }
+  root.submit(std::move(group));
+  ASSERT_EQ(root.shard_loads().at("fake"), 1u) << "the group missed the fake";
+
+  ForemanConfig fc;
+  fc.name = "real";
+  fc.root_port = root.port();
+  fc.stats_interval = 0.05;
+  Foreman real(fc);
+  std::thread ft([&] { real.run(); });
+  EchoWorker w(real.worker_port(), "wr");
+
+  std::map<uint64_t, int> events;
+  root.set_on_result([&](const wq::ResultMessage& r) { events[r.task_id]++; });
+  RootStats stats;
+  try {
+    stats = root.run_until_complete(10.0);
+  } catch (const Error& e) {
+    // The group never left the silent link: wind the tree down to join it.
+    ADD_FAILURE() << e.what();
+    real.stop();
+    w.client->stop();
+  }
+  ft.join();
+  w.join();
+  ::close(fake);
+
+  EXPECT_EQ(stats.tasks_completed, kTasks);
+  ASSERT_EQ(events.size(), static_cast<size_t>(kTasks));
+  for (const auto& [id, n] : events) EXPECT_EQ(n, 1) << "task " << id;
+  EXPECT_EQ(real.results_relayed(), kTasks);
+  EXPECT_EQ(m.counter("fed.idle_closes").value(), 1);
+  EXPECT_EQ(stats.requeued_groups, 1);
+  // The fake closed before the bye (lost); the real foreman after it.
+  EXPECT_EQ(stats.foremen_lost, 1);
+  EXPECT_EQ(stats.foremen_departed, 1);
+}
+
+TEST(Federation, ListenersRefuseConnectsOnceTheRunReturns) {
+  // Both tiers close their listener when the bye sequence starts: a peer
+  // that recycles its connection at the very end is refused instead of
+  // hanging in the backlog of a master that no longer serves it.
+  net::EventLoop loop;
+  RootMaster root(loop, {});
+  TaskGroup group;
+  group.name = "one";
+  group.tasks.push_back(echo_task(800));
+  root.submit(std::move(group));
+  ForemanConfig fc;
+  fc.name = "fl";
+  fc.root_port = root.port();
+  Foreman foreman(fc);
+  std::thread ft([&] { foreman.run(); });
+  EchoWorker w(foreman.worker_port(), "wl");
+
+  const RootStats stats = root.run_until_complete(30.0);
+  ft.join();
+  w.join();
+
+  EXPECT_EQ(stats.tasks_completed, 1);
+  EXPECT_EQ(stats.foremen_lost, 0) << "a clean bye counted as a loss";
+  for (const uint16_t port : {root.port(), foreman.worker_port()}) {
+    const int fd = net::connect_tcp("127.0.0.1", port);
+    EXPECT_LT(fd, 0) << "port " << port << " still accepts after the run";
+    if (fd >= 0) ::close(fd);
+  }
 }
 
 }  // namespace

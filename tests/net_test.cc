@@ -853,5 +853,58 @@ TEST(WorkerClient, GivesUpWhenMasterNeverAppears) {
   EXPECT_THROW(client.run(), Error);
 }
 
+// --- the worker-facing dispatch policy ---------------------------------------
+
+TEST(MasterService, BusyWorkerOutlastsIdleTimeoutWithoutRequeue) {
+  // A worker running a task through its LFM reads and sends nothing until
+  // the task finishes. That silence is not death: the task outlasts the
+  // master's idle_timeout several times over, yet the link stays up and
+  // nothing requeues.
+  obs::Metrics metrics;
+  EventLoop loop;
+  MasterServiceConfig config;
+  config.heartbeat_interval = 0.05;
+  config.idle_timeout = 0.2;
+  config.metrics = &metrics;
+  MasterService master(loop, config);
+  wq::TaskMessage t = simple_task(400);
+  t.command_line = "sleep 0.8";
+  master.submit(t);
+  const pid_t worker = fork_worker(master.port(), "busy", wq::WireVersion::kV2);
+
+  const NetMasterStats stats = master.run_until_complete(20.0);
+
+  EXPECT_EQ(stats.tasks_completed, 1);
+  EXPECT_EQ(stats.requeued_tasks, 0);
+  EXPECT_EQ(stats.connections_accepted, 1);
+  EXPECT_EQ(metrics.counter("net.idle_closes").value(), 0);
+  int status = -1;
+  ASSERT_EQ(waitpid(worker, &status, 0), worker);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+TEST(MasterService, ListenerRefusesConnectsOnceTheRunReturns) {
+  // The finish sequence closes the listener before the byes go out, so a
+  // worker that recycles its connection at the very end is refused instead
+  // of hanging in the backlog of a master that no longer serves it.
+  EventLoop loop;
+  MasterService master(loop, {});
+  master.submit(simple_task(500));
+  WorkerClientOptions o;
+  o.port = master.port();
+  o.name = "echo";
+  o.echo_results = true;
+  WorkerClient client(o);
+  std::thread worker([&] { client.run(); });
+
+  const NetMasterStats stats = master.run_until_complete(20.0);
+  worker.join();
+
+  EXPECT_EQ(stats.tasks_completed, 1);
+  const int fd = connect_tcp("127.0.0.1", master.port());
+  EXPECT_LT(fd, 0) << "the finished master still accepts connections";
+  if (fd >= 0) ::close(fd);
+}
+
 }  // namespace
 }  // namespace lfm::net
