@@ -1,6 +1,65 @@
 #include "pysrc/ast.h"
 
+#include <iterator>
+#include <ostream>
+
 namespace lfm::pysrc {
+
+std::string_view op_text(Op op) {
+  // In the order of `Op`.
+  static constexpr std::string_view kText[] = {
+      "+", "-", "*", "@", "/", "//", "%", "**", "<<", ">>", "&", "|", "^", ":=",
+      "+=", "-=", "*=", "@=", "/=", "//=", "%=", "**=", "<<=", ">>=", "&=", "|=",
+      "^=",
+      "not", "-", "+", "~",
+      "and", "or",
+      "==", "!=", "<", "<=", ">", ">=", "in", "not in", "is", "is not"};
+  static_assert(std::size(kText) == static_cast<size_t>(Op::kIsNot) + 1);
+  return kText[static_cast<size_t>(op)];
+}
+
+std::ostream& operator<<(std::ostream& os, Op op) { return os << op_text(op); }
+
+Builtin builtin_named(std::string_view name) {
+  static constexpr std::pair<std::string_view, Builtin> kBuiltins[] = {
+      {"len", Builtin::kLen},       {"range", Builtin::kRange},
+      {"print", Builtin::kPrint},   {"abs", Builtin::kAbs},
+      {"min", Builtin::kMin},       {"max", Builtin::kMax},
+      {"sum", Builtin::kSum},       {"sorted", Builtin::kSorted},
+      {"str", Builtin::kStr},       {"repr", Builtin::kRepr},
+      {"int", Builtin::kInt},       {"float", Builtin::kFloat},
+      {"bool", Builtin::kBool},     {"list", Builtin::kList},
+      {"dict", Builtin::kDict},     {"enumerate", Builtin::kEnumerate},
+      {"zip", Builtin::kZip},       {"round", Builtin::kRound},
+      {"any", Builtin::kAny},       {"all", Builtin::kAll},
+      {"isinstance", Builtin::kIsinstance}};
+  for (const auto& [spelling, builtin] : kBuiltins) {
+    if (spelling == name) return builtin;
+  }
+  return Builtin::kNone;
+}
+
+Method method_named(std::string_view name) {
+  static constexpr std::pair<std::string_view, Method> kMethods[] = {
+      {"append", Method::kAppend},     {"extend", Method::kExtend},
+      {"insert", Method::kInsert},     {"pop", Method::kPop},
+      {"remove", Method::kRemove},     {"index", Method::kIndex},
+      {"count", Method::kCount},       {"sort", Method::kSort},
+      {"reverse", Method::kReverse},   {"get", Method::kGet},
+      {"keys", Method::kKeys},         {"values", Method::kValues},
+      {"items", Method::kItems},       {"update", Method::kUpdate},
+      {"setdefault", Method::kSetdefault}, {"split", Method::kSplit},
+      {"join", Method::kJoin},         {"upper", Method::kUpper},
+      {"lower", Method::kLower},       {"strip", Method::kStrip},
+      {"startswith", Method::kStartswith}, {"endswith", Method::kEndswith},
+      {"replace", Method::kReplace},   {"find", Method::kFind},
+      {"isdigit", Method::kIsdigit}};
+  for (const auto& [spelling, method] : kMethods) {
+    if (spelling == name) return method;
+  }
+  return Method::kNone;
+}
+
 namespace {
 
 void walk_expr(const Expr* e, const std::function<void(const Expr&)>& fn);

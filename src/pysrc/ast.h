@@ -4,11 +4,21 @@
 // constructs the dependency analyzer cares about (imports, function/class
 // structure, control flow) while keeping expression nodes simple. Ownership
 // is strict: every child is a unique_ptr held by its parent.
+//
+// The parser also resolves what the interpreter would otherwise redo on
+// every evaluation: operators are an `Op`, numeric literals carry their
+// value, f-strings carry their parsed fields, and every identifier carries
+// a slot into its module's `Module::names`. A tree is immutable once
+// parsed, so the parse cache shares one resolved tree per source.
 #pragma once
 
+#include <cstdint>
+#include <exception>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,6 +28,55 @@ struct Expr;
 struct Stmt;
 using ExprPtr = std::unique_ptr<Expr>;
 using StmtPtr = std::unique_ptr<Stmt>;
+
+// Operators of BinOp, AugAssign, UnaryOp, BoolOp and Compare nodes.
+enum class Op : uint8_t {
+  // Binary (BinOpExpr).
+  kAdd, kSub, kMul, kMatMul, kDiv, kFloorDiv, kMod, kPow,
+  kLShift, kRShift, kBitAnd, kBitOr, kBitXor,
+  kWalrus,  // `(name := value)`, parsed as a BinOpExpr
+  // Augmented assignment (AugAssignStmt), in the order of the binary ones.
+  kAddAssign, kSubAssign, kMulAssign, kMatMulAssign, kDivAssign,
+  kFloorDivAssign, kModAssign, kPowAssign, kLShiftAssign, kRShiftAssign,
+  kBitAndAssign, kBitOrAssign, kBitXorAssign,
+  // Unary (UnaryOpExpr).
+  kNot, kNeg, kPos, kInvert,
+  // Boolean (BoolOpExpr).
+  kAnd, kOr,
+  // Comparison (CompareExpr).
+  kEq, kNe, kLt, kLe, kGt, kGe, kIn, kNotIn, kIs, kIsNot,
+};
+
+// The operator's source spelling ("+", "+=", "not in", ...): the one place
+// unparse and error messages get it from.
+std::string_view op_text(Op op);
+// Compares by spelling, so `node.op == "+"` reads as it does in source.
+inline bool operator==(Op op, std::string_view text) { return op_text(op) == text; }
+std::ostream& operator<<(std::ostream& os, Op op);
+// The binary operator an augmented assignment applies: kAdd for kAddAssign.
+inline Op augmented_base(Op op) {
+  return static_cast<Op>(static_cast<int>(op) - static_cast<int>(Op::kAddAssign) +
+                         static_cast<int>(Op::kAdd));
+}
+
+// The interpreter's builtin functions. The parser tags each name that
+// spells one, so a call reaches its builtin without comparing strings.
+enum class Builtin : uint8_t {
+  kNone, kLen, kRange, kPrint, kAbs, kMin, kMax, kSum, kSorted, kStr, kRepr,
+  kInt, kFloat, kBool, kList, kDict, kEnumerate, kZip, kRound, kAny, kAll,
+  kIsinstance,
+};
+Builtin builtin_named(std::string_view name);
+
+// The str, list and dict methods the interpreter implements. Each
+// AttributeExpr carries the one its name spells, so a method call
+// dispatches without comparing strings.
+enum class Method : uint8_t {
+  kNone, kAppend, kExtend, kInsert, kPop, kRemove, kIndex, kCount, kSort,
+  kReverse, kGet, kKeys, kValues, kItems, kUpdate, kSetdefault, kSplit, kJoin,
+  kUpper, kLower, kStrip, kStartswith, kEndswith, kReplace, kFind, kIsdigit,
+};
+Method method_named(std::string_view name);
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -59,9 +118,19 @@ struct Expr {
 struct NameExpr : Expr {
   explicit NameExpr(std::string id) : Expr(ExprKind::kName), id(std::move(id)) {}
   std::string id;
+  uint32_t slot = 0;                  // index of `id` in Module::names
+  Builtin builtin = Builtin::kNone;  // the builtin `id` spells, if any
 };
 
 enum class ConstantKind { kNone, kBool, kInt, kFloat, kStr, kBytes, kEllipsis };
+
+// One replacement field of an f-string and the literal text before it.
+struct FStringPart {
+  std::string literal;  // text before the field, `{{` and `}}` unescaped
+  ExprPtr field;        // null for the text after the last field
+  bool fixed = false;   // a `:.Nf` spec: `precision` digits after the point
+  int precision = 6;
+};
 
 struct ConstantExpr : Expr {
   ConstantExpr() : Expr(ExprKind::kConstant) {}
@@ -69,13 +138,24 @@ struct ConstantExpr : Expr {
   bool bool_value = false;
   bool fstring = false;  // f-prefixed string: interpolated at evaluation
   std::string text;  // literal text for numbers, decoded value for strings
+  int64_t int_value = 0;               // kInt
+  double float_value = 0.0;            // kFloat
+  std::vector<FStringPart> fstring_parts;  // fstring: fields in order
+  // What evaluating the literal raises (an int that does not fit int64, a
+  // malformed f-string field), after any fstring_parts. The parse itself
+  // succeeds, so only code that reaches the literal fails.
+  std::exception_ptr error;
 };
 
 struct AttributeExpr : Expr {
   AttributeExpr(ExprPtr value, std::string attr)
-      : Expr(ExprKind::kAttribute), value(std::move(value)), attr(std::move(attr)) {}
+      : Expr(ExprKind::kAttribute),
+        value(std::move(value)),
+        attr(std::move(attr)),
+        method(method_named(this->attr)) {}
   ExprPtr value;
   std::string attr;
+  Method method;  // the method `attr` spells, if any
 };
 
 struct Keyword {
@@ -92,33 +172,36 @@ struct CallExpr : Expr {
 
 struct BinOpExpr : Expr {
   BinOpExpr() : Expr(ExprKind::kBinOp) {}
-  std::string op;
+  Op op = Op::kAdd;
   ExprPtr lhs;
   ExprPtr rhs;
 };
 
 struct UnaryOpExpr : Expr {
   UnaryOpExpr() : Expr(ExprKind::kUnaryOp) {}
-  std::string op;
+  Op op = Op::kNot;
   ExprPtr operand;
 };
 
 struct BoolOpExpr : Expr {
   BoolOpExpr() : Expr(ExprKind::kBoolOp) {}
-  std::string op;  // "and" | "or"
+  Op op = Op::kAnd;  // kAnd | kOr
   std::vector<ExprPtr> values;
 };
 
 struct CompareExpr : Expr {
   CompareExpr() : Expr(ExprKind::kCompare) {}
   ExprPtr lhs;
-  std::vector<std::pair<std::string, ExprPtr>> rest;  // (op, operand)
+  std::vector<std::pair<Op, ExprPtr>> rest;  // (op, operand)
 };
 
 struct SubscriptExpr : Expr {
   SubscriptExpr() : Expr(ExprKind::kSubscript) {}
   ExprPtr value;
   ExprPtr index;
+  // Evaluating `index` may bind a name (it holds a call, a walrus or a
+  // comprehension), so a read must copy `value` before evaluating it.
+  bool index_binds = false;
 };
 
 struct SequenceExpr : Expr {  // tuple / list / set
@@ -135,6 +218,7 @@ struct DictExpr : Expr {
 struct LambdaExpr : Expr {
   LambdaExpr() : Expr(ExprKind::kLambda) {}
   std::vector<std::string> params;
+  std::vector<uint32_t> param_slots;
   ExprPtr body;
 };
 
@@ -236,7 +320,7 @@ struct AssignStmt : Stmt {
 struct AugAssignStmt : Stmt {
   AugAssignStmt() : Stmt(StmtKind::kAugAssign) {}
   ExprPtr target;
-  std::string op;  // "+=", "-=", ...
+  Op op = Op::kAddAssign;  // kAddAssign .. kBitXorAssign
   ExprPtr value;
 };
 
@@ -260,6 +344,7 @@ struct SimpleStmt : Stmt {  // pass / break / continue
 struct ImportAlias {
   std::string name;    // dotted module path
   std::string asname;  // empty when no `as` clause
+  uint32_t slot = 0;   // the bound name: `asname`, else `name`
 };
 
 struct ImportStmt : Stmt {
@@ -302,6 +387,7 @@ struct WhileStmt : Stmt {
 struct ExceptHandler {
   ExprPtr type;        // may be null (bare except)
   std::string name;    // `except E as name`
+  uint32_t slot = 0;   // of `name`
   std::vector<StmtPtr> body;
   int line = 0;
 };
@@ -328,6 +414,7 @@ struct WithStmt : Stmt {
 
 struct Parameter {
   std::string name;
+  uint32_t slot = 0;
   ExprPtr annotation;   // may be null
   ExprPtr default_val;  // may be null
   bool is_vararg = false;   // *args
@@ -338,6 +425,7 @@ struct FunctionDefStmt : Stmt {
   FunctionDefStmt() : Stmt(StmtKind::kFunctionDef) {}
   bool is_async = false;
   std::string name;
+  uint32_t slot = 0;  // of `name`
   std::vector<Parameter> params;
   ExprPtr returns;  // may be null
   std::vector<ExprPtr> decorators;
@@ -368,6 +456,7 @@ struct AssertStmt : Stmt {
 struct ScopeDeclStmt : Stmt {  // global / nonlocal
   explicit ScopeDeclStmt(StmtKind k) : Stmt(k) {}
   std::vector<std::string> names;
+  std::vector<uint32_t> slots;
 };
 
 struct DeleteStmt : Stmt {
@@ -377,6 +466,9 @@ struct DeleteStmt : Stmt {
 
 struct Module {
   std::vector<StmtPtr> body;
+  // Every identifier the module reads or binds, once each. The `slot`
+  // fields of its nodes index this table.
+  std::vector<std::string> names;
 };
 
 // Depth-first walk helpers: invoke `fn` on every statement (resp. expression)

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <deque>
+#include <numeric>
+#include <optional>
+#include <unordered_map>
 
 #include "pysrc/parser.h"
 #include "serde/json.h"
@@ -15,13 +18,9 @@ using serde::Value;
 using serde::ValueDict;
 using serde::ValueList;
 
-// --- control-flow signals (C++ exceptions internal to the interpreter) ------
-
-struct ReturnSignal {
-  Value value;
-};
-struct BreakSignal {};
-struct ContinueSignal {};
+// How a statement ends: normally, or by a break, continue or return that
+// the enclosing loop or call acts on.
+enum class Flow { kNormal, kBreak, kContinue, kReturn };
 
 [[noreturn]] void raise(const std::string& type, const std::string& message) {
   throw PyError(type, message);
@@ -29,6 +28,13 @@ struct ContinueSignal {};
 
 [[noreturn]] void unsupported(const std::string& what) {
   raise("UnsupportedError", what + " is not supported by the mini interpreter");
+}
+
+// A flow that left the body it may act in.
+[[noreturn]] void stray_flow(Flow flow) {
+  raise("SyntaxError", flow == Flow::kReturn  ? "'return' outside function"
+                       : flow == Flow::kBreak ? "'break' outside loop"
+                                              : "'continue' not properly in loop");
 }
 
 // --- Python value helpers ----------------------------------------------------
@@ -48,18 +54,78 @@ bool truthy(const Value& v) {
 }
 
 bool is_number(const Value& v) { return v.is_int() || v.is_real() || v.is_bool(); }
+bool is_int_like(const Value& v) { return v.is_int() || v.is_bool(); }
 
 double as_real(const Value& v) {
   if (v.is_bool()) return v.as_bool() ? 1.0 : 0.0;
   return v.as_real();
 }
 
+// --- int64 arithmetic ----------------------------------------------------------
+// Ints are int64. Every int result is checked; one that leaves the range
+// raises OverflowError instead of wrapping.
+
+[[noreturn]] void int_overflow(const std::string& what) {
+  raise("OverflowError", what + " does not fit in int64");
+}
+
+[[noreturn]] void op_overflow(Op op) {
+  int_overflow("result of '" + std::string(op_text(op)) + "'");
+}
+
+// A float truncated toward zero, as int() does.
+int64_t checked_int(double d) {
+  if (std::isnan(d)) raise("ValueError", "cannot convert float NaN to integer");
+  // [-2^63, 2^63): both bounds are exact doubles.
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+    int_overflow(strformat("float %g", d));
+  }
+  return static_cast<int64_t>(d);
+}
+
 int64_t as_int(const Value& v) {
   if (v.is_bool()) return v.as_bool() ? 1 : 0;
   if (v.is_int()) return v.as_int();
-  if (v.is_real()) return static_cast<int64_t>(v.as_real());
+  if (v.is_real()) return checked_int(v.as_real());
   raise("TypeError", "expected an integer, got " + v.repr());
 }
+
+int64_t int_pow(int64_t base, int64_t exp) {
+  int64_t result = 1;
+  while (true) {
+    if ((exp & 1) != 0 && __builtin_mul_overflow(result, base, &result)) {
+      op_overflow(Op::kPow);
+    }
+    exp >>= 1;
+    if (exp == 0) return result;
+    // Squared only when a later bit needs it, so it overflows only when
+    // the result would.
+    if (__builtin_mul_overflow(base, base, &base)) op_overflow(Op::kPow);
+  }
+}
+
+// range(lo, hi, step) as a count of values, so stepping never overflows.
+struct Range {
+  int64_t next = 0;
+  int64_t step = 1;
+  uint64_t left = 0;
+
+  Range(int64_t lo, int64_t hi, int64_t step_) : next(lo), step(step_) {
+    const auto ulo = static_cast<uint64_t>(lo);
+    const auto uhi = static_cast<uint64_t>(hi);
+    const auto ustep = static_cast<uint64_t>(step);
+    if (step > 0 && lo < hi) left = (uhi - ulo - 1) / ustep + 1;
+    if (step < 0 && lo > hi) left = (ulo - uhi - 1) / (0 - ustep) + 1;
+  }
+  bool take(int64_t& out) {
+    if (left == 0) return false;
+    --left;
+    out = next;
+    // Wraps only past the last value, which is never read.
+    next = static_cast<int64_t>(static_cast<uint64_t>(next) + static_cast<uint64_t>(step));
+    return true;
+  }
+};
 
 std::string type_name(const Value& v) {
   switch (v.kind()) {
@@ -82,7 +148,7 @@ std::string py_str(const Value& v) {
   if (v.is_str()) return v.as_str();
   if (v.is_real()) {
     const double d = v.as_real();
-    if (d == static_cast<int64_t>(d) && std::abs(d) < 1e15) {
+    if (std::abs(d) < 1e15 && d == static_cast<int64_t>(d)) {
       return strformat("%.1f", d);
     }
     return strformat("%g", d);
@@ -172,73 +238,87 @@ size_t normalize_index(int64_t index, size_t size, const char* what) {
   return static_cast<size_t>(i);
 }
 
-int64_t int_pow(int64_t base, int64_t exp) {
-  int64_t result = 1;
-  while (exp > 0) {
-    if (exp & 1) result *= base;
-    base *= base;
-    exp >>= 1;
-  }
-  return result;
+[[noreturn]] void unsupported_operands(Op op, const Value& a, const Value& b) {
+  raise("TypeError", "unsupported operand type(s) for " + std::string(op_text(op)) +
+                         ": " + type_name(a) + " and " + type_name(b));
 }
 
-Value binary_numeric(const std::string& op, const Value& a, const Value& b) {
-  const bool both_int = (a.is_int() || a.is_bool()) && (b.is_int() || b.is_bool());
-  if (op == "+") {
-    if (both_int) return Value(as_int(a) + as_int(b));
-    return Value(as_real(a) + as_real(b));
-  }
-  if (op == "-") {
-    if (both_int) return Value(as_int(a) - as_int(b));
-    return Value(as_real(a) - as_real(b));
-  }
-  if (op == "*") {
-    if (both_int) return Value(as_int(a) * as_int(b));
-    return Value(as_real(a) * as_real(b));
-  }
-  if (op == "/") {
-    if (as_real(b) == 0.0) raise("ZeroDivisionError", "division by zero");
-    return Value(as_real(a) / as_real(b));
-  }
-  if (op == "//") {
-    if (as_real(b) == 0.0) raise("ZeroDivisionError", "integer division by zero");
-    if (both_int) {
-      const int64_t x = as_int(a);
-      const int64_t y = as_int(b);
-      int64_t q = x / y;
-      if ((x % y != 0) && ((x < 0) != (y < 0))) --q;  // floor toward -inf
-      return Value(q);
-    }
-    return Value(std::floor(as_real(a) / as_real(b)));
-  }
-  if (op == "%") {
-    if (as_real(b) == 0.0) raise("ZeroDivisionError", "modulo by zero");
-    if (both_int) {
-      const int64_t x = as_int(a);
-      const int64_t y = as_int(b);
-      int64_t r = x % y;
+// x op y, the ints (or bools, as 0 and 1) `a` and `b` hold. The Values
+// only name their types in an error.
+Value int_binary(Op op, int64_t x, int64_t y, const Value& a, const Value& b) {
+  int64_t r = 0;
+  switch (op) {
+    case Op::kAdd:
+      if (__builtin_add_overflow(x, y, &r)) op_overflow(op);
+      return Value(r);
+    case Op::kSub:
+      if (__builtin_sub_overflow(x, y, &r)) op_overflow(op);
+      return Value(r);
+    case Op::kMul:
+      if (__builtin_mul_overflow(x, y, &r)) op_overflow(op);
+      return Value(r);
+    case Op::kDiv:
+      if (y == 0) raise("ZeroDivisionError", "division by zero");
+      return Value(static_cast<double>(x) / static_cast<double>(y));
+    case Op::kFloorDiv:
+      if (y == 0) raise("ZeroDivisionError", "integer division by zero");
+      if (x == INT64_MIN && y == -1) op_overflow(op);
+      r = x / y;
+      if ((x % y != 0) && ((x < 0) != (y < 0))) --r;  // floor toward -inf
+      return Value(r);
+    case Op::kMod:
+      if (y == 0) raise("ZeroDivisionError", "modulo by zero");
+      if (y == -1) return Value(int64_t{0});  // INT64_MIN % -1 traps in C++
+      r = x % y;
       if (r != 0 && ((r < 0) != (y < 0))) r += y;  // Python sign convention
       return Value(r);
-    }
-    const double r = std::fmod(as_real(a), as_real(b));
-    return Value(r != 0.0 && ((r < 0) != (as_real(b) < 0)) ? r + as_real(b) : r);
+    case Op::kPow:
+      if (y >= 0) return Value(int_pow(x, y));
+      return Value(std::pow(static_cast<double>(x), static_cast<double>(y)));
+    case Op::kBitAnd: return Value(x & y);
+    case Op::kBitOr: return Value(x | y);
+    case Op::kBitXor: return Value(x ^ y);
+    case Op::kLShift:
+      if (y < 0) raise("ValueError", "negative shift count");
+      if (x == 0) return Value(int64_t{0});
+      if (y >= 64) op_overflow(op);
+      r = static_cast<int64_t>(static_cast<uint64_t>(x) << y);
+      if ((r >> y) != x) op_overflow(op);
+      return Value(r);
+    case Op::kRShift:
+      if (y < 0) raise("ValueError", "negative shift count");
+      return Value(y >= 64 ? (x < 0 ? int64_t{-1} : int64_t{0}) : x >> y);
+    default:
+      unsupported_operands(op, a, b);
   }
-  if (op == "**") {
-    if (both_int && as_int(b) >= 0) return Value(int_pow(as_int(a), as_int(b)));
-    return Value(std::pow(as_real(a), as_real(b)));
-  }
-  if (op == "&" && both_int) return Value(as_int(a) & as_int(b));
-  if (op == "|" && both_int) return Value(as_int(a) | as_int(b));
-  if (op == "^" && both_int) return Value(as_int(a) ^ as_int(b));
-  if (op == "<<" && both_int) return Value(as_int(a) << as_int(b));
-  if (op == ">>" && both_int) return Value(as_int(a) >> as_int(b));
-  raise("TypeError", "unsupported operand type(s) for " + op + ": " +
-                         type_name(a) + " and " + type_name(b));
 }
 
-Value binary_op(const std::string& op, const Value& a, const Value& b) {
+Value binary_numeric(Op op, const Value& a, const Value& b) {
+  if (is_int_like(a) && is_int_like(b)) return int_binary(op, as_int(a), as_int(b), a, b);
+  switch (op) {
+    case Op::kAdd: return Value(as_real(a) + as_real(b));
+    case Op::kSub: return Value(as_real(a) - as_real(b));
+    case Op::kMul: return Value(as_real(a) * as_real(b));
+    case Op::kDiv:
+      if (as_real(b) == 0.0) raise("ZeroDivisionError", "division by zero");
+      return Value(as_real(a) / as_real(b));
+    case Op::kFloorDiv:
+      if (as_real(b) == 0.0) raise("ZeroDivisionError", "integer division by zero");
+      return Value(std::floor(as_real(a) / as_real(b)));
+    case Op::kMod: {
+      if (as_real(b) == 0.0) raise("ZeroDivisionError", "modulo by zero");
+      const double r = std::fmod(as_real(a), as_real(b));
+      return Value(r != 0.0 && ((r < 0) != (as_real(b) < 0)) ? r + as_real(b) : r);
+    }
+    case Op::kPow: return Value(std::pow(as_real(a), as_real(b)));
+    default: unsupported_operands(op, a, b);
+  }
+}
+
+Value binary_op(Op op, const Value& a, const Value& b) {
+  if (a.is_int() && b.is_int()) return int_binary(op, a.as_int(), b.as_int(), a, b);
   // Sequence semantics first.
-  if (op == "+") {
+  if (op == Op::kAdd) {
     if (a.is_str() && b.is_str()) return Value(a.as_str() + b.as_str());
     if (a.is_list() && b.is_list()) {
       ValueList out = a.as_list();
@@ -246,7 +326,7 @@ Value binary_op(const std::string& op, const Value& a, const Value& b) {
       return Value(std::move(out));
     }
   }
-  if (op == "*") {
+  if (op == Op::kMul) {
     const auto repeat = [](const Value& seq, int64_t n) -> Value {
       if (seq.is_str()) {
         std::string out;
@@ -259,16 +339,15 @@ Value binary_op(const std::string& op, const Value& a, const Value& b) {
       }
       return Value(std::move(out));
     };
-    if ((a.is_str() || a.is_list()) && (b.is_int() || b.is_bool())) {
+    if ((a.is_str() || a.is_list()) && is_int_like(b)) {
       return repeat(a, std::max<int64_t>(as_int(b), 0));
     }
-    if ((b.is_str() || b.is_list()) && (a.is_int() || a.is_bool())) {
+    if ((b.is_str() || b.is_list()) && is_int_like(a)) {
       return repeat(b, std::max<int64_t>(as_int(a), 0));
     }
   }
   if (is_number(a) || is_number(b)) return binary_numeric(op, a, b);
-  raise("TypeError", "unsupported operand type(s) for " + op + ": " +
-                         type_name(a) + " and " + type_name(b));
+  unsupported_operands(op, a, b);
 }
 
 bool contains(const Value& container, const Value& item) {
@@ -290,9 +369,25 @@ bool contains(const Value& container, const Value& item) {
                          "' is not iterable");
 }
 
-// The values iterated by a for loop / comprehension.
-ValueList iterate(const Value& v) {
-  if (v.is_list()) return v.as_list();
+bool compare_op(Op op, const Value& left, const Value& right) {
+  switch (op) {
+    case Op::kEq: return py_equal(left, right);
+    case Op::kNe: return !py_equal(left, right);
+    case Op::kLt: return compare(left, right) < 0;
+    case Op::kLe: return compare(left, right) <= 0;
+    case Op::kGt: return compare(left, right) > 0;
+    case Op::kGe: return compare(left, right) >= 0;
+    case Op::kIn: return contains(right, left);
+    case Op::kNotIn: return !contains(right, left);
+    case Op::kIs: return (left.is_none() && right.is_none()) || py_equal(left, right);
+    case Op::kIsNot: return !((left.is_none() && right.is_none()) || py_equal(left, right));
+    default: return false;
+  }
+}
+
+// The values iterated by a for loop / comprehension; a list is moved out.
+ValueList iterate(Value v) {
+  if (v.is_list()) return std::move(v.as_list());
   if (v.is_str()) {
     ValueList out;
     for (const char c : v.as_str()) out.push_back(Value(std::string(1, c)));
@@ -306,27 +401,24 @@ ValueList iterate(const Value& v) {
   raise("TypeError", "'" + type_name(v) + "' object is not iterable");
 }
 
-Value parse_int_literal(const std::string& text) {
-  std::string t;
-  for (const char c : text) {
-    if (c != '_') t += c;
+// base[index] for a read.
+Value item(const Value& base, const Value& index) {
+  if (base.is_list()) {
+    const auto& list = base.as_list();
+    return list[normalize_index(as_int(index), list.size(), "list")];
   }
-  int base = 10;
-  size_t skip = 0;
-  if (t.size() > 2 && t[0] == '0') {
-    const char b = static_cast<char>(std::tolower(static_cast<unsigned char>(t[1])));
-    if (b == 'x') {
-      base = 16;
-      skip = 2;
-    } else if (b == 'o') {
-      base = 8;
-      skip = 2;
-    } else if (b == 'b') {
-      base = 2;
-      skip = 2;
-    }
+  if (base.is_str()) {
+    const auto& str = base.as_str();
+    return Value(std::string(1, str[normalize_index(as_int(index), str.size(), "string")]));
   }
-  return Value(static_cast<int64_t>(std::stoll(t.substr(skip), nullptr, base)));
+  if (base.is_dict()) {
+    if (!index.is_str()) raise("TypeError", "dict keys must be strings");
+    const auto& dict = base.as_dict();
+    const auto it = dict.find(index.as_str());
+    if (it == dict.end()) raise("KeyError", py_repr(index));
+    return it->second;
+  }
+  raise("TypeError", "'" + type_name(base) + "' object is not subscriptable");
 }
 
 }  // namespace
@@ -338,24 +430,56 @@ struct Interpreter::Impl {
 
   InterpOptions options;
   std::vector<std::unique_ptr<Module>> owned_modules;
-  std::map<std::string, const FunctionDefStmt*> functions;
-  std::map<std::string, Value> globals;
   std::string captured_output;
   int64_t steps = 0;
   int depth = 0;
 
+  // --- names -------------------------------------------------------------------
+  // Every name has an interpreter-wide id: the first module's slots, then
+  // each name a later module or set_global() adds. Frames and globals are
+  // flat arrays indexed by id, sized once per call: names only grow between
+  // evaluations, so a pointer into a frame stays valid until the next
+  // evaluation binds or deletes a name.
+  std::vector<std::string> names;
+
+  // A module as this interpreter runs it.
+  struct Unit {
+    const Module* module = nullptr;
+    std::vector<uint32_t> ids;  // module slot -> id
+  };
+  std::deque<Unit> units;  // deque: frames and callables point into it
+
+  struct Global {
+    Value value;
+    bool bound = false;
+    const FunctionDefStmt* def = nullptr;  // module-level def of this name
+    const Unit* def_unit = nullptr;
+  };
+  std::vector<Global> globals;  // by id
+
+  struct Slot {
+    Value value;
+    bool bound = false;
+    bool global = false;  // declared `global` in this frame
+  };
+  using Slots = std::vector<Slot>;
+
   struct Frame {
-    std::map<std::string, Value>* locals = nullptr;  // null at module scope
-    std::set<std::string> global_names;
+    const Unit* unit = nullptr;  // translates the running code's slots
+    Slot* locals = nullptr;      // names.size() slots; null at module scope
+    Value result;                // set by `return`
   };
 
   // Callables held by value-domain handles {"__callable__": id}.
   struct Callable {
     const FunctionDefStmt* def = nullptr;
     const LambdaExpr* lambda = nullptr;
-    std::map<std::string, Value> captured;  // lambda capture snapshot
+    const Unit* unit = nullptr;
+    Slots captured;  // snapshot of the defining frame's locals
   };
-  std::vector<Callable> callables;
+  std::deque<Callable> callables;  // deque: a running call holds a reference
+  // The one handle of each module-level def used as a value.
+  std::unordered_map<const FunctionDefStmt*, Value> def_handles;
 
   static bool is_callable_handle(const Value& v) {
     return v.is_dict() && v.contains("__callable__");
@@ -382,90 +506,262 @@ struct Interpreter::Impl {
 
   // --- name resolution -------------------------------------------------------
 
-  Value* find_name(Frame& frame, const std::string& name) {
-    if (frame.locals != nullptr && frame.global_names.count(name) == 0) {
-      const auto it = frame.locals->find(name);
-      if (it != frame.locals->end()) return &it->second;
-    }
-    const auto git = globals.find(name);
-    if (git != globals.end()) return &git->second;
-    return nullptr;
+  // The id of `name`, or names.size() when no module or global has it.
+  uint32_t find_id(std::string_view name) const {
+    uint32_t i = 0;
+    while (i < names.size() && names[i] != name) ++i;
+    return i;
   }
 
-  Value load_name(Frame& frame, const std::string& name) {
-    if (Value* v = find_name(frame, name)) return *v;
-    const auto fit = functions.find(name);
-    if (fit != functions.end()) {
-      Callable c;
-      c.def = fit->second;
-      return make_callable(std::move(c));
+  uint32_t intern(const std::string& name) {
+    const uint32_t i = find_id(name);
+    if (i == names.size()) {
+      names.push_back(name);
+      globals.emplace_back();
     }
-    if (name == "True") return Value(true);
-    if (name == "False") return Value(false);
-    if (name == "None") return Value();
-    raise("NameError", "name '" + name + "' is not defined");
+    return i;
   }
 
-  void store_name(Frame& frame, const std::string& name, Value value) {
-    if (frame.locals != nullptr && frame.global_names.count(name) == 0) {
-      (*frame.locals)[name] = std::move(value);
+  const Unit& unit_for(const Module& module) {
+    for (const Unit& unit : units) {
+      if (unit.module == &module) return unit;
+    }
+    Unit unit;
+    unit.module = &module;
+    if (names.empty()) {
+      names = module.names;
+      globals.resize(names.size());
+      unit.ids.resize(names.size());
+      std::iota(unit.ids.begin(), unit.ids.end(), 0u);
     } else {
-      globals[name] = std::move(value);
+      for (const auto& name : module.names) unit.ids.push_back(intern(name));
     }
+    units.push_back(std::move(unit));
+    return units.back();
+  }
+
+  static uint32_t id(const Frame& frame, uint32_t slot) { return frame.unit->ids[slot]; }
+
+  Value* find(Frame& frame, uint32_t id) {
+    if (frame.locals != nullptr) {
+      Slot& slot = frame.locals[id];
+      if (slot.bound && !slot.global) return &slot.value;
+    }
+    Global& global = globals[id];
+    return global.bound ? &global.value : nullptr;
+  }
+
+  Value load(Frame& frame, const NameExpr& name) {
+    const uint32_t i = id(frame, name.slot);
+    if (Value* v = find(frame, i)) return *v;
+    if (globals[i].def != nullptr) return def_handle(globals[i]);
+    raise("NameError", "name '" + name.id + "' is not defined");
+  }
+
+  void store(Frame& frame, uint32_t id, Value&& value) {
+    if (frame.locals != nullptr && !frame.locals[id].global) {
+      frame.locals[id].value = std::move(value);
+      frame.locals[id].bound = true;
+    } else {
+      globals[id].value = std::move(value);
+      globals[id].bound = true;
+    }
+  }
+
+  Value def_handle(const Global& global) {
+    const auto [it, added] = def_handles.try_emplace(global.def);
+    if (added) {
+      Callable c;
+      c.def = global.def;
+      c.unit = global.def_unit;
+      it->second = make_callable(std::move(c));
+    }
+    return it->second;
+  }
+
+  // A fresh frame's locals: the captured snapshot, if any, then unbound.
+  Slots new_locals(const Slots* captured) const {
+    Slots locals(names.size());
+    if (captured != nullptr) std::copy(captured->begin(), captured->end(), locals.begin());
+    return locals;
+  }
+
+  // The by-value snapshot a nested def or lambda keeps of `frame`'s locals.
+  Slots capture(const Frame& frame) const {
+    Slots captured(frame.locals, frame.locals + names.size());
+    for (Slot& slot : captured) slot.global = false;
+    return captured;
+  }
+
+  // An assignable location: a bound name and the subscripts below it.
+  struct Place {
+    uint32_t id = 0;
+    std::vector<Value> indices;
+  };
+
+  // Evaluates the subscripts of `target` (`name[i][j]...`), innermost
+  // first, checking each level as a read would. False when `target` is
+  // not such a chain or its name is unbound.
+  bool place_of(Frame& frame, const Expr& target, Place& place) {
+    if (target.kind == ExprKind::kName) {
+      place.id = id(frame, static_cast<const NameExpr&>(target).slot);
+      return find(frame, place.id) != nullptr;
+    }
+    if (target.kind != ExprKind::kSubscript) return false;
+    const auto& sub = static_cast<const SubscriptExpr&>(target);
+    if (!place_of(frame, *sub.value, place)) return false;
+    place.indices.push_back(eval(frame, *sub.index));
+    walk(frame, place);
+    return true;
+  }
+
+  // The value at `place`, found from its name again: an index evaluated
+  // since may have rebound it. Valid until the next evaluation.
+  Value* walk(Frame& frame, const Place& place) {
+    Value* v = find(frame, place.id);
+    if (v == nullptr) raise("NameError", "name '" + names[place.id] + "' is not defined");
+    for (const Value& index : place.indices) {
+      if (v->is_list()) {
+        auto& list = v->as_list();
+        v = &list[normalize_index(as_int(index), list.size(), "list")];
+      } else if (v->is_dict()) {
+        if (!index.is_str()) raise("TypeError", "dict keys must be strings");
+        auto& dict = v->as_dict();
+        const auto it = dict.find(index.as_str());
+        if (it == dict.end()) raise("KeyError", py_repr(index));
+        v = &it->second;
+      } else {
+        raise("TypeError", "'" + type_name(*v) + "' object is not subscriptable");
+      }
+    }
+    return v;
   }
 
   // Resolve an assignable location (Name or Subscript chain); nullptr when
-  // the expression is not an lvalue.
+  // the expression is not an lvalue. Valid until the next evaluation.
   Value* resolve_lvalue(Frame& frame, const Expr& target) {
-    if (target.kind == ExprKind::kName) {
-      return find_name(frame, static_cast<const NameExpr&>(target).id);
-    }
-    if (target.kind == ExprKind::kSubscript) {
-      const auto& sub = static_cast<const SubscriptExpr&>(target);
-      Value* base = resolve_lvalue(frame, *sub.value);
-      if (base == nullptr) return nullptr;
-      const Value index = eval(frame, *sub.index);
-      if (base->is_list()) {
-        auto& list = base->as_list();
-        return &list[normalize_index(as_int(index), list.size(), "list")];
+    Place place;
+    return place_of(frame, target, place) ? walk(frame, place) : nullptr;
+  }
+
+  // `expr` is a call of `builtin` by its name, and no binding or def
+  // shadows that name now.
+  const CallExpr* builtin_call(Frame& frame, const Expr& expr, Builtin builtin) {
+    if (expr.kind != ExprKind::kCall) return nullptr;
+    const auto& call = static_cast<const CallExpr&>(expr);
+    if (call.func->kind != ExprKind::kName) return nullptr;
+    const auto& name = static_cast<const NameExpr&>(*call.func);
+    if (name.builtin != builtin) return nullptr;
+    const uint32_t i = id(frame, name.slot);
+    if (find(frame, i) != nullptr || globals[i].def != nullptr) return nullptr;
+    return &call;
+  }
+
+  // What a for loop or comprehension clause walks: `range(...)` is counted
+  // without building its list; anything else is a list of its own.
+  struct Iteration {
+    std::optional<Range> range;
+    ValueList items;
+    size_t next = 0;
+
+    bool take(Value& out) {
+      if (range) {
+        int64_t i = 0;
+        if (!range->take(i)) return false;
+        out = Value(i);
+        return true;
       }
-      if (base->is_dict()) {
-        if (!index.is_str()) raise("TypeError", "dict keys must be strings");
-        auto& dict = base->as_dict();
-        const auto it = dict.find(index.as_str());
-        if (it == dict.end()) raise("KeyError", py_repr(index));
-        return &it->second;
-      }
-      raise("TypeError", "'" + type_name(*base) + "' object is not subscriptable");
+      if (next == items.size()) return false;
+      out = std::move(items[next++]);
+      return true;
     }
-    return nullptr;
+  };
+
+  Iteration iteration(Frame& frame, const Expr& iter) {
+    Iteration it;
+    if (const CallExpr* call = builtin_call(frame, iter, Builtin::kRange)) {
+      tick();
+      it.range = range_of(call_args(frame, *call));
+    } else {
+      it.items = iterate(eval(frame, iter));
+    }
+    return it;
+  }
+
+  static Range range_of(const std::vector<Value>& args) {
+    if (args.empty() || args.size() > 3) {
+      raise("TypeError", "range() takes 1..3 arguments (" + std::to_string(args.size()) +
+                             " given)");
+    }
+    int64_t lo = 0, hi = 0, step = 1;
+    if (args.size() == 1) {
+      hi = as_int(args[0]);
+    } else {
+      lo = as_int(args[0]);
+      hi = as_int(args[1]);
+      if (args.size() == 3) step = as_int(args[2]);
+    }
+    if (step == 0) raise("ValueError", "range() step must not be zero");
+    return Range(lo, hi, step);
+  }
+
+  // Positional arguments, with `*spread` expanded.
+  std::vector<Value> call_args(Frame& frame, const CallExpr& call) {
+    std::vector<Value> args;
+    args.reserve(call.args.size());
+    for (const auto& arg : call.args) {
+      if (arg->kind == ExprKind::kStarred) {
+        for (auto& v : iterate(eval(frame, *static_cast<const StarredExpr&>(*arg).value))) {
+          args.push_back(std::move(v));
+        }
+      } else {
+        args.push_back(eval(frame, *arg));
+      }
+    }
+    return args;
   }
 
   // --- execution ---------------------------------------------------------------
 
-  void exec_body(Frame& frame, const std::vector<StmtPtr>& body) {
-    for (const auto& stmt : body) exec_stmt(frame, *stmt);
+  Flow exec_body(Frame& frame, const std::vector<StmtPtr>& body) {
+    for (const auto& stmt : body) {
+      const Flow flow = exec_stmt(frame, *stmt);
+      if (flow != Flow::kNormal) return flow;
+    }
+    return Flow::kNormal;
   }
 
-  void exec_stmt(Frame& frame, const Stmt& stmt);
+  void exec_module(const Module& module) {
+    Frame frame;
+    frame.unit = &unit_for(module);
+    const Flow flow = exec_body(frame, module.body);
+    if (flow != Flow::kNormal) stray_flow(flow);
+  }
+
+  Flow exec_stmt(Frame& frame, const Stmt& stmt);
+  Flow exec_try(Frame& frame, const TryStmt& stmt);
   Value eval(Frame& frame, const Expr& expr);
+  Value eval_subscript(Frame& frame, const SubscriptExpr& s);
+  Value eval_call(Frame& frame, const CallExpr& call);
   Value call_value(Frame& frame, const Value& callee, std::vector<Value> args);
-  Value call_function(const FunctionDefStmt& def, std::vector<Value> args,
-                      const std::map<std::string, Value>* captured,
+  Value call_function(const FunctionDefStmt& def, const Unit& unit,
+                      std::vector<Value> args, const Slots* captured,
                       Frame& caller_frame);
-  Value call_builtin(Frame& frame, const std::string& name,
+  Value call_builtin(Frame& frame, const NameExpr& name,
                      const CallExpr& call_expr, bool* handled);
   Value call_method(Frame& frame, const AttributeExpr& attr,
                     const CallExpr& call_expr);
   Value eval_comprehension(Frame& frame, const ComprehensionExpr& comp);
-  void assign_target(Frame& frame, const Expr& target, Value value);
+  void expand(Frame& frame, const ComprehensionExpr& comp, size_t clause_index,
+              ValueList& list_out, ValueDict& dict_out);
+  void assign_target(Frame& frame, const Expr& target, Value&& value);
   Value slice_value(Frame& frame, const Value& base, const SliceExpr& slice);
   Value module_attribute(const std::string& module, const std::string& attr);
   Value call_module_function(const std::string& qualified, std::vector<Value> args);
-  // f-string interpolation: evaluate {expr} fields in the current frame.
-  std::string interpolate(Frame& frame, const std::string& text);
+  // f-string interpolation: evaluate the parsed fields in the current frame.
+  std::string interpolate(Frame& frame, const ConstantExpr& c);
 
-  void do_import(Frame& frame, const std::string& module, const std::string& bind);
+  void do_import(Frame& frame, const std::string& module, uint32_t slot);
   void do_import_from(Frame& frame, const ImportFromStmt& stmt);
 
   void emit(const std::string& text) {
@@ -479,117 +775,102 @@ struct Interpreter::Impl {
 
 // --- statements -----------------------------------------------------------------
 
-void Interpreter::Impl::exec_stmt(Frame& frame, const Stmt& stmt) {
+Flow Interpreter::Impl::exec_stmt(Frame& frame, const Stmt& stmt) {
   tick();
   switch (stmt.kind) {
     case StmtKind::kExpr:
       eval(frame, *static_cast<const ExprStmt&>(stmt).value);
-      return;
+      return Flow::kNormal;
     case StmtKind::kAssign: {
       const auto& n = static_cast<const AssignStmt&>(stmt);
       Value value = eval(frame, *n.value);
-      for (const auto& target : n.targets) assign_target(frame, *target, value);
-      return;
+      for (size_t i = 0; i + 1 < n.targets.size(); ++i) {
+        assign_target(frame, *n.targets[i], Value(value));
+      }
+      assign_target(frame, *n.targets.back(), std::move(value));
+      return Flow::kNormal;
     }
     case StmtKind::kAugAssign: {
       const auto& n = static_cast<const AugAssignStmt&>(stmt);
       const Value rhs = eval(frame, *n.value);
-      const std::string op = n.op.substr(0, n.op.size() - 1);  // strip '='
+      const Op op = augmented_base(n.op);
       if (n.target->kind == ExprKind::kName) {
-        const auto& name = static_cast<const NameExpr&>(*n.target).id;
-        Value current = load_name(frame, name);
-        store_name(frame, name, binary_op(op, current, rhs));
-        return;
+        const auto& name = static_cast<const NameExpr&>(*n.target);
+        store(frame, id(frame, name.slot), binary_op(op, load(frame, name), rhs));
+        return Flow::kNormal;
       }
       Value* slot = resolve_lvalue(frame, *n.target);
       if (slot == nullptr) raise("SyntaxError", "invalid augmented-assignment target");
       *slot = binary_op(op, *slot, rhs);
-      return;
+      return Flow::kNormal;
     }
     case StmtKind::kAnnAssign: {
       const auto& n = static_cast<const AnnAssignStmt&>(stmt);
       if (n.value) assign_target(frame, *n.target, eval(frame, *n.value));
-      return;
+      return Flow::kNormal;
     }
     case StmtKind::kReturn: {
       const auto& n = static_cast<const ReturnStmt&>(stmt);
-      throw ReturnSignal{n.value ? eval(frame, *n.value) : Value()};
+      frame.result = n.value ? eval(frame, *n.value) : Value();
+      return Flow::kReturn;
     }
     case StmtKind::kPass:
-      return;
+      return Flow::kNormal;
     case StmtKind::kBreak:
-      throw BreakSignal{};
+      return Flow::kBreak;
     case StmtKind::kContinue:
-      throw ContinueSignal{};
+      return Flow::kContinue;
     case StmtKind::kIf: {
       const auto& n = static_cast<const IfStmt&>(stmt);
-      if (truthy(eval(frame, *n.cond))) {
-        exec_body(frame, n.body);
-      } else {
-        exec_body(frame, n.orelse);
-      }
-      return;
+      return exec_body(frame, truthy(eval(frame, *n.cond)) ? n.body : n.orelse);
     }
     case StmtKind::kWhile: {
       const auto& n = static_cast<const WhileStmt&>(stmt);
-      bool broke = false;
       while (truthy(eval(frame, *n.cond))) {
         tick();
-        try {
-          exec_body(frame, n.body);
-        } catch (const BreakSignal&) {
-          broke = true;
-          break;
-        } catch (const ContinueSignal&) {
-          continue;
-        }
+        const Flow flow = exec_body(frame, n.body);
+        if (flow == Flow::kBreak) return Flow::kNormal;
+        if (flow == Flow::kReturn) return flow;
       }
-      if (!broke) exec_body(frame, n.orelse);
-      return;
+      return exec_body(frame, n.orelse);
     }
     case StmtKind::kFor: {
       const auto& n = static_cast<const ForStmt&>(stmt);
-      const ValueList items = iterate(eval(frame, *n.iter));
-      bool broke = false;
-      for (const auto& item : items) {
+      Iteration it = iteration(frame, *n.iter);
+      Value item;
+      while (it.take(item)) {
         tick();
-        assign_target(frame, *n.target, item);
-        try {
-          exec_body(frame, n.body);
-        } catch (const BreakSignal&) {
-          broke = true;
-          break;
-        } catch (const ContinueSignal&) {
-          continue;
-        }
+        assign_target(frame, *n.target, std::move(item));
+        const Flow flow = exec_body(frame, n.body);
+        if (flow == Flow::kBreak) return Flow::kNormal;
+        if (flow == Flow::kReturn) return flow;
       }
-      if (!broke) exec_body(frame, n.orelse);
-      return;
+      return exec_body(frame, n.orelse);
     }
     case StmtKind::kFunctionDef: {
       const auto& n = static_cast<const FunctionDefStmt&>(stmt);
       if (frame.locals == nullptr) {
-        functions[n.name] = &n;
+        Global& global = globals[id(frame, n.slot)];
+        global.def = &n;
+        global.def_unit = frame.unit;
       } else {
         // Nested def becomes a local callable value.
         Callable c;
         c.def = &n;
-        c.captured = *frame.locals;
-        store_name(frame, n.name, make_callable(std::move(c)));
+        c.unit = frame.unit;
+        c.captured = capture(frame);
+        store(frame, id(frame, n.slot), make_callable(std::move(c)));
       }
-      return;
+      return Flow::kNormal;
     }
     case StmtKind::kImport: {
       const auto& n = static_cast<const ImportStmt&>(stmt);
-      for (const auto& alias : n.names) {
-        do_import(frame, alias.name,
-                  alias.asname.empty() ? alias.name : alias.asname);
-      }
-      return;
+      for (const auto& alias : n.names) do_import(frame, alias.name, alias.slot);
+      return Flow::kNormal;
     }
     case StmtKind::kImportFrom:
       do_import_from(frame, static_cast<const ImportFromStmt&>(stmt));
-      return;
+      return Flow::kNormal;
     case StmtKind::kRaise: {
       const auto& n = static_cast<const RaiseStmt&>(stmt);
       if (!n.exc) raise("RuntimeError", "no active exception to re-raise");
@@ -608,66 +889,22 @@ void Interpreter::Impl::exec_stmt(Frame& frame, const Stmt& stmt) {
       }
       raise("TypeError", "exceptions must be raised as Name or Name(args)");
     }
-    case StmtKind::kTry: {
-      const auto& n = static_cast<const TryStmt&>(stmt);
-      bool raised = false;
-      try {
-        try {
-          exec_body(frame, n.body);
-        } catch (const PyError& error) {
-          raised = true;
-          bool handled = false;
-          for (const auto& handler : n.handlers) {
-            bool matches = false;
-            if (!handler.type) {
-              matches = true;  // bare except
-            } else {
-              std::vector<const Expr*> types;
-              if (handler.type->kind == ExprKind::kTuple) {
-                for (const auto& t :
-                     static_cast<const SequenceExpr&>(*handler.type).elts) {
-                  types.push_back(t.get());
-                }
-              } else {
-                types.push_back(handler.type.get());
-              }
-              for (const Expr* t : types) {
-                if (t->kind == ExprKind::kName) {
-                  const auto& id = static_cast<const NameExpr*>(t)->id;
-                  if (id == error.type_name || id == "Exception") matches = true;
-                }
-              }
-            }
-            if (!matches) continue;
-            if (!handler.name.empty()) {
-              store_name(frame, handler.name, Value(std::string(error.what())));
-            }
-            exec_body(frame, handler.body);
-            handled = true;
-            break;
-          }
-          if (!handled) throw;
-        }
-        if (!raised) exec_body(frame, n.orelse);
-      } catch (...) {
-        exec_body(frame, n.finally);
-        throw;
-      }
-      exec_body(frame, n.finally);
-      return;
-    }
+    case StmtKind::kTry:
+      return exec_try(frame, static_cast<const TryStmt&>(stmt));
     case StmtKind::kAssert: {
       const auto& n = static_cast<const AssertStmt&>(stmt);
       if (!truthy(eval(frame, *n.test))) {
         raise("AssertionError", n.message ? py_str(eval(frame, *n.message)) : "");
       }
-      return;
+      return Flow::kNormal;
     }
     case StmtKind::kGlobal: {
-      for (const auto& name : static_cast<const ScopeDeclStmt&>(stmt).names) {
-        frame.global_names.insert(name);
+      if (frame.locals != nullptr) {
+        for (const uint32_t slot : static_cast<const ScopeDeclStmt&>(stmt).slots) {
+          frame.locals[id(frame, slot)].global = true;
+        }
       }
-      return;
+      return Flow::kNormal;
     }
     case StmtKind::kNonlocal:
       unsupported("nonlocal");
@@ -675,15 +912,25 @@ void Interpreter::Impl::exec_stmt(Frame& frame, const Stmt& stmt) {
       const auto& n = static_cast<const DeleteStmt&>(stmt);
       for (const auto& target : n.targets) {
         if (target->kind == ExprKind::kName) {
-          const auto& name = static_cast<const NameExpr&>(*target).id;
-          if (frame.locals != nullptr && frame.locals->erase(name) > 0) continue;
-          if (globals.erase(name) > 0) continue;
-          raise("NameError", "name '" + name + "' is not defined");
+          const auto& name = static_cast<const NameExpr&>(*target);
+          const uint32_t i = id(frame, name.slot);
+          if (frame.locals != nullptr && frame.locals[i].bound) {
+            frame.locals[i].value = Value();
+            frame.locals[i].bound = false;
+          } else if (globals[i].bound) {
+            globals[i].value = Value();
+            globals[i].bound = false;
+          } else {
+            raise("NameError", "name '" + name.id + "' is not defined");
+          }
         } else if (target->kind == ExprKind::kSubscript) {
           const auto& sub = static_cast<const SubscriptExpr&>(*target);
-          Value* base = resolve_lvalue(frame, *sub.value);
-          if (base == nullptr) raise("SyntaxError", "cannot delete this target");
+          Place place;
+          if (!place_of(frame, *sub.value, place)) {
+            raise("SyntaxError", "cannot delete this target");
+          }
           const Value index = eval(frame, *sub.index);
+          Value* base = walk(frame, place);
           if (base->is_list()) {
             auto& list = base->as_list();
             list.erase(list.begin() + static_cast<long>(normalize_index(
@@ -699,19 +946,70 @@ void Interpreter::Impl::exec_stmt(Frame& frame, const Stmt& stmt) {
           raise("SyntaxError", "cannot delete this target");
         }
       }
-      return;
+      return Flow::kNormal;
     }
     case StmtKind::kClassDef:
       unsupported("class definitions");
     case StmtKind::kWith:
       unsupported("with statements");
   }
+  return Flow::kNormal;
 }
 
-void Interpreter::Impl::assign_target(Frame& frame, const Expr& target, Value value) {
+Flow Interpreter::Impl::exec_try(Frame& frame, const TryStmt& n) {
+  Flow flow = Flow::kNormal;
+  try {
+    bool raised = false;
+    try {
+      flow = exec_body(frame, n.body);
+    } catch (const PyError& error) {
+      raised = true;
+      bool handled = false;
+      for (const auto& handler : n.handlers) {
+        bool matches = false;
+        if (!handler.type) {
+          matches = true;  // bare except
+        } else {
+          std::vector<const Expr*> types;
+          if (handler.type->kind == ExprKind::kTuple) {
+            for (const auto& t : static_cast<const SequenceExpr&>(*handler.type).elts) {
+              types.push_back(t.get());
+            }
+          } else {
+            types.push_back(handler.type.get());
+          }
+          for (const Expr* t : types) {
+            if (t->kind == ExprKind::kName) {
+              const auto& type = static_cast<const NameExpr*>(t)->id;
+              if (type == error.type_name || type == "Exception") matches = true;
+            }
+          }
+        }
+        if (!matches) continue;
+        if (!handler.name.empty()) {
+          store(frame, id(frame, handler.slot), Value(std::string(error.what())));
+        }
+        flow = exec_body(frame, handler.body);
+        handled = true;
+        break;
+      }
+      if (!handled) throw;
+    }
+    if (!raised && flow == Flow::kNormal) flow = exec_body(frame, n.orelse);
+  } catch (...) {
+    // A break, continue or return in `finally` discards the exception.
+    const Flow finally_flow = exec_body(frame, n.finally);
+    if (finally_flow != Flow::kNormal) return finally_flow;
+    throw;
+  }
+  const Flow finally_flow = exec_body(frame, n.finally);
+  return finally_flow != Flow::kNormal ? finally_flow : flow;
+}
+
+void Interpreter::Impl::assign_target(Frame& frame, const Expr& target, Value&& value) {
   switch (target.kind) {
     case ExprKind::kName:
-      store_name(frame, static_cast<const NameExpr&>(target).id, std::move(value));
+      store(frame, id(frame, static_cast<const NameExpr&>(target).slot), std::move(value));
       return;
     case ExprKind::kTuple:
     case ExprKind::kList: {
@@ -719,21 +1017,22 @@ void Interpreter::Impl::assign_target(Frame& frame, const Expr& target, Value va
       if (!value.is_list()) {
         raise("TypeError", "cannot unpack non-sequence " + type_name(value));
       }
-      const auto& items = value.as_list();
+      auto& items = value.as_list();
       if (items.size() != elts.size()) {
         raise("ValueError", strformat("cannot unpack %zu values into %zu targets",
                                       items.size(), elts.size()));
       }
       for (size_t i = 0; i < elts.size(); ++i) {
-        assign_target(frame, *elts[i], items[i]);
+        assign_target(frame, *elts[i], std::move(items[i]));
       }
       return;
     }
     case ExprKind::kSubscript: {
       const auto& sub = static_cast<const SubscriptExpr&>(target);
-      Value* base = resolve_lvalue(frame, *sub.value);
-      if (base == nullptr) raise("SyntaxError", "invalid assignment target");
+      Place place;
+      if (!place_of(frame, *sub.value, place)) raise("SyntaxError", "invalid assignment target");
       const Value index = eval(frame, *sub.index);
+      Value* base = walk(frame, place);
       if (base->is_list()) {
         auto& list = base->as_list();
         list[normalize_index(as_int(index), list.size(), "list")] = std::move(value);
@@ -753,39 +1052,26 @@ void Interpreter::Impl::assign_target(Frame& frame, const Expr& target, Value va
   }
 }
 
-}  // namespace lfm::pysrc
-
-namespace lfm::pysrc {
-
 // --- expressions ------------------------------------------------------------------
-
-using serde::Value;
-using serde::ValueDict;
-using serde::ValueList;
 
 Value Interpreter::Impl::eval(Frame& frame, const Expr& expr) {
   tick();
   switch (expr.kind) {
     case ExprKind::kName:
-      return load_name(frame, static_cast<const NameExpr&>(expr).id);
+      return load(frame, static_cast<const NameExpr&>(expr));
     case ExprKind::kConstant: {
       const auto& c = static_cast<const ConstantExpr&>(expr);
       switch (c.const_kind) {
         case ConstantKind::kNone: return Value();
         case ConstantKind::kBool: return Value(c.bool_value);
-        case ConstantKind::kInt: return parse_int_literal(c.text);
-        case ConstantKind::kFloat: {
-          std::string t;
-          for (const char ch : c.text) {
-            if (ch != '_') t += ch;
-          }
-          if (!t.empty() && (t.back() == 'j' || t.back() == 'J')) {
-            unsupported("complex literals");
-          }
-          return Value(std::stod(t));
-        }
+        case ConstantKind::kInt:
+          if (c.error) std::rethrow_exception(c.error);
+          return Value(c.int_value);
+        case ConstantKind::kFloat:
+          if (c.error) std::rethrow_exception(c.error);
+          return Value(c.float_value);
         case ConstantKind::kStr:
-          if (c.fstring) return Value(interpolate(frame, c.text));
+          if (c.fstring) return Value(interpolate(frame, c));
           return Value(c.text);
         case ConstantKind::kBytes:
           return Value(serde::Bytes(c.text.begin(), c.text.end()));
@@ -795,34 +1081,44 @@ Value Interpreter::Impl::eval(Frame& frame, const Expr& expr) {
     }
     case ExprKind::kBinOp: {
       const auto& b = static_cast<const BinOpExpr&>(expr);
-      if (b.op == ":=") {
+      if (b.op == Op::kWalrus) {
         Value value = eval(frame, *b.rhs);
-        assign_target(frame, *b.lhs, value);
+        assign_target(frame, *b.lhs, Value(value));
         return value;
       }
-      return binary_op(b.op, eval(frame, *b.lhs), eval(frame, *b.rhs));
+      const Value lhs = eval(frame, *b.lhs);
+      const Value rhs = eval(frame, *b.rhs);
+      return binary_op(b.op, lhs, rhs);
     }
     case ExprKind::kUnaryOp: {
       const auto& u = static_cast<const UnaryOpExpr&>(expr);
       const Value v = eval(frame, *u.operand);
-      if (u.op == "not") return Value(!truthy(v));
-      if (u.op == "-") {
-        if (v.is_int() || v.is_bool()) return Value(-as_int(v));
-        if (v.is_real()) return Value(-v.as_real());
+      switch (u.op) {
+        case Op::kNot: return Value(!truthy(v));
+        case Op::kNeg:
+          if (is_int_like(v)) {
+            if (as_int(v) == INT64_MIN) int_overflow("result of unary '-'");
+            return Value(-as_int(v));
+          }
+          if (v.is_real()) return Value(-v.as_real());
+          break;
+        case Op::kPos:
+          if (is_number(v)) return v;
+          break;
+        case Op::kInvert:
+          if (is_int_like(v)) return Value(~as_int(v));
+          break;
+        default: break;
       }
-      if (u.op == "+") {
-        if (is_number(v)) return v;
-      }
-      if (u.op == "~" && (v.is_int() || v.is_bool())) return Value(~as_int(v));
-      raise("TypeError", "bad operand type for unary " + u.op + ": " + type_name(v));
+      raise("TypeError", "bad operand type for unary " + std::string(op_text(u.op)) +
+                             ": " + type_name(v));
     }
     case ExprKind::kBoolOp: {
       const auto& b = static_cast<const BoolOpExpr&>(expr);
       Value last;
       for (const auto& operand : b.values) {
         last = eval(frame, *operand);
-        if (b.op == "and" && !truthy(last)) return last;
-        if (b.op == "or" && truthy(last)) return last;
+        if (truthy(last) == (b.op == Op::kOr)) return last;
       }
       return last;
     }
@@ -830,68 +1126,23 @@ Value Interpreter::Impl::eval(Frame& frame, const Expr& expr) {
       const auto& c = static_cast<const CompareExpr&>(expr);
       Value left = eval(frame, *c.lhs);
       for (const auto& [op, rhs_expr] : c.rest) {
-        const Value right = eval(frame, *rhs_expr);
-        bool ok = false;
-        if (op == "==") {
-          ok = py_equal(left, right);
-        } else if (op == "!=") {
-          ok = !py_equal(left, right);
-        } else if (op == "<") {
-          ok = compare(left, right) < 0;
-        } else if (op == "<=") {
-          ok = compare(left, right) <= 0;
-        } else if (op == ">") {
-          ok = compare(left, right) > 0;
-        } else if (op == ">=") {
-          ok = compare(left, right) >= 0;
-        } else if (op == "in") {
-          ok = contains(right, left);
-        } else if (op == "not in") {
-          ok = !contains(right, left);
-        } else if (op == "is") {
-          ok = (left.is_none() && right.is_none()) || py_equal(left, right);
-        } else if (op == "is not") {
-          ok = !((left.is_none() && right.is_none()) || py_equal(left, right));
-        }
-        if (!ok) return Value(false);
-        left = right;
+        Value right = eval(frame, *rhs_expr);
+        if (!compare_op(op, left, right)) return Value(false);
+        left = std::move(right);
       }
       return Value(true);
     }
-    case ExprKind::kSubscript: {
-      const auto& s = static_cast<const SubscriptExpr&>(expr);
-      const Value base = eval(frame, *s.value);
-      if (s.index->kind == ExprKind::kSlice) {
-        return slice_value(frame, base, static_cast<const SliceExpr&>(*s.index));
-      }
-      const Value index = eval(frame, *s.index);
-      if (base.is_list()) {
-        const auto& list = base.as_list();
-        return list[normalize_index(as_int(index), list.size(), "list")];
-      }
-      if (base.is_str()) {
-        const auto& str = base.as_str();
-        return Value(std::string(
-            1, str[normalize_index(as_int(index), str.size(), "string")]));
-      }
-      if (base.is_dict()) {
-        if (!index.is_str()) raise("TypeError", "dict keys must be strings");
-        const auto& dict = base.as_dict();
-        const auto it = dict.find(index.as_str());
-        if (it == dict.end()) raise("KeyError", py_repr(index));
-        return it->second;
-      }
-      raise("TypeError", "'" + type_name(base) + "' object is not subscriptable");
-    }
+    case ExprKind::kSubscript:
+      return eval_subscript(frame, static_cast<const SubscriptExpr&>(expr));
     case ExprKind::kTuple:
     case ExprKind::kList:
     case ExprKind::kSet: {
       ValueList out;
       for (const auto& elt : static_cast<const SequenceExpr&>(expr).elts) {
         if (elt->kind == ExprKind::kStarred) {
-          const Value spread =
-              eval(frame, *static_cast<const StarredExpr&>(*elt).value);
-          for (const auto& v : iterate(spread)) out.push_back(v);
+          for (auto& v : iterate(eval(frame, *static_cast<const StarredExpr&>(*elt).value))) {
+            out.push_back(std::move(v));
+          }
         } else {
           out.push_back(eval(frame, *elt));
         }
@@ -934,43 +1185,14 @@ Value Interpreter::Impl::eval(Frame& frame, const Expr& expr) {
     case ExprKind::kLambda: {
       Callable c;
       c.lambda = &static_cast<const LambdaExpr&>(expr);
-      if (frame.locals != nullptr) c.captured = *frame.locals;
+      c.unit = frame.unit;
+      if (frame.locals != nullptr) c.captured = capture(frame);
       return make_callable(std::move(c));
     }
     case ExprKind::kComprehension:
       return eval_comprehension(frame, static_cast<const ComprehensionExpr&>(expr));
-    case ExprKind::kCall: {
-      const auto& call = static_cast<const CallExpr&>(expr);
-      // Method call: obj.method(args)
-      if (call.func->kind == ExprKind::kAttribute) {
-        return call_method(frame, static_cast<const AttributeExpr&>(*call.func), call);
-      }
-      // Builtin or named function.
-      if (call.func->kind == ExprKind::kName) {
-        const auto& name = static_cast<const NameExpr&>(*call.func).id;
-        // User bindings shadow builtins.
-        if (find_name(frame, name) == nullptr && functions.count(name) == 0) {
-          bool handled = false;
-          Value result = call_builtin(frame, name, call, &handled);
-          if (handled) return result;
-        }
-      }
-      const Value callee = eval(frame, *call.func);
-      std::vector<Value> args;
-      for (const auto& arg : call.args) {
-        if (arg->kind == ExprKind::kStarred) {
-          const Value spread =
-              eval(frame, *static_cast<const StarredExpr&>(*arg).value);
-          for (const auto& v : iterate(spread)) args.push_back(v);
-        } else {
-          args.push_back(eval(frame, *arg));
-        }
-      }
-      if (!call.keywords.empty()) {
-        unsupported("keyword arguments to user-defined functions");
-      }
-      return call_value(frame, callee, std::move(args));
-    }
+    case ExprKind::kCall:
+      return eval_call(frame, static_cast<const CallExpr&>(expr));
     case ExprKind::kAttribute: {
       const auto& attr = static_cast<const AttributeExpr&>(expr);
       const Value base = eval(frame, *attr.value);
@@ -991,6 +1213,58 @@ Value Interpreter::Impl::eval(Frame& frame, const Expr& expr) {
       unsupported("generators");
   }
   raise("RuntimeError", "unhandled expression kind");
+}
+
+Value Interpreter::Impl::eval_subscript(Frame& frame, const SubscriptExpr& s) {
+  // A bound name is read in place, not copied, when evaluating the index
+  // cannot rebind it.
+  Value copy;
+  const Value* base = nullptr;
+  if (s.value->kind == ExprKind::kName && !s.index_binds) {
+    const auto& name = static_cast<const NameExpr&>(*s.value);
+    base = find(frame, id(frame, name.slot));
+  }
+  if (base == nullptr) {
+    copy = eval(frame, *s.value);
+    base = &copy;
+  }
+  if (s.index->kind == ExprKind::kSlice) {
+    return slice_value(frame, *base, static_cast<const SliceExpr&>(*s.index));
+  }
+  const Value index = eval(frame, *s.index);
+  return item(*base, index);
+}
+
+Value Interpreter::Impl::eval_call(Frame& frame, const CallExpr& call) {
+  // Method call: obj.method(args)
+  if (call.func->kind == ExprKind::kAttribute) {
+    return call_method(frame, static_cast<const AttributeExpr&>(*call.func), call);
+  }
+  // A name no binding holds: a module-level def, called directly with no
+  // handle minted, else a builtin.
+  if (call.func->kind == ExprKind::kName) {
+    const auto& name = static_cast<const NameExpr&>(*call.func);
+    const uint32_t i = id(frame, name.slot);
+    if (find(frame, i) == nullptr) {
+      if (const FunctionDefStmt* def = globals[i].def) {
+        const Unit& unit = *globals[i].def_unit;
+        std::vector<Value> args = call_args(frame, call);
+        if (!call.keywords.empty()) {
+          unsupported("keyword arguments to user-defined functions");
+        }
+        return call_function(*def, unit, std::move(args), nullptr, frame);
+      }
+      bool handled = false;
+      Value result = call_builtin(frame, name, call, &handled);
+      if (handled) return result;
+    }
+  }
+  const Value callee = eval(frame, *call.func);
+  std::vector<Value> args = call_args(frame, call);
+  if (!call.keywords.empty()) {
+    unsupported("keyword arguments to user-defined functions");
+  }
+  return call_value(frame, callee, std::move(args));
 }
 
 Value Interpreter::Impl::slice_value(Frame& frame, const Value& base,
@@ -1017,15 +1291,17 @@ Value Interpreter::Impl::slice_value(Frame& frame, const Value& base,
     hi = slice.upper ? clamp(as_int(eval(frame, *slice.upper))) : -1;
     if (slice.lower && lo == size) lo = size - 1;
   }
+  Range range(lo, hi, step);
+  int64_t i = 0;
   if (base.is_str()) {
     std::string out;
-    for (int64_t i = lo; step > 0 ? i < hi : i > hi; i += step) {
+    while (range.take(i)) {
       if (i >= 0 && i < size) out += base.as_str()[static_cast<size_t>(i)];
     }
     return Value(std::move(out));
   }
   ValueList out;
-  for (int64_t i = lo; step > 0 ? i < hi : i > hi; i += step) {
+  while (range.take(i)) {
     if (i >= 0 && i < size) out.push_back(base.as_list()[static_cast<size_t>(i)]);
   }
   return Value(std::move(out));
@@ -1035,34 +1311,8 @@ Value Interpreter::Impl::eval_comprehension(Frame& frame,
                                             const ComprehensionExpr& comp) {
   ValueList list_out;
   ValueDict dict_out;
-  // Recursive clause expansion.
-  std::function<void(size_t)> expand = [&](size_t clause_index) {
-    if (clause_index == comp.clauses.size()) {
-      if (comp.comp_type == "dict") {
-        const Value key = eval(frame, *comp.element);
-        if (!key.is_str()) raise("TypeError", "dict keys must be strings");
-        dict_out[key.as_str()] = eval(frame, *comp.value);
-      } else {
-        list_out.push_back(eval(frame, *comp.element));
-      }
-      return;
-    }
-    const auto& clause = comp.clauses[clause_index];
-    for (const auto& item : iterate(eval(frame, *clause.iter))) {
-      tick();
-      assign_target(frame, *clause.target, item);
-      bool keep = true;
-      for (const auto& cond : clause.conditions) {
-        if (!truthy(eval(frame, *cond))) {
-          keep = false;
-          break;
-        }
-      }
-      if (keep) expand(clause_index + 1);
-    }
-  };
-  expand(0);
-  if (comp.comp_type == "dict") return Value(std::move(dict_out));
+  expand(frame, comp, 0, list_out, dict_out);
+  if (comp.value) return Value(std::move(dict_out));
   if (comp.comp_type == "set") {
     ValueList dedup;
     for (auto& v : list_out) {
@@ -1077,27 +1327,63 @@ Value Interpreter::Impl::eval_comprehension(Frame& frame,
   return Value(std::move(list_out));  // list and generator alike
 }
 
+// Runs clauses [clause_index, end) of `comp`, collecting its elements.
+void Interpreter::Impl::expand(Frame& frame, const ComprehensionExpr& comp,
+                               size_t clause_index, ValueList& list_out,
+                               ValueDict& dict_out) {
+  if (clause_index == comp.clauses.size()) {
+    if (comp.value) {  // dict comprehension
+      const Value key = eval(frame, *comp.element);
+      if (!key.is_str()) raise("TypeError", "dict keys must be strings");
+      dict_out[key.as_str()] = eval(frame, *comp.value);
+    } else {
+      list_out.push_back(eval(frame, *comp.element));
+    }
+    return;
+  }
+  const auto& clause = comp.clauses[clause_index];
+  Iteration it = iteration(frame, *clause.iter);
+  Value item;
+  while (it.take(item)) {
+    tick();
+    assign_target(frame, *clause.target, std::move(item));
+    bool keep = true;
+    for (const auto& cond : clause.conditions) {
+      if (!truthy(eval(frame, *cond))) {
+        keep = false;
+        break;
+      }
+    }
+    if (keep) expand(frame, comp, clause_index + 1, list_out, dict_out);
+  }
+}
+
 Value Interpreter::Impl::call_value(Frame& frame, const Value& callee,
                                     std::vector<Value> args) {
   if (is_callable_handle(callee)) {
     const auto id = static_cast<size_t>(callee.at("__callable__").as_int());
     if (id >= callables.size()) raise("RuntimeError", "dangling callable");
-    // Copy: callables may reallocate during recursive calls.
-    const Callable callable = callables[id];
+    const Callable& callable = callables[id];
     if (callable.def != nullptr) {
-      return call_function(*callable.def, std::move(args), &callable.captured, frame);
+      return call_function(*callable.def, *callable.unit, std::move(args),
+                           &callable.captured, frame);
     }
     // Lambda: bind parameters over the captured snapshot.
-    std::map<std::string, Value> locals = callable.captured;
-    const auto& params = callable.lambda->params;
-    if (args.size() != params.size()) {
+    const LambdaExpr& lambda = *callable.lambda;
+    if (args.size() != lambda.params.size()) {
       raise("TypeError", strformat("lambda takes %zu arguments (%zu given)",
-                                   params.size(), args.size()));
+                                   lambda.params.size(), args.size()));
     }
-    for (size_t i = 0; i < params.size(); ++i) locals[params[i]] = std::move(args[i]);
+    Slots locals = new_locals(&callable.captured);
+    for (size_t i = 0; i < args.size(); ++i) {
+      Slot& slot = locals[callable.unit->ids[lambda.param_slots[i]]];
+      slot.value = std::move(args[i]);
+      slot.bound = true;
+    }
     Frame lambda_frame;
-    lambda_frame.locals = &locals;
-    return eval(lambda_frame, *callable.lambda->body);
+    lambda_frame.unit = callable.unit;
+    lambda_frame.locals = locals.data();
+    return eval(lambda_frame, *lambda.body);
   }
   if (is_builtin_handle(callee)) {
     return call_module_function(callee.at("__builtin__").as_str(), std::move(args));
@@ -1105,78 +1391,66 @@ Value Interpreter::Impl::call_value(Frame& frame, const Value& callee,
   raise("TypeError", "'" + type_name(callee) + "' object is not callable");
 }
 
-Value Interpreter::Impl::call_function(const FunctionDefStmt& def,
+Value Interpreter::Impl::call_function(const FunctionDefStmt& def, const Unit& unit,
                                        std::vector<Value> args,
-                                       const std::map<std::string, Value>* captured,
+                                       const Slots* captured,
                                        Frame& caller_frame) {
-  if (++depth > options.max_recursion_depth) {
-    --depth;
+  if (depth >= options.max_recursion_depth) {
     raise("RecursionError", "maximum recursion depth exceeded");
   }
-  std::map<std::string, Value> locals;
-  if (captured != nullptr) locals = *captured;
+  ++depth;
+  struct DepthGuard {
+    int& depth;
+    ~DepthGuard() { --depth; }
+  } guard{depth};
+
+  Slots locals = new_locals(captured);
+  // Defaults evaluate in the caller's frame, read with this def's slots.
+  Frame defaults_frame;
+  defaults_frame.unit = &unit;
+  defaults_frame.locals = caller_frame.locals;
 
   // Bind parameters: positional, defaults, *args.
   size_t arg_index = 0;
   for (const auto& param : def.params) {
+    Value value;
     if (param.is_kwarg) {
-      locals[param.name] = Value(ValueDict{});
-      continue;
-    }
-    if (param.is_vararg) {
+      value = Value(ValueDict{});
+    } else if (param.is_vararg) {
       ValueList rest;
       while (arg_index < args.size()) rest.push_back(std::move(args[arg_index++]));
-      locals[param.name] = Value(std::move(rest));
-      continue;
-    }
-    if (arg_index < args.size()) {
-      locals[param.name] = std::move(args[arg_index++]);
+      value = Value(std::move(rest));
+    } else if (arg_index < args.size()) {
+      value = std::move(args[arg_index++]);
     } else if (param.default_val) {
-      locals[param.name] = eval(caller_frame, *param.default_val);
+      value = eval(defaults_frame, *param.default_val);
     } else {
-      --depth;
       raise("TypeError", "missing argument '" + param.name + "' calling " + def.name);
     }
+    Slot& slot = locals[unit.ids[param.slot]];
+    slot.value = std::move(value);
+    slot.bound = true;
   }
   if (arg_index < args.size()) {
-    --depth;
     raise("TypeError", strformat("%s takes %zu arguments (%zu given)",
                                  def.name.c_str(), def.params.size(), args.size()));
   }
 
   Frame frame;
-  frame.locals = &locals;
-  Value result;
-  try {
-    exec_body(frame, def.body);
-  } catch (ReturnSignal& signal) {
-    result = std::move(signal.value);
-  } catch (...) {
-    --depth;
-    throw;
-  }
-  --depth;
-  return result;
+  frame.unit = &unit;
+  frame.locals = locals.data();
+  const Flow flow = exec_body(frame, def.body);
+  if (flow == Flow::kBreak || flow == Flow::kContinue) stray_flow(flow);
+  return std::move(frame.result);
 }
-
-}  // namespace lfm::pysrc
-
-namespace lfm::pysrc {
 
 // --- builtins ----------------------------------------------------------------------
 
-Value Interpreter::Impl::call_builtin(Frame& frame, const std::string& name,
+Value Interpreter::Impl::call_builtin(Frame& frame, const NameExpr& fn,
                                       const CallExpr& call_expr, bool* handled) {
   *handled = true;
-  std::vector<Value> args;
-  for (const auto& arg : call_expr.args) {
-    if (arg->kind == ExprKind::kStarred) {
-      const Value spread = eval(frame, *static_cast<const StarredExpr&>(*arg).value);
-      for (const auto& v : iterate(spread)) args.push_back(v);
-    } else {
-      args.push_back(eval(frame, *arg));
-    }
-  }
+  std::vector<Value> args = call_args(frame, call_expr);
+  const std::string& name = fn.id;
   const auto need = [&](size_t lo, size_t hi) {
     if (args.size() < lo || args.size() > hi) {
       raise("TypeError", name + "() takes " + std::to_string(lo) +
@@ -1185,196 +1459,197 @@ Value Interpreter::Impl::call_builtin(Frame& frame, const std::string& name,
     }
   };
 
-  if (name == "len") {
-    need(1, 1);
-    const Value& v = args[0];
-    if (v.is_str()) return Value(static_cast<int64_t>(v.as_str().size()));
-    if (v.is_list()) return Value(static_cast<int64_t>(v.as_list().size()));
-    if (v.is_dict()) return Value(static_cast<int64_t>(v.as_dict().size()));
-    if (v.is_bytes()) return Value(static_cast<int64_t>(v.as_bytes().size()));
-    raise("TypeError", "object of type '" + type_name(v) + "' has no len()");
-  }
-  if (name == "range") {
-    need(1, 3);
-    int64_t lo = 0, hi = 0, step = 1;
-    if (args.size() == 1) {
-      hi = as_int(args[0]);
-    } else {
-      lo = as_int(args[0]);
-      hi = as_int(args[1]);
-      if (args.size() == 3) step = as_int(args[2]);
+  switch (fn.builtin) {
+    case Builtin::kNone:
+      break;
+    case Builtin::kLen: {
+      need(1, 1);
+      const Value& v = args[0];
+      if (v.is_str()) return Value(static_cast<int64_t>(v.as_str().size()));
+      if (v.is_list()) return Value(static_cast<int64_t>(v.as_list().size()));
+      if (v.is_dict()) return Value(static_cast<int64_t>(v.as_dict().size()));
+      if (v.is_bytes()) return Value(static_cast<int64_t>(v.as_bytes().size()));
+      raise("TypeError", "object of type '" + type_name(v) + "' has no len()");
     }
-    if (step == 0) raise("ValueError", "range() step must not be zero");
-    ValueList out;
-    for (int64_t i = lo; step > 0 ? i < hi : i > hi; i += step) {
-      tick();
-      out.push_back(Value(i));
-    }
-    return Value(std::move(out));
-  }
-  if (name == "print") {
-    std::string line;
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (i != 0) line += ' ';
-      line += py_str(args[i]);
-    }
-    emit(line + "\n");
-    return Value();
-  }
-  if (name == "abs") {
-    need(1, 1);
-    if (args[0].is_int() || args[0].is_bool()) return Value(std::abs(as_int(args[0])));
-    if (args[0].is_real()) return Value(std::abs(args[0].as_real()));
-    raise("TypeError", "bad operand for abs()");
-  }
-  if (name == "min" || name == "max") {
-    ValueList items = args.size() == 1 ? iterate(args[0]) : std::move(args);
-    if (items.empty()) raise("ValueError", name + "() of empty sequence");
-    Value best = items[0];
-    for (size_t i = 1; i < items.size(); ++i) {
-      const int c = compare(items[i], best);
-      if ((name == "min" && c < 0) || (name == "max" && c > 0)) best = items[i];
-    }
-    return best;
-  }
-  if (name == "sum") {
-    need(1, 2);
-    Value total = args.size() == 2 ? args[1] : Value(int64_t{0});
-    for (const auto& v : iterate(args[0])) total = binary_op("+", total, v);
-    return total;
-  }
-  if (name == "sorted") {
-    need(1, 1);
-    if (!call_expr.keywords.empty()) {
-      // sorted(xs, key=fn[, reverse=bool])
-      ValueList items = iterate(args[0]);
-      Value key_fn;
-      bool reverse = false;
-      for (const auto& kw : call_expr.keywords) {
-        if (kw.name == "key") {
-          key_fn = eval(frame, *kw.value);
-        } else if (kw.name == "reverse") {
-          reverse = truthy(eval(frame, *kw.value));
-        } else {
-          raise("TypeError", "sorted() got unexpected keyword '" + kw.name + "'");
-        }
-      }
-      std::vector<std::pair<Value, Value>> keyed;  // (key, item)
-      keyed.reserve(items.size());
-      for (auto& item : items) {
-        Value key = key_fn.is_none() ? item : call_value(frame, key_fn, {item});
-        keyed.emplace_back(std::move(key), std::move(item));
-      }
-      std::stable_sort(keyed.begin(), keyed.end(),
-                       [](const auto& a, const auto& b) {
-                         return compare(a.first, b.first) < 0;
-                       });
+    case Builtin::kRange: {
+      Range range = range_of(args);
       ValueList out;
-      for (auto& [_, item] : keyed) out.push_back(std::move(item));
-      if (reverse) std::reverse(out.begin(), out.end());
+      int64_t i = 0;
+      while (range.take(i)) {
+        tick();
+        out.push_back(Value(i));
+      }
       return Value(std::move(out));
     }
-    ValueList items = iterate(args[0]);
-    std::stable_sort(items.begin(), items.end(),
-                     [](const Value& a, const Value& b) { return compare(a, b) < 0; });
-    return Value(std::move(items));
-  }
-  if (name == "str") {
-    need(0, 1);
-    return Value(args.empty() ? std::string() : py_str(args[0]));
-  }
-  if (name == "repr") {
-    need(1, 1);
-    return Value(py_repr(args[0]));
-  }
-  if (name == "int") {
-    need(0, 2);
-    if (args.empty()) return Value(int64_t{0});
-    if (args[0].is_str()) {
-      const int base = args.size() == 2 ? static_cast<int>(as_int(args[1])) : 10;
-      try {
-        size_t used = 0;
-        const int64_t v = std::stoll(trim(args[0].as_str()), &used, base);
-        if (used != trim(args[0].as_str()).size()) throw std::invalid_argument("");
-        return Value(v);
-      } catch (const std::exception&) {
-        raise("ValueError", "invalid literal for int(): " + py_repr(args[0]));
+    case Builtin::kPrint: {
+      std::string line;
+      for (size_t i = 0; i < args.size(); ++i) {
+        if (i != 0) line += ' ';
+        line += py_str(args[i]);
       }
+      emit(line + "\n");
+      return Value();
     }
-    return Value(as_int(args[0]));
-  }
-  if (name == "float") {
-    need(0, 1);
-    if (args.empty()) return Value(0.0);
-    if (args[0].is_str()) {
-      try {
-        return Value(std::stod(trim(args[0].as_str())));
-      } catch (const std::exception&) {
-        raise("ValueError", "could not convert string to float: " + py_repr(args[0]));
+    case Builtin::kAbs:
+      need(1, 1);
+      if (is_int_like(args[0])) {
+        const int64_t v = as_int(args[0]);
+        if (v == INT64_MIN) int_overflow("abs(" + std::to_string(v) + ")");
+        return Value(v < 0 ? -v : v);
       }
+      if (args[0].is_real()) return Value(std::abs(args[0].as_real()));
+      raise("TypeError", "bad operand for abs()");
+    case Builtin::kMin:
+    case Builtin::kMax: {
+      ValueList items = args.size() == 1 ? iterate(std::move(args[0])) : std::move(args);
+      if (items.empty()) raise("ValueError", name + "() of empty sequence");
+      const int better = fn.builtin == Builtin::kMin ? -1 : 1;
+      size_t best = 0;
+      for (size_t i = 1; i < items.size(); ++i) {
+        if (compare(items[i], items[best]) == better) best = i;
+      }
+      return std::move(items[best]);
     }
-    return Value(as_real(args[0]));
-  }
-  if (name == "bool") {
-    need(0, 1);
-    return Value(!args.empty() && truthy(args[0]));
-  }
-  if (name == "list") {
-    need(0, 1);
-    if (args.empty()) return Value(ValueList{});
-    return Value(iterate(args[0]));
-  }
-  if (name == "dict") {
-    need(0, 1);
-    if (args.empty()) return Value(ValueDict{});
-    if (args[0].is_dict()) return args[0];
-    raise("TypeError", "dict() argument must be a dict");
-  }
-  if (name == "enumerate") {
-    need(1, 2);
-    int64_t start = args.size() == 2 ? as_int(args[1]) : 0;
-    ValueList out;
-    for (const auto& v : iterate(args[0])) {
-      out.push_back(Value(ValueList{Value(start++), v}));
+    case Builtin::kSum: {
+      need(1, 2);
+      Value total = args.size() == 2 ? args[1] : Value(int64_t{0});
+      for (const auto& v : iterate(std::move(args[0]))) total = binary_op(Op::kAdd, total, v);
+      return total;
     }
-    return Value(std::move(out));
-  }
-  if (name == "zip") {
-    std::vector<ValueList> sequences;
-    for (const auto& arg : args) sequences.push_back(iterate(arg));
-    size_t shortest = sequences.empty() ? 0 : SIZE_MAX;
-    for (const auto& s : sequences) shortest = std::min(shortest, s.size());
-    ValueList out;
-    for (size_t i = 0; i < shortest; ++i) {
-      ValueList row;
-      for (const auto& s : sequences) row.push_back(s[i]);
-      out.push_back(Value(std::move(row)));
+    case Builtin::kSorted: {
+      need(1, 1);
+      if (!call_expr.keywords.empty()) {
+        // sorted(xs, key=fn[, reverse=bool])
+        ValueList items = iterate(args[0]);
+        Value key_fn;
+        bool reverse = false;
+        for (const auto& kw : call_expr.keywords) {
+          if (kw.name == "key") {
+            key_fn = eval(frame, *kw.value);
+          } else if (kw.name == "reverse") {
+            reverse = truthy(eval(frame, *kw.value));
+          } else {
+            raise("TypeError", "sorted() got unexpected keyword '" + kw.name + "'");
+          }
+        }
+        std::vector<std::pair<Value, Value>> keyed;  // (key, item)
+        keyed.reserve(items.size());
+        for (auto& item : items) {
+          Value key = key_fn.is_none() ? item : call_value(frame, key_fn, {item});
+          keyed.emplace_back(std::move(key), std::move(item));
+        }
+        std::stable_sort(keyed.begin(), keyed.end(),
+                         [](const auto& a, const auto& b) {
+                           return compare(a.first, b.first) < 0;
+                         });
+        ValueList out;
+        for (auto& [_, item] : keyed) out.push_back(std::move(item));
+        if (reverse) std::reverse(out.begin(), out.end());
+        return Value(std::move(out));
+      }
+      ValueList items = iterate(std::move(args[0]));
+      std::stable_sort(items.begin(), items.end(),
+                       [](const Value& a, const Value& b) { return compare(a, b) < 0; });
+      return Value(std::move(items));
     }
-    return Value(std::move(out));
-  }
-  if (name == "round") {
-    need(1, 2);
-    const double v = as_real(args[0]);
-    if (args.size() == 2) {
-      const double scale = std::pow(10.0, static_cast<double>(as_int(args[1])));
-      return Value(std::round(v * scale) / scale);
+    case Builtin::kStr:
+      need(0, 1);
+      return Value(args.empty() ? std::string() : py_str(args[0]));
+    case Builtin::kRepr:
+      need(1, 1);
+      return Value(py_repr(args[0]));
+    case Builtin::kInt:
+      need(0, 2);
+      if (args.empty()) return Value(int64_t{0});
+      if (args[0].is_str()) {
+        const int base = args.size() == 2 ? static_cast<int>(as_int(args[1])) : 10;
+        const std::string text = trim(args[0].as_str());
+        try {
+          size_t used = 0;
+          const int64_t v = std::stoll(text, &used, base);
+          if (used != text.size()) throw std::invalid_argument("");
+          return Value(v);
+        } catch (const std::out_of_range&) {
+          int_overflow("int(" + py_repr(args[0]) + ")");
+        } catch (const std::exception&) {
+          raise("ValueError", "invalid literal for int(): " + py_repr(args[0]));
+        }
+      }
+      return Value(as_int(args[0]));
+    case Builtin::kFloat:
+      need(0, 1);
+      if (args.empty()) return Value(0.0);
+      if (args[0].is_str()) {
+        try {
+          return Value(std::stod(trim(args[0].as_str())));
+        } catch (const std::exception&) {
+          raise("ValueError", "could not convert string to float: " + py_repr(args[0]));
+        }
+      }
+      return Value(as_real(args[0]));
+    case Builtin::kBool:
+      need(0, 1);
+      return Value(!args.empty() && truthy(args[0]));
+    case Builtin::kList:
+      need(0, 1);
+      if (args.empty()) return Value(ValueList{});
+      return Value(iterate(std::move(args[0])));
+    case Builtin::kDict:
+      need(0, 1);
+      if (args.empty()) return Value(ValueDict{});
+      if (args[0].is_dict()) return args[0];
+      raise("TypeError", "dict() argument must be a dict");
+    case Builtin::kEnumerate: {
+      need(1, 2);
+      const int64_t start = args.size() == 2 ? as_int(args[1]) : 0;
+      ValueList items = iterate(std::move(args[0]));
+      ValueList out;
+      for (size_t k = 0; k < items.size(); ++k) {
+        int64_t index = 0;
+        if (__builtin_add_overflow(start, static_cast<int64_t>(k), &index)) {
+          int_overflow("enumerate() index");
+        }
+        out.push_back(Value(ValueList{Value(index), std::move(items[k])}));
+      }
+      return Value(std::move(out));
     }
-    return Value(static_cast<int64_t>(std::llround(v)));
-  }
-  if (name == "any" || name == "all") {
-    need(1, 1);
-    for (const auto& v : iterate(args[0])) {
-      if (name == "any" && truthy(v)) return Value(true);
-      if (name == "all" && !truthy(v)) return Value(false);
+    case Builtin::kZip: {
+      std::vector<ValueList> sequences;
+      for (auto& arg : args) sequences.push_back(iterate(std::move(arg)));
+      size_t shortest = sequences.empty() ? 0 : SIZE_MAX;
+      for (const auto& s : sequences) shortest = std::min(shortest, s.size());
+      ValueList out;
+      for (size_t i = 0; i < shortest; ++i) {
+        ValueList row;
+        for (const auto& s : sequences) row.push_back(s[i]);
+        out.push_back(Value(std::move(row)));
+      }
+      return Value(std::move(out));
     }
-    return Value(name == "all");
-  }
-  if (name == "isinstance") {
-    need(2, 2);
-    // Second argument arrives as a NameError-prone identifier; handled by
-    // evaluating the raw expression text instead. Simplify: support via
-    // type-name string comparison is not expressible here; report clearly.
-    raise("UnsupportedError", "isinstance() is not supported");
+    case Builtin::kRound: {
+      need(1, 2);
+      const double v = as_real(args[0]);
+      if (args.size() == 2) {
+        const double scale = std::pow(10.0, static_cast<double>(as_int(args[1])));
+        return Value(std::round(v * scale) / scale);
+      }
+      return Value(checked_int(std::round(v)));
+    }
+    case Builtin::kAny:
+    case Builtin::kAll: {
+      need(1, 1);
+      const bool any = fn.builtin == Builtin::kAny;
+      for (const auto& v : iterate(std::move(args[0]))) {
+        if (truthy(v) == any) return Value(any);
+      }
+      return Value(!any);
+    }
+    case Builtin::kIsinstance:
+      need(2, 2);
+      // Second argument arrives as a NameError-prone identifier; handled by
+      // evaluating the raw expression text instead. Simplify: support via
+      // type-name string comparison is not expressible here; report clearly.
+      raise("UnsupportedError", "isinstance() is not supported");
   }
   *handled = false;
   return Value();
@@ -1395,8 +1670,8 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
   {
     // Evaluate base only once for this check; module handles are cheap.
     if (attr.value->kind == ExprKind::kName) {
-      const auto& base_name = static_cast<const NameExpr&>(*attr.value).id;
-      Value* bound = find_name(frame, base_name);
+      const auto& base_name = static_cast<const NameExpr&>(*attr.value);
+      Value* bound = find(frame, id(frame, base_name.slot));
       if (bound != nullptr && is_module_handle(*bound)) {
         return call_module_function(
             bound->at("__module__").as_str() + "." + attr.attr, std::move(args));
@@ -1410,28 +1685,28 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
   Value receiver_copy;
   if (lvalue == nullptr) receiver_copy = eval(frame, *attr.value);
   Value& receiver = lvalue != nullptr ? *lvalue : receiver_copy;
-  const std::string& m = attr.attr;
+  const Method m = attr.method;
 
   if (receiver.is_list()) {
     auto& list = receiver.as_list();
-    if (m == "append") {
+    if (m == Method::kAppend) {
       need(1, 1);
       list.push_back(std::move(args[0]));
       return Value();
     }
-    if (m == "extend") {
+    if (m == Method::kExtend) {
       need(1, 1);
       for (const auto& v : iterate(args[0])) list.push_back(v);
       return Value();
     }
-    if (m == "insert") {
+    if (m == Method::kInsert) {
       need(2, 2);
       const auto at = std::min<size_t>(
           static_cast<size_t>(std::max<int64_t>(as_int(args[0]), 0)), list.size());
       list.insert(list.begin() + static_cast<long>(at), std::move(args[1]));
       return Value();
     }
-    if (m == "pop") {
+    if (m == Method::kPop) {
       need(0, 1);
       if (list.empty()) raise("IndexError", "pop from empty list");
       const size_t at = args.empty()
@@ -1441,7 +1716,7 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
       list.erase(list.begin() + static_cast<long>(at));
       return out;
     }
-    if (m == "remove") {
+    if (m == Method::kRemove) {
       need(1, 1);
       for (size_t i = 0; i < list.size(); ++i) {
         if (py_equal(list[i], args[0])) {
@@ -1451,14 +1726,14 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
       }
       raise("ValueError", "list.remove(x): x not in list");
     }
-    if (m == "index") {
+    if (m == Method::kIndex) {
       need(1, 1);
       for (size_t i = 0; i < list.size(); ++i) {
         if (py_equal(list[i], args[0])) return Value(static_cast<int64_t>(i));
       }
       raise("ValueError", py_repr(args[0]) + " is not in list");
     }
-    if (m == "count") {
+    if (m == Method::kCount) {
       need(1, 1);
       int64_t n = 0;
       for (const auto& v : list) {
@@ -1466,14 +1741,14 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
       }
       return Value(n);
     }
-    if (m == "sort") {
+    if (m == Method::kSort) {
       need(0, 0);
       std::stable_sort(list.begin(), list.end(), [](const Value& a, const Value& b) {
         return compare(a, b) < 0;
       });
       return Value();
     }
-    if (m == "reverse") {
+    if (m == Method::kReverse) {
       need(0, 0);
       std::reverse(list.begin(), list.end());
       return Value();
@@ -1486,31 +1761,31 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
       if (!k.is_str()) raise("TypeError", "dict keys must be strings");
       return k.as_str();
     };
-    if (m == "get") {
+    if (m == Method::kGet) {
       need(1, 2);
       const auto it = dict.find(key_of(args[0]));
       if (it != dict.end()) return it->second;
       return args.size() == 2 ? args[1] : Value();
     }
-    if (m == "keys") {
+    if (m == Method::kKeys) {
       need(0, 0);
       ValueList out;
       for (const auto& [k, _] : dict) out.push_back(Value(k));
       return Value(std::move(out));
     }
-    if (m == "values") {
+    if (m == Method::kValues) {
       need(0, 0);
       ValueList out;
       for (const auto& [_, v] : dict) out.push_back(v);
       return Value(std::move(out));
     }
-    if (m == "items") {
+    if (m == Method::kItems) {
       need(0, 0);
       ValueList out;
       for (const auto& [k, v] : dict) out.push_back(Value(ValueList{Value(k), v}));
       return Value(std::move(out));
     }
-    if (m == "pop") {
+    if (m == Method::kPop) {
       need(1, 2);
       const auto it = dict.find(key_of(args[0]));
       if (it == dict.end()) {
@@ -1521,13 +1796,13 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
       dict.erase(it);
       return out;
     }
-    if (m == "update") {
+    if (m == Method::kUpdate) {
       need(1, 1);
       if (!args[0].is_dict()) raise("TypeError", "update() argument must be a dict");
       for (const auto& [k, v] : args[0].as_dict()) dict[k] = v;
       return Value();
     }
-    if (m == "setdefault") {
+    if (m == Method::kSetdefault) {
       need(1, 2);
       const std::string key = key_of(args[0]);
       const auto it = dict.find(key);
@@ -1540,7 +1815,7 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
 
   if (receiver.is_str()) {
     const std::string& s = receiver.as_str();
-    if (m == "split") {
+    if (m == Method::kSplit) {
       need(0, 1);
       ValueList out;
       if (args.empty()) {
@@ -1571,7 +1846,7 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
       }
       return Value(std::move(out));
     }
-    if (m == "join") {
+    if (m == Method::kJoin) {
       need(1, 1);
       std::string out;
       bool first = true;
@@ -1583,28 +1858,28 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
       }
       return Value(std::move(out));
     }
-    if (m == "upper" || m == "lower") {
+    if (m == Method::kUpper || m == Method::kLower) {
       need(0, 0);
       std::string out = s;
       for (char& c : out) {
-        c = m == "upper" ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
+        c = m == Method::kUpper ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
                          : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
       }
       return Value(std::move(out));
     }
-    if (m == "strip") {
+    if (m == Method::kStrip) {
       need(0, 0);
       return Value(trim(s));
     }
-    if (m == "startswith") {
+    if (m == Method::kStartswith) {
       need(1, 1);
       return Value(starts_with(s, args[0].as_str()));
     }
-    if (m == "endswith") {
+    if (m == Method::kEndswith) {
       need(1, 1);
       return Value(ends_with(s, args[0].as_str()));
     }
-    if (m == "replace") {
+    if (m == Method::kReplace) {
       need(2, 2);
       std::string out = s;
       const std::string& from = args[0].as_str();
@@ -1617,12 +1892,12 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
       }
       return Value(std::move(out));
     }
-    if (m == "find") {
+    if (m == Method::kFind) {
       need(1, 1);
       const size_t at = s.find(args[0].as_str());
       return Value(at == std::string::npos ? int64_t{-1} : static_cast<int64_t>(at));
     }
-    if (m == "count") {
+    if (m == Method::kCount) {
       need(1, 1);
       const std::string& sub = args[0].as_str();
       if (sub.empty()) return Value(static_cast<int64_t>(s.size() + 1));
@@ -1634,7 +1909,7 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
       }
       return Value(n);
     }
-    if (m == "isdigit") {
+    if (m == Method::kIsdigit) {
       need(0, 0);
       bool all_digits = !s.empty();
       for (const char c : s) {
@@ -1645,17 +1920,17 @@ Value Interpreter::Impl::call_method(Frame& frame, const AttributeExpr& attr,
   }
 
   raise("AttributeError",
-        "'" + type_name(receiver) + "' object has no method '" + m + "'");
+        "'" + type_name(receiver) + "' object has no method '" + attr.attr + "'");
 }
 
 // --- builtin modules ------------------------------------------------------------
 
 void Interpreter::Impl::do_import(Frame& frame, const std::string& module,
-                                  const std::string& bind) {
+                                  uint32_t slot) {
   if (module == "math" || module == "json") {
     ValueDict handle;
     handle["__module__"] = Value(module);
-    store_name(frame, bind, Value(std::move(handle)));
+    store(frame, id(frame, slot), Value(std::move(handle)));
     return;
   }
   raise("ImportError", "no module named '" + module + "'");
@@ -1670,8 +1945,7 @@ void Interpreter::Impl::do_import_from(Frame& frame, const ImportFromStmt& stmt)
   for (const auto& alias : stmt.names) {
     ValueDict handle;
     handle["__builtin__"] = Value(stmt.module + "." + alias.name);
-    store_name(frame, alias.asname.empty() ? alias.name : alias.asname,
-               Value(std::move(handle)));
+    store(frame, id(frame, alias.slot), Value(std::move(handle)));
   }
 }
 
@@ -1706,11 +1980,11 @@ Value Interpreter::Impl::call_module_function(const std::string& qualified,
   }
   if (qualified == "math.floor") {
     need(1);
-    return Value(static_cast<int64_t>(std::floor(as_real(args[0]))));
+    return Value(checked_int(std::floor(as_real(args[0]))));
   }
   if (qualified == "math.ceil") {
     need(1);
-    return Value(static_cast<int64_t>(std::ceil(as_real(args[0]))));
+    return Value(checked_int(std::ceil(as_real(args[0]))));
   }
   if (qualified == "math.exp") return unary(std::exp);
   if (qualified == "math.log") {
@@ -1743,10 +2017,7 @@ Interpreter::Interpreter(InterpOptions options)
 
 Interpreter::~Interpreter() = default;
 
-void Interpreter::exec(const Module& module) {
-  Impl::Frame frame;  // module scope: locals == nullptr
-  impl_->exec_body(frame, module.body);
-}
+void Interpreter::exec(const Module& module) { impl_->exec_module(module); }
 
 void Interpreter::exec_source(const std::string& source) {
   impl_->owned_modules.push_back(std::make_unique<Module>(parse_module(source)));
@@ -1755,34 +2026,43 @@ void Interpreter::exec_source(const std::string& source) {
 
 serde::Value Interpreter::call(const std::string& function,
                                std::vector<serde::Value> args) {
-  const auto it = impl_->functions.find(function);
-  if (it == impl_->functions.end()) {
+  const uint32_t id = impl_->find_id(function);
+  if (id == impl_->names.size() || impl_->globals[id].def == nullptr) {
     raise("NameError", "function '" + function + "' is not defined");
   }
+  const Impl::Global& global = impl_->globals[id];
   Impl::Frame frame;
-  return impl_->call_function(*it->second, std::move(args), nullptr, frame);
+  frame.unit = global.def_unit;
+  return impl_->call_function(*global.def, *global.def_unit, std::move(args), nullptr,
+                              frame);
 }
 
 serde::Value Interpreter::eval_expression_source(const std::string& source) {
-  const ExprPtr expr = parse_expression(source);
+  impl_->owned_modules.push_back(
+      std::make_unique<Module>(parse_expression_module(source)));
+  const Module& module = *impl_->owned_modules.back();
   Impl::Frame frame;
-  return impl_->eval(frame, *expr);
+  frame.unit = &impl_->unit_for(module);
+  return impl_->eval(frame, *static_cast<const ExprStmt&>(*module.body[0]).value);
 }
 
 serde::Value Interpreter::global(const std::string& name) const {
-  const auto it = impl_->globals.find(name);
-  if (it == impl_->globals.end()) {
+  const uint32_t id = impl_->find_id(name);
+  if (id == impl_->names.size() || !impl_->globals[id].bound) {
     throw Error("Interpreter::global: no global named '" + name + "'");
   }
-  return it->second;
+  return impl_->globals[id].value;
 }
 
 void Interpreter::set_global(const std::string& name, serde::Value value) {
-  impl_->globals[name] = std::move(value);
+  Impl::Global& global = impl_->globals[impl_->intern(name)];
+  global.value = std::move(value);
+  global.bound = true;
 }
 
 bool Interpreter::has_function(const std::string& name) const {
-  return impl_->functions.count(name) > 0;
+  const uint32_t id = impl_->find_id(name);
+  return id != impl_->names.size() && impl_->globals[id].def != nullptr;
 }
 
 const std::string& Interpreter::output() const { return impl_->captured_output; }
@@ -1814,66 +2094,15 @@ serde::Value run_python_function(const std::shared_ptr<const Module>& module,
 
 namespace lfm::pysrc {
 
-std::string Interpreter::Impl::interpolate(Frame& frame, const std::string& text) {
+std::string Interpreter::Impl::interpolate(Frame& frame, const ConstantExpr& c) {
   std::string out;
-  size_t i = 0;
-  while (i < text.size()) {
-    const char c = text[i];
-    if (c == '{' && i + 1 < text.size() && text[i + 1] == '{') {
-      out += '{';
-      i += 2;
-      continue;
-    }
-    if (c == '}' && i + 1 < text.size() && text[i + 1] == '}') {
-      out += '}';
-      i += 2;
-      continue;
-    }
-    if (c == '}') raise("SyntaxError", "single '}' in f-string");
-    if (c != '{') {
-      out += c;
-      ++i;
-      continue;
-    }
-    // Replacement field: find the matching close brace (nesting-aware for
-    // dict literals / subscripts inside the expression).
-    size_t depth = 1;
-    size_t j = i + 1;
-    while (j < text.size() && depth > 0) {
-      if (text[j] == '{') ++depth;
-      if (text[j] == '}') --depth;
-      ++j;
-    }
-    if (depth != 0) raise("SyntaxError", "unterminated f-string field");
-    std::string field = text.substr(i + 1, j - i - 2);
-    // Optional format spec after the LAST top-level ':'. Only numeric specs
-    // of the form [.Nf] / [Nd] are honored; everything else is ignored.
-    std::string spec;
-    size_t colon = std::string::npos;
-    size_t nesting = 0;
-    for (size_t k = 0; k < field.size(); ++k) {
-      if (field[k] == '[' || field[k] == '(' || field[k] == '{') ++nesting;
-      if (field[k] == ']' || field[k] == ')' || field[k] == '}') --nesting;
-      if (field[k] == ':' && nesting == 0) colon = k;
-    }
-    if (colon != std::string::npos) {
-      spec = field.substr(colon + 1);
-      field = field.substr(0, colon);
-    }
-    if (trim(field).empty()) raise("SyntaxError", "empty f-string expression");
-    const ExprPtr expr = parse_expression(trim(field));
-    const Value value = eval(frame, *expr);
-    if (!spec.empty() && spec.back() == 'f') {
-      int precision = 6;
-      if (spec.size() >= 3 && spec[0] == '.') {
-        precision = std::atoi(spec.substr(1, spec.size() - 2).c_str());
-      }
-      out += strformat("%.*f", precision, as_real(value));
-    } else {
-      out += py_str(value);
-    }
-    i = j;
+  for (const FStringPart& part : c.fstring_parts) {
+    out += part.literal;
+    if (!part.field) continue;
+    const Value value = eval(frame, *part.field);
+    out += part.fixed ? strformat("%.*f", part.precision, as_real(value)) : py_str(value);
   }
+  if (c.error) std::rethrow_exception(c.error);
   return out;
 }
 

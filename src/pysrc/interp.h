@@ -23,9 +23,24 @@
 //   * `import math` / `import json` map to builtin modules; other imports
 //     raise ImportError (so try/except ImportError fallbacks work)
 //
-// Deliberate divergence: containers have VALUE semantics — `ys = xs` copies;
-// mutating methods (append, update, sort, ...) operate in place only when
-// the receiver is a name or subscript lvalue. Dict keys are strings.
+// Deliberate divergence:
+//   * containers have VALUE semantics — `ys = xs` copies; mutating methods
+//     (append, update, sort, ...) operate in place only when the receiver
+//     is a name or subscript lvalue. Dict keys are strings.
+//   * ints are int64. A result outside that range raises OverflowError
+//     instead of growing: arithmetic, `**`, `<<`, unary minus, abs(),
+//     sum(), int()/round()/math.floor() of a large float, and an int
+//     literal that does not fit (raised when the literal is evaluated).
+//     `INT64_MIN % -1` is 0, and a negative shift count raises ValueError,
+//     as in Python.
+//
+// Evaluation runs over the tree as the parser resolved it (ast.h): no
+// operator, literal or name is looked up by string. A function frame keeps
+// its locals in a flat array indexed by name slot. A call whose callee
+// names a module-level def, and no local or global binding shadows that
+// name, runs the def directly; a def becomes a `{"__callable__": id}`
+// handle only when used as a value, at most one handle per def. A
+// `for ... in range(...)` counts without building the list.
 //
 // Not supported (PyError "UnsupportedError"): classes, generators/yield,
 // with, async, attribute assignment.
@@ -68,6 +83,7 @@ class Interpreter {
   Interpreter& operator=(const Interpreter&) = delete;
 
   // Execute a module at global scope (defs are registered, statements run).
+  // The interpreter keeps pointers into `module`, which must outlive it.
   void exec(const Module& module);
   void exec_source(const std::string& source);
 

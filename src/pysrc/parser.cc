@@ -1,13 +1,124 @@
 #include "pysrc/parser.h"
 
+#include <charconv>
+#include <cstdlib>
+#include <unordered_map>
 #include <utility>
+
+#include "pysrc/interp.h"
+#include "util/strings.h"
 
 namespace lfm::pysrc {
 namespace {
 
+// A module's identifiers, each given the slot of its first appearance.
+class NameTable {
+ public:
+  uint32_t intern(const std::string& name) {
+    const auto [it, added] =
+        index_.try_emplace(name, static_cast<uint32_t>(names_.size()));
+    if (added) names_.push_back(name);
+    return it->second;
+  }
+  std::vector<std::string> release() { return std::move(names_); }
+
+ private:
+  std::unordered_map<std::string, uint32_t> index_;
+  std::vector<std::string> names_;
+};
+
+// The operator in [first, last] spelled `text`.
+Op find_op(std::string_view text, Op first, Op last) {
+  for (int op = static_cast<int>(first); op <= static_cast<int>(last); ++op) {
+    if (op_text(static_cast<Op>(op)) == text) return static_cast<Op>(op);
+  }
+  throw Error("parser: '" + std::string(text) + "' is not an operator here");
+}
+
+std::string without_underscores(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (c != '_') out += c;
+  }
+  return out;
+}
+
+std::exception_ptr py_error(const std::string& type, const std::string& message) {
+  return std::make_exception_ptr(PyError(type, message));
+}
+
+std::exception_ptr complex_literal_error() {
+  return py_error("UnsupportedError",
+                  "complex literals is not supported by the mini interpreter");
+}
+
+void set_int_value(ConstantExpr& c) {
+  const std::string t = without_underscores(c.text);
+  int base = 10;
+  size_t skip = 0;
+  if (t.size() > 2 && t[0] == '0') {
+    const char b = static_cast<char>(std::tolower(static_cast<unsigned char>(t[1])));
+    if (b == 'x') {
+      base = 16;
+      skip = 2;
+    } else if (b == 'o') {
+      base = 8;
+      skip = 2;
+    } else if (b == 'b') {
+      base = 2;
+      skip = 2;
+    }
+  }
+  const char* last = t.data() + t.size();
+  const auto [end, ec] = std::from_chars(t.data() + skip, last, c.int_value, base);
+  if (ec == std::errc::result_out_of_range) {
+    c.error = py_error("OverflowError", "int literal " + t + " does not fit in int64");
+  } else if (ec != std::errc() || end != last) {
+    c.error = base == 10 && (t.back() == 'j' || t.back() == 'J')
+                  ? complex_literal_error()
+                  : py_error("SyntaxError", "invalid int literal '" + c.text + "'");
+  }
+}
+
+void set_float_value(ConstantExpr& c) {
+  const std::string t = without_underscores(c.text);
+  if (!t.empty() && (t.back() == 'j' || t.back() == 'J')) {
+    c.error = complex_literal_error();
+    return;
+  }
+  // Out of double range gives inf or 0, as in Python.
+  c.float_value = std::strtod(t.c_str(), nullptr);
+}
+
+bool may_bind(const Expr& root);
+
+bool fstring_may_bind(const ConstantExpr& c) {
+  for (const auto& part : c.fstring_parts) {
+    if (part.field && may_bind(*part.field)) return true;
+  }
+  return false;
+}
+
+// Whether evaluating `root` can bind or delete a name: it calls (any callee
+// may assign a global), assigns with `:=`, or runs a comprehension.
+bool may_bind(const Expr& root) {
+  bool binds = false;
+  walk_expressions(root, [&binds](const Expr& e) {
+    if (e.kind == ExprKind::kCall || e.kind == ExprKind::kComprehension ||
+        (e.kind == ExprKind::kBinOp &&
+         static_cast<const BinOpExpr&>(e).op == Op::kWalrus) ||
+        (e.kind == ExprKind::kConstant &&
+         fstring_may_bind(static_cast<const ConstantExpr&>(e)))) {
+      binds = true;
+    }
+  });
+  return binds;
+}
+
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::vector<Token> tokens, NameTable& names)
+      : tokens_(std::move(tokens)), names_(names) {}
 
   Module parse_module() {
     Module m;
@@ -87,6 +198,8 @@ class Parser {
     node->line = peek().line;
     return node;
   }
+
+  uint32_t slot(const std::string& name) { return names_.intern(name); }
 
   template <typename T, typename... Args>
   ExprPtr locate(std::unique_ptr<T> node, int line, int col) {
@@ -173,6 +286,7 @@ class Parser {
       ImportAlias alias;
       alias.name = dotted_name();
       if (match_kw("as")) alias.asname = expect(TokenKind::kName, "alias name").text;
+      alias.slot = slot(alias.asname.empty() ? alias.name : alias.asname);
       node->names.push_back(std::move(alias));
       if (!match_op(",")) break;
     }
@@ -201,6 +315,7 @@ class Parser {
       ImportAlias alias;
       alias.name = expect(TokenKind::kName, "imported name").text;
       if (match_kw("as")) alias.asname = expect(TokenKind::kName, "alias name").text;
+      alias.slot = slot(alias.asname.empty() ? alias.name : alias.asname);
       node->names.push_back(std::move(alias));
       if (parenthesized) skip_newlines();
       if (!match_op(",")) break;
@@ -240,6 +355,7 @@ class Parser {
     node->decorators = std::move(decorators);
     expect_kw("def");
     node->name = expect(TokenKind::kName, "function name").text;
+    node->slot = slot(node->name);
     expect_op("(");
     bool seen_star = false;
     while (!check_op(")")) {
@@ -257,6 +373,7 @@ class Parser {
         p.is_kwarg = true;
       }
       p.name = expect(TokenKind::kName, "parameter name").text;
+      p.slot = slot(p.name);
       if (match_op(":")) p.annotation = expression();
       if (match_op("=")) p.default_val = expression();
       node->params.push_back(std::move(p));
@@ -366,7 +483,10 @@ class Parser {
       advance();
       if (!check_op(":")) {
         handler.type = expression();
-        if (match_kw("as")) handler.name = expect(TokenKind::kName, "exception name").text;
+        if (match_kw("as")) {
+          handler.name = expect(TokenKind::kName, "exception name").text;
+          handler.slot = slot(handler.name);
+        }
       }
       handler.body = block();
       node->handlers.push_back(std::move(handler));
@@ -434,6 +554,7 @@ class Parser {
     advance();  // 'global' | 'nonlocal'
     while (true) {
       node->names.push_back(expect(TokenKind::kName, "identifier").text);
+      node->slots.push_back(slot(node->names.back()));
       if (!match_op(",")) break;
     }
     expect_newline();
@@ -451,12 +572,11 @@ class Parser {
     return node;
   }
 
-  // Augmented assignment operator spellings.
   bool check_augop() const {
-    static const char* kAugOps[] = {"+=", "-=", "*=", "/=", "//=", "%=",
-                                    "**=", ">>=", "<<=", "&=", "|=", "^=", "@="};
-    for (const char* op : kAugOps) {
-      if (check_op(op)) return true;
+    if (!check(TokenKind::kOp)) return false;
+    for (int op = static_cast<int>(Op::kAddAssign);
+         op <= static_cast<int>(Op::kBitXorAssign); ++op) {
+      if (op_text(static_cast<Op>(op)) == peek().text) return true;
     }
     return false;
   }
@@ -468,7 +588,7 @@ class Parser {
       auto node = std::make_unique<AugAssignStmt>();
       node->line = line;
       node->target = std::move(first);
-      node->op = advance().text;
+      node->op = find_op(advance().text, Op::kAddAssign, Op::kBitXorAssign);
       node->value = expression_list();
       expect_newline();
       return node;
@@ -585,6 +705,7 @@ class Parser {
       while (!check_op(":")) {
         match_op("*") || match_op("**");
         node->params.push_back(expect(TokenKind::kName, "lambda parameter").text);
+        node->param_slots.push_back(slot(node->params.back()));
         if (match_op("=")) expression();  // default value, discarded
         if (!match_op(",")) break;
       }
@@ -600,7 +721,7 @@ class Parser {
     if (!check_kw("or")) return lhs;
     auto node = std::make_unique<BoolOpExpr>();
     node->line = lhs->line;
-    node->op = "or";
+    node->op = Op::kOr;
     node->values.push_back(std::move(lhs));
     while (match_kw("or")) node->values.push_back(and_expr());
     return node;
@@ -611,7 +732,7 @@ class Parser {
     if (!check_kw("and")) return lhs;
     auto node = std::make_unique<BoolOpExpr>();
     node->line = lhs->line;
-    node->op = "and";
+    node->op = Op::kAnd;
     node->values.push_back(std::move(lhs));
     while (match_kw("and")) node->values.push_back(not_expr());
     return node;
@@ -623,7 +744,7 @@ class Parser {
       const int col = peek().col;
       advance();
       auto node = std::make_unique<UnaryOpExpr>();
-      node->op = "not";
+      node->op = Op::kNot;
       node->operand = not_expr();
       return locate(std::move(node), line, col);
     }
@@ -637,8 +758,8 @@ class Parser {
     node->line = lhs->line;
     node->lhs = std::move(lhs);
     while (is_compare_op()) {
-      std::string op = compare_op();
-      node->rest.emplace_back(std::move(op), bitor_expr());
+      const Op op = compare_op();
+      node->rest.emplace_back(op, bitor_expr());
     }
     return node;
   }
@@ -653,22 +774,22 @@ class Parser {
     return false;
   }
 
-  std::string compare_op() {
+  Op compare_op() {
     if (check_kw("not")) {
       advance();
       expect_kw("in");
-      return "not in";
+      return Op::kNotIn;
     }
     if (check_kw("is")) {
       advance();
-      if (match_kw("not")) return "is not";
-      return "is";
+      if (match_kw("not")) return Op::kIsNot;
+      return Op::kIs;
     }
     if (check_kw("in")) {
       advance();
-      return "in";
+      return Op::kIn;
     }
-    return advance().text;
+    return find_op(advance().text, Op::kEq, Op::kGe);
   }
 
   ExprPtr binop_level(const std::vector<const char*>& ops, ExprPtr (Parser::*next)()) {
@@ -679,7 +800,7 @@ class Parser {
         if (check_op(op)) {
           auto node = std::make_unique<BinOpExpr>();
           node->line = lhs->line;
-          node->op = advance().text;
+          node->op = find_op(advance().text, Op::kAdd, Op::kBitXor);
           node->lhs = std::move(lhs);
           node->rhs = (this->*next)();
           lhs = std::move(node);
@@ -703,7 +824,7 @@ class Parser {
       const int line = peek().line;
       const int col = peek().col;
       auto node = std::make_unique<UnaryOpExpr>();
-      node->op = advance().text;
+      node->op = find_op(advance().text, Op::kNeg, Op::kInvert);
       node->operand = factor_expr();
       return locate(std::move(node), line, col);
     }
@@ -715,7 +836,8 @@ class Parser {
     if (check_op("**")) {
       auto node = std::make_unique<BinOpExpr>();
       node->line = base->line;
-      node->op = advance().text;
+      advance();
+      node->op = Op::kPow;
       node->lhs = std::move(base);
       node->rhs = factor_expr();  // right-associative
       return node;
@@ -764,6 +886,7 @@ class Parser {
         auto node = std::make_unique<SubscriptExpr>();
         node->value = std::move(e);
         node->index = subscript_index();
+        node->index_binds = may_bind(*node->index);
         expect_op("]");
         e = locate(std::move(node), line, col);
       } else {
@@ -864,7 +987,10 @@ class Parser {
 
     if (t.kind == TokenKind::kName) {
       advance();
-      return locate(std::make_unique<NameExpr>(t.text), line, col);
+      auto node = std::make_unique<NameExpr>(t.text);
+      node->slot = slot(node->id);
+      node->builtin = builtin_named(node->id);
+      return locate(std::move(node), line, col);
     }
     if (t.kind == TokenKind::kNumber) {
       advance();
@@ -881,6 +1007,11 @@ class Parser {
         node->const_kind = ConstantKind::kInt;
       }
       node->text = t.text;
+      if (node->const_kind == ConstantKind::kInt) {
+        set_int_value(*node);
+      } else {
+        set_float_value(*node);
+      }
       return locate(std::move(node), line, col);
     }
     if (t.kind == TokenKind::kString) {
@@ -893,6 +1024,7 @@ class Parser {
         if (peek().str_prefix.find('f') != std::string::npos) node->fstring = true;
         node->text += advance().text;
       }
+      if (node->fstring) split_fstring(*node);
       return locate(std::move(node), line, col);
     }
     if (t.is_keyword("None") || t.is_keyword("True") || t.is_keyword("False")) {
@@ -939,7 +1071,8 @@ class Parser {
     if (check_op(":=")) {
       auto node = std::make_unique<BinOpExpr>();
       node->line = first->line;
-      node->op = advance().text;
+      advance();
+      node->op = Op::kWalrus;
       node->lhs = std::move(first);
       node->rhs = expression();
       first = std::move(node);
@@ -1050,18 +1183,103 @@ class Parser {
     expect_op("}");
   }
 
+  // Splits an f-string into literal text and parsed replacement fields.
+  // What the scan or a field's parse throws is kept in `c.error`, raised
+  // when the literal is evaluated after the fields before it.
+  void split_fstring(ConstantExpr& c) {
+    const std::string& text = c.text;
+    std::string literal;
+    try {
+      size_t i = 0;
+      while (i < text.size()) {
+        const char ch = text[i];
+        if (ch == '{' && i + 1 < text.size() && text[i + 1] == '{') {
+          literal += '{';
+          i += 2;
+          continue;
+        }
+        if (ch == '}' && i + 1 < text.size() && text[i + 1] == '}') {
+          literal += '}';
+          i += 2;
+          continue;
+        }
+        if (ch == '}') throw PyError("SyntaxError", "single '}' in f-string");
+        if (ch != '{') {
+          literal += ch;
+          ++i;
+          continue;
+        }
+        // Replacement field: find the matching close brace (nesting-aware
+        // for dict literals / subscripts inside the expression).
+        size_t depth = 1;
+        size_t j = i + 1;
+        while (j < text.size() && depth > 0) {
+          if (text[j] == '{') ++depth;
+          if (text[j] == '}') --depth;
+          ++j;
+        }
+        if (depth != 0) throw PyError("SyntaxError", "unterminated f-string field");
+        std::string field = text.substr(i + 1, j - i - 2);
+        // Optional format spec after the LAST top-level ':'. Only numeric
+        // specs of the form [.Nf] / [Nd] are honored; the rest is ignored.
+        std::string spec;
+        size_t colon = std::string::npos;
+        size_t nesting = 0;
+        for (size_t k = 0; k < field.size(); ++k) {
+          if (field[k] == '[' || field[k] == '(' || field[k] == '{') ++nesting;
+          if (field[k] == ']' || field[k] == ')' || field[k] == '}') --nesting;
+          if (field[k] == ':' && nesting == 0) colon = k;
+        }
+        if (colon != std::string::npos) {
+          spec = field.substr(colon + 1);
+          field = field.substr(0, colon);
+        }
+        if (trim(field).empty()) throw PyError("SyntaxError", "empty f-string expression");
+        FStringPart part;
+        part.field = Parser(tokenize(trim(field)), names_).parse_single_expression();
+        part.fixed = !spec.empty() && spec.back() == 'f';
+        if (part.fixed && spec.size() >= 3 && spec[0] == '.') {
+          part.precision = std::atoi(spec.substr(1, spec.size() - 2).c_str());
+        }
+        part.literal = std::move(literal);
+        literal.clear();
+        c.fstring_parts.push_back(std::move(part));
+        i = j;
+      }
+      FStringPart tail;
+      tail.literal = std::move(literal);
+      c.fstring_parts.push_back(std::move(tail));
+    } catch (...) {
+      c.error = std::current_exception();
+    }
+  }
+
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  NameTable& names_;
 };
 
 }  // namespace
 
 Module parse_module(std::string_view source) {
-  return Parser(tokenize(source)).parse_module();
+  NameTable names;
+  Module module = Parser(tokenize(source), names).parse_module();
+  module.names = names.release();
+  return module;
 }
 
 ExprPtr parse_expression(std::string_view source) {
-  return Parser(tokenize(source)).parse_single_expression();
+  NameTable names;
+  return Parser(tokenize(source), names).parse_single_expression();
+}
+
+Module parse_expression_module(std::string_view source) {
+  NameTable names;
+  Module module;
+  module.body.push_back(std::make_unique<ExprStmt>(
+      Parser(tokenize(source), names).parse_single_expression()));
+  module.names = names.release();
+  return module;
 }
 
 }  // namespace lfm::pysrc

@@ -7,6 +7,9 @@
 // annotated), and bare expressions. Expressions use full operator precedence
 // with calls, attributes, subscripts, lambdas, ternaries, comprehensions and
 // literal displays.
+//
+// Parsing also resolves the tree for the interpreter (see ast.h): operator
+// codes, literal values, f-string fields and name slots.
 #pragma once
 
 #include <string_view>
@@ -21,5 +24,9 @@ Module parse_module(std::string_view source);
 
 // Parse a single expression (the whole input must be one expression).
 ExprPtr parse_expression(std::string_view source);
+
+// The same, as a module whose body is that one expression statement, so its
+// name slots have the table they index.
+Module parse_expression_module(std::string_view source);
 
 }  // namespace lfm::pysrc

@@ -81,18 +81,19 @@ std::string expr_str(const Expr& e) {
     }
     case ExprKind::kBinOp: {
       const auto& b = static_cast<const BinOpExpr&>(e);
-      return "(" + expr_str(*b.lhs) + " " + b.op + " " + expr_str(*b.rhs) + ")";
+      return "(" + expr_str(*b.lhs) + " " + std::string(op_text(b.op)) + " " +
+             expr_str(*b.rhs) + ")";
     }
     case ExprKind::kUnaryOp: {
       const auto& u = static_cast<const UnaryOpExpr&>(e);
-      const std::string sep = u.op == "not" ? " " : "";
-      return "(" + u.op + sep + expr_str(*u.operand) + ")";
+      const std::string sep = u.op == Op::kNot ? " " : "";
+      return "(" + std::string(op_text(u.op)) + sep + expr_str(*u.operand) + ")";
     }
     case ExprKind::kBoolOp: {
       const auto& b = static_cast<const BoolOpExpr&>(e);
       std::string out = "(";
       for (size_t i = 0; i < b.values.size(); ++i) {
-        if (i != 0) out += " " + b.op + " ";
+        if (i != 0) out += " " + std::string(op_text(b.op)) + " ";
         out += expr_str(*b.values[i]);
       }
       return out + ")";
@@ -101,7 +102,7 @@ std::string expr_str(const Expr& e) {
       const auto& c = static_cast<const CompareExpr&>(e);
       std::string out = "(" + expr_str(*c.lhs);
       for (const auto& [op, rhs] : c.rest) {
-        out += " " + op + " " + expr_str(*rhs);
+        out += " " + std::string(op_text(op)) + " " + expr_str(*rhs);
       }
       return out + ")";
     }
@@ -205,7 +206,8 @@ class Unparser {
       }
       case StmtKind::kAugAssign: {
         const auto& n = static_cast<const AugAssignStmt&>(stmt);
-        return pad + expr_str(*n.target) + " " + n.op + " " + expr_str(*n.value) + "\n";
+        return pad + expr_str(*n.target) + " " + std::string(op_text(n.op)) + " " +
+               expr_str(*n.value) + "\n";
       }
       case StmtKind::kAnnAssign: {
         const auto& n = static_cast<const AnnAssignStmt&>(stmt);

@@ -2,7 +2,15 @@
 // subset, error behaviour, and the function-shipping use case.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <random>
+#include <thread>
+
+#include "monitor/lfm.h"
 #include "pysrc/interp.h"
+#include "pysrc/parse_cache.h"
 #include "pysrc/unparse.h"
 
 namespace lfm::pysrc {
@@ -468,6 +476,374 @@ def report(task, mem):
 result = report('hep-001', 84000000)
 )");
   EXPECT_EQ(v.as_str(), "task hep-001: 84.0 MB");
+}
+
+// --- int64 arithmetic ------------------------------------------------------------
+
+// Expressions whose int result leaves int64: each raises OverflowError.
+const char* const kOverflows[] = {
+    "(-9223372036854775807 - 1) // -1",
+    "9223372036854775807 + 1",
+    "-9223372036854775807 - 2",
+    "3037000500 * 3037000500",
+    "sum([9223372036854775807, 1])",
+    "-(-9223372036854775807 - 1)",
+    "abs(-9223372036854775807 - 1)",
+    "2 ** 64",
+    "1 << 64",
+    "1 << 63",
+    "int(1e30)",
+    "round(1e30)",
+    "int('99999999999999999999')",
+    "99999999999999999999",
+};
+
+TEST(Interp, IntOverflowRaisesOverflowError) {
+  for (const char* expr : kOverflows) {
+    SCOPED_TRACE(expr);
+    try {
+      ev(expr);
+      FAIL() << "expected OverflowError";
+    } catch (const PyError& e) {
+      EXPECT_EQ(e.type_name, "OverflowError");
+    }
+  }
+}
+
+TEST(Interp, IntOverflowIsCatchableInLanguage) {
+  for (const char* expr : kOverflows) {
+    SCOPED_TRACE(expr);
+    EXPECT_EQ(run(std::string("try:\n    result = ") + expr +
+                  "\nexcept OverflowError:\n    result = 'caught'\n")
+                  .as_str(),
+              "caught");
+  }
+}
+
+TEST(Interp, IntArithmeticAtTheInt64Edges) {
+  EXPECT_EQ(ev("(-9223372036854775807 - 1) % -1").as_int(), 0);  // as in Python
+  EXPECT_EQ(ev("-9223372036854775807 - 1").as_int(), INT64_MIN);
+  EXPECT_EQ(ev("(-2) ** 63").as_int(), INT64_MIN);
+  EXPECT_EQ(ev("2 ** 62").as_int(), int64_t{1} << 62);
+  EXPECT_EQ(ev("1 << 62").as_int(), int64_t{1} << 62);
+  EXPECT_EQ(ev("-1 << 63").as_int(), INT64_MIN);
+  EXPECT_EQ(ev("0 << 100").as_int(), 0);
+  EXPECT_EQ(ev("-1 >> 100").as_int(), -1);
+  EXPECT_EQ(ev("5 >> 64").as_int(), 0);
+  EXPECT_EQ(ev("abs(-9223372036854775807)").as_int(), INT64_MAX);
+  for (const char* expr : {"1 << -1", "1 >> -1"}) {
+    SCOPED_TRACE(expr);
+    try {
+      ev(expr);
+      FAIL() << "expected ValueError";
+    } catch (const PyError& e) {
+      EXPECT_EQ(e.type_name, "ValueError");
+    }
+  }
+}
+
+// fib(27) makes 832,039 calls by name. Under the LFM, as a worker runs it,
+// it may grow the task by no more than 32 MiB over fib(1): the LFM charges
+// a function for its memory, not for how many calls it made. Under
+// Address- or ThreadSanitizer the runtime's allocator (ASan's quarantine
+// keeps freed blocks resident) and shadow memory make RSS track bytes
+// allocated rather than live, so the limit is not applied there.
+TEST(Interp, RecursiveCallsByNameKeepMemoryFlat) {
+  const auto module = parse_module_shared(R"(
+def fib(n):
+    if n < 2:
+        return n
+    return fib(n - 1) + fib(n - 2)
+)");
+  const monitor::TaskFn fib = [&module](const Value& args) {
+    return run_python_function(module, "fib", args.as_list());
+  };
+  const monitor::TaskOutcome small = monitor::run_monitored(fib, Value(ValueList{Value(1)}));
+  ASSERT_TRUE(small.ok()) << small.error;
+  monitor::MonitorOptions options;
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  options.limits.memory_bytes = small.usage.max_rss_bytes + (int64_t{32} << 20);
+#endif
+  const monitor::TaskOutcome outcome =
+      monitor::run_monitored(fib, Value(ValueList{Value(27)}), options);
+  ASSERT_TRUE(outcome.ok()) << monitor::task_status_name(outcome.status) << ": "
+                            << outcome.error;
+  EXPECT_EQ(outcome.result.as_int(), 196418);
+}
+
+// The parse cache gives every thread the same resolved tree, including the
+// error an oversized literal raises; evaluating it concurrently must agree.
+TEST(Interp, SharedModuleEvaluatesOnManyThreads) {
+  const auto module = parse_module_shared(R"(
+def f(n):
+    total = 0
+    for i in range(n):
+        total += i
+    try:
+        return [total, 99999999999999999999]
+    except OverflowError:
+        return [total, 'overflow']
+)");
+  std::atomic<int> agreed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&module, &agreed] {
+      for (int k = 0; k < 200; ++k) {
+        if (run_python_function(module, "f", {Value(10)}).repr() == "[45, 'overflow']") {
+          ++agreed;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(agreed.load(), 800);
+}
+
+// --- names, frames and loops ---------------------------------------------------------
+
+TEST(Interp, WalrusInSubscriptKeepsTheFrameIntact) {
+  EXPECT_EQ(run(R"(
+def f():
+    xs = [0, 0, 0]
+    xs[(k := 2)] = 7
+    xs[(j := 1)] += 5
+    return [xs, k, j]
+
+result = f()
+)").repr(), "[[0, 5, 7], 2, 1]");
+}
+
+TEST(Interp, NameScopes) {
+  // A global counter updated with += inside a function.
+  EXPECT_EQ(run(R"(
+count = 0
+
+def bump(n):
+    global count
+    for i in range(n):
+        count += 1
+
+bump(3)
+bump(4)
+result = count
+)").as_int(), 7);
+  // A local shadows a global of the same name.
+  EXPECT_EQ(run(R"(
+x = 'global'
+
+def f():
+    x = 'local'
+    return x
+
+result = [f(), x]
+)").repr(), "['local', 'global']");
+  // del of a local: later reads fall back to the global, or raise.
+  EXPECT_EQ(run(R"(
+y = 'global'
+
+def f():
+    y = 'local'
+    z = 1
+    del y
+    del z
+    try:
+        return [y, z]
+    except NameError:
+        return [y, 'no z']
+
+result = f()
+)").repr(), "['global', 'no z']");
+}
+
+// Each module numbers its names on its own; one interpreter running two
+// modules and an expression still finds each name's one binding.
+TEST(Interp, ModulesShareGlobalsAcrossExecs) {
+  Interpreter interp;
+  interp.exec_source("def double(x):\n    return 2 * x\nbase = 5\n");
+  interp.exec_source("def quad(y):\n    return double(double(y)) + base\n");
+  EXPECT_EQ(interp.call("quad", {Value(3)}).as_int(), 17);
+  interp.set_global("extra", Value(100));
+  EXPECT_EQ(interp.eval_expression_source("quad(base) + extra").as_int(), 125);
+}
+
+TEST(Interp, BindingsShadowDefsOfTheSameName) {
+  EXPECT_EQ(run(R"(
+def f():
+    return 1
+
+f = lambda: 2
+result = f()
+)").as_int(), 2);
+  EXPECT_EQ(run(R"(
+def g():
+    return 1
+
+def f():
+    g = lambda: 3
+    return g()
+
+result = [f(), g()]
+)").repr(), "[3, 1]");
+}
+
+TEST(Interp, ForOverRange) {
+  EXPECT_EQ(run(R"(
+out = []
+for i in range(3):
+    out.append(i)
+for i in range(2, 5):
+    out.append(i)
+for i in range(1, 10, 4):
+    out.append(i)
+for i in range(5, 0, -2):
+    out.append(i)
+for i in range(0):
+    out.append('body')
+else:
+    out.append('else')
+for i in range(10):
+    if i == 1:
+        break
+else:
+    out.append('not reached')
+result = out
+)").repr(), "[0, 1, 2, 2, 3, 4, 1, 5, 9, 5, 3, 1, 'else']");
+  EXPECT_EQ(run(R"(
+try:
+    for i in range(1, 5, 0):
+        pass
+    result = 'no error'
+except ValueError:
+    result = 'ValueError'
+)").as_str(), "ValueError");
+  // The bounds are evaluated once.
+  EXPECT_EQ(run(R"(
+n = 3
+trips = 0
+for i in range(n):
+    n = 100
+    trips += 1
+result = [trips, n]
+)").repr(), "[3, 100]");
+  // A def named range replaces the builtin.
+  EXPECT_EQ(run(R"(
+def range(n):
+    return [7]
+
+result = []
+for x in range(3):
+    result.append(x)
+)").repr(), "[7]");
+}
+
+TEST(Interp, StepBudgetStopsCountedLoop) {
+  InterpOptions options;
+  options.max_steps = 10000;
+  Interpreter interp(options);
+  try {
+    interp.exec_source("for i in range(10 ** 12):\n    pass\n");
+    FAIL() << "expected the step budget to stop the loop";
+  } catch (const PyError& e) {
+    EXPECT_EQ(e.type_name, "RuntimeError");
+  }
+}
+
+// --- differential: the benchmark's functions against the same arithmetic in C++ ---
+
+// The three functions of the py-short benchmark workload.
+const char* const kPyShortModule = R"(
+def mix(a, b, n):
+    acc = 0
+    for i in range(n):
+        acc = (acc * 31 + a + i * b) % 1000003
+    return {'sum': a + b, 'prod': a * b, 'acc': acc}
+
+def stats(xs, reps):
+    s = sorted(xs)
+    total = 0
+    for r in range(reps):
+        for x in s:
+            total = (total + x * x + r) % 1000003
+    return {'n': len(s), 'lo': s[0], 'hi': s[len(s) - 1], 'sumsq': total}
+
+def horner(coeffs, x, reps):
+    acc = 0
+    for r in range(reps):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * x + c + r) % 1000003
+    return {'x': x, 'value': acc, 'terms': len(coeffs)}
+)";
+
+int64_t py_mod(int64_t a, int64_t m) {
+  const int64_t r = a % m;
+  return r != 0 && ((r < 0) != (m < 0)) ? r + m : r;
+}
+
+TEST(Interp, PyShortFunctionsMatchNativeArithmetic) {
+  constexpr int64_t kM = 1000003;
+  const auto module = parse_module_shared(kPyShortModule);
+  std::mt19937_64 rng(20261017);
+  const auto uniform = [&rng](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  for (int trial = 0; trial < 240; ++trial) {
+    SCOPED_TRACE(trial);
+    std::string function;
+    ValueList args;
+    ValueDict expected;
+    switch (trial % 3) {
+      case 0: {
+        const int64_t a = uniform(0, 999999), b = uniform(0, 999999), n = uniform(0, 600);
+        int64_t acc = 0;
+        for (int64_t i = 0; i < n; ++i) acc = py_mod(acc * 31 + a + i * b, kM);
+        function = "mix";
+        args = {Value(a), Value(b), Value(n)};
+        expected = {{"sum", Value(a + b)}, {"prod", Value(a * b)}, {"acc", Value(acc)}};
+        break;
+      }
+      case 1: {
+        std::vector<int64_t> xs(static_cast<size_t>(uniform(16, 32)));
+        for (auto& x : xs) x = uniform(-1000, 1000);
+        const int64_t reps = uniform(0, 30);
+        ValueList values;
+        for (const int64_t x : xs) values.push_back(Value(x));
+        std::sort(xs.begin(), xs.end());
+        int64_t total = 0;
+        for (int64_t r = 0; r < reps; ++r) {
+          for (const int64_t x : xs) total = py_mod(total + x * x + r, kM);
+        }
+        function = "stats";
+        args = {Value(std::move(values)), Value(reps)};
+        expected = {{"n", Value(static_cast<int64_t>(xs.size()))},
+                    {"lo", Value(xs.front())},
+                    {"hi", Value(xs.back())},
+                    {"sumsq", Value(total)}};
+        break;
+      }
+      default: {
+        std::vector<int64_t> coeffs(static_cast<size_t>(uniform(4, 10)));
+        for (auto& c : coeffs) c = uniform(-9, 9);
+        const int64_t x = uniform(-5, 5), reps = uniform(0, 90);
+        ValueList values;
+        for (const int64_t c : coeffs) values.push_back(Value(c));
+        int64_t acc = 0;
+        for (int64_t r = 0; r < reps; ++r) {
+          acc = 0;
+          for (const int64_t c : coeffs) acc = py_mod(acc * x + c + r, kM);
+        }
+        function = "horner";
+        args = {Value(std::move(values)), Value(x), Value(reps)};
+        expected = {{"x", Value(x)},
+                    {"value", Value(acc)},
+                    {"terms", Value(static_cast<int64_t>(coeffs.size()))}};
+        break;
+      }
+    }
+    EXPECT_EQ(run_python_function(module, function, args).repr(),
+              Value(std::move(expected)).repr())
+        << function;
+  }
 }
 
 }  // namespace

@@ -306,15 +306,15 @@ TEST(Parser, DictWithExpansion) {
 TEST(Parser, Comprehensions) {
   EXPECT_EQ(single_expr(parse("[x for x in y if x > 0]\n")).kind,
             ExprKind::kComprehension);
-  const auto& c = static_cast<const ComprehensionExpr&>(
-      single_expr(parse("{k: v for k, v in items}\n")));
+  const Module dict_module = parse("{k: v for k, v in items}\n");
+  const auto& c = static_cast<const ComprehensionExpr&>(single_expr(dict_module));
   EXPECT_EQ(c.comp_type, "dict");
   EXPECT_NE(c.value, nullptr);
-  const auto& g = static_cast<const ComprehensionExpr&>(
-      single_expr(parse("sum(x*x for x in xs)\n")));
+  const Module generator_module = parse("sum(x*x for x in xs)\n");
+  const auto& g = static_cast<const ComprehensionExpr&>(single_expr(generator_module));
   (void)g;
-  const auto& nested = static_cast<const ComprehensionExpr&>(
-      single_expr(parse("[i*j for i in a for j in b]\n")));
+  const Module nested_module = parse("[i*j for i in a for j in b]\n");
+  const auto& nested = static_cast<const ComprehensionExpr&>(single_expr(nested_module));
   EXPECT_EQ(nested.clauses.size(), 2u);
 }
 
