@@ -5,10 +5,10 @@
 //
 //   1. Echo loopback — workers answer every dispatch immediately with a
 //      ~1 KB canned payload (no LFM fork), so the rows measure the wire:
-//      sockets + event loop + codec. Three modes mirror BENCH_wire.json's
-//      in-process codec rows: v1 text frames, v2 single frames, v2 batch
-//      frames. The interesting delta against scale_wire is how much of the
-//      11x codec speedup survives real syscalls.
+//      sockets + event loop + codec. Two modes mirror BENCH_wire.json's
+//      in-process result rows: single frames and batch frames. The
+//      interesting delta against scale_wire is how much of the batching
+//      gain survives real syscalls.
 //
 //   2. End-to-end LFM — >= 1k Python tasks dispatched over TCP to 4 worker
 //      processes executing through forked monitor::LFM children, with ONE
@@ -30,9 +30,9 @@
 //   scale_net --http-linger SECONDS    # keep serving that long after the
 //                                      # e2e tasks complete (for scrapers)
 //
-// --check exits nonzero unless v2+batch loopback throughput >= 3x v1 on
-// this same run and the e2e phase preserved exactly-once bit-identical
-// results across the drop.
+// --check exits nonzero unless result/v2+batch loopback throughput is at
+// least kMinBatchSpeedup times result/v2 on this same run and the e2e phase
+// preserved exactly-once bit-identical results across the drop.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -64,6 +64,11 @@ namespace {
 using namespace lfm;
 
 constexpr int kWorkers = 4;
+// --check floor on result/v2+batch over result/v2, measured on the same run.
+// Runs on a 4-thread host gave 2.93x-3.67x; the rows committed before the
+// v1 text codec was retired give 2.79x. It replaces ">= 3x the v1 row",
+// which allowed 0.9x-1.7x result/v2 on runs of that host.
+constexpr double kMinBatchSpeedup = 2.0;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -88,8 +93,7 @@ serde::Bytes make_payload() {
   return serde::dumps(serde::Value(std::move(d)));
 }
 
-pid_t fork_echo_worker(uint16_t port, int index, wq::WireVersion version,
-                       const serde::Bytes& payload) {
+pid_t fork_echo_worker(uint16_t port, int index, const serde::Bytes& payload) {
   const pid_t pid = fork();
   if (pid != 0) return pid;
   // Drop the master's inherited fds: a surviving copy of its listener would
@@ -101,7 +105,6 @@ pid_t fork_echo_worker(uint16_t port, int index, wq::WireVersion version,
     net::WorkerClientOptions options;
     options.port = port;
     options.name = "echo-" + std::to_string(index);
-    options.wire_version = version;
     options.echo_results = true;
     options.echo_payload = payload;
     net::WorkerClient client(options);
@@ -149,8 +152,8 @@ struct Row {
   double bytes_per_task = 0.0;  // both directions, at the master
 };
 
-Row run_echo_mode(const char* mode, size_t n, wq::WireVersion version,
-                  size_t max_batch, const serde::Bytes& payload) {
+Row run_echo_mode(const char* mode, size_t n, size_t max_batch,
+                  const serde::Bytes& payload) {
   net::EventLoop loop;
   net::MasterServiceConfig config;
   config.tasks_per_worker = 64;
@@ -167,7 +170,7 @@ Row run_echo_mode(const char* mode, size_t n, wq::WireVersion version,
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<pid_t> pids;
   for (int w = 0; w < kWorkers; ++w) {
-    pids.push_back(fork_echo_worker(master.port(), w, version, payload));
+    pids.push_back(fork_echo_worker(master.port(), w, payload));
   }
   const net::NetMasterStats stats = master.run_until_complete(600.0);
   const double dt = seconds_since(t0);
@@ -326,7 +329,7 @@ void write_json(const char* path, size_t echo_count,
                  rows[i].bytes_per_task, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"loopback_speedup_v2_batched_vs_v1\": %.2f,\n", speedup);
+  std::fprintf(f, "  \"loopback_speedup_batch_vs_single\": %.2f,\n", speedup);
   std::fprintf(f, "  \"e2e\": {\n");
   std::fprintf(f, "    \"tasks\": %zu,\n", e2e.tasks);
   std::fprintf(f, "    \"workers\": %d,\n", kWorkers);
@@ -379,12 +382,8 @@ int main(int argc, char** argv) {
 
   const serde::Bytes payload = make_payload();
   std::vector<Row> rows;
-  rows.push_back(
-      run_echo_mode("result/v1", echo_count, wq::WireVersion::kV1, 64, payload));
-  rows.push_back(
-      run_echo_mode("result/v2", echo_count, wq::WireVersion::kV2, 1, payload));
-  rows.push_back(run_echo_mode("result/v2+batch", echo_count,
-                               wq::WireVersion::kV2, 64, payload));
+  rows.push_back(run_echo_mode("result/v2", echo_count, 1, payload));
+  rows.push_back(run_echo_mode("result/v2+batch", echo_count, 64, payload));
 
   std::printf("loopback transport throughput (%zu echo tasks per mode, %d "
               "worker processes)\n",
@@ -394,8 +393,8 @@ int main(int argc, char** argv) {
     std::printf("%-20s %14.0f %14.1f\n", row.mode.c_str(), row.tasks_per_sec,
                 row.bytes_per_task);
   }
-  const double speedup = rows[2].tasks_per_sec / rows[0].tasks_per_sec;
-  std::printf("v2+batch vs v1 loopback speedup: %.2fx\n\n", speedup);
+  const double speedup = rows[1].tasks_per_sec / rows[0].tasks_per_sec;
+  std::printf("batch vs single-frame loopback speedup: %.2fx\n\n", speedup);
 
   const E2eResult e2e = run_e2e(e2e_count, http_opts);
   std::printf("end-to-end LFM over TCP: %zu tasks, %d workers, %s\n", e2e.tasks,
@@ -417,8 +416,9 @@ int main(int argc, char** argv) {
 
   if (check) {
     bool ok = true;
-    if (speedup < 3.0) {
-      std::fprintf(stderr, "CHECK FAILED: v2+batch %.2fx v1 (< 3x)\n", speedup);
+    if (speedup < kMinBatchSpeedup) {
+      std::fprintf(stderr, "CHECK FAILED: v2+batch %.2fx v2 (< %.1fx)\n", speedup,
+                   kMinBatchSpeedup);
       ok = false;
     }
     if (e2e.stats.tasks_completed != static_cast<int64_t>(e2e.tasks)) {
@@ -439,8 +439,9 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (!ok) return 1;
-    std::printf("CHECK PASSED: v2+batch >= 3x v1 on loopback; e2e "
-                "exactly-once, bit-identical across 1 drop\n");
+    std::printf("CHECK PASSED: v2+batch >= %.1fx v2 on loopback; e2e "
+                "exactly-once, bit-identical across 1 drop\n",
+                kMinBatchSpeedup);
   }
   return 0;
 }

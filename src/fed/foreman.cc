@@ -5,9 +5,8 @@
 namespace lfm::fed {
 
 Foreman::Foreman(ForemanConfig c)
-    : Uplink({"fed", "foreman", c.name, c.root_host, c.root_port, c.wire_version,
-              c.capacity, c.reconnect, c.max_reconnect_attempts,
-              c.telemetry_backpressure_bytes},
+    : Uplink({"fed", "foreman", c.name, c.root_host, c.root_port, c.capacity,
+              c.reconnect, c.max_reconnect_attempts, c.telemetry_backpressure_bytes},
              net::Count(c.metrics, "foreman.telemetry_dropped")),
       config_(std::move(c)),
       m_{config_.metrics},
@@ -120,7 +119,7 @@ void Foreman::on_local_result(const wq::ResultMessage& result) {
 void Foreman::flush_results() {
   if (pending_results_.empty()) return;
   if (!conn_ || conn_->closed()) return;  // flushes on reconnect
-  net::send_batch(*conn_, pending_results_, dial_.version);
+  net::send_batch(*conn_, pending_results_);
   relayed_ += static_cast<int64_t>(pending_results_.size());
   m_.results_relayed.add(static_cast<int64_t>(pending_results_.size()));
   pending_results_.clear();
@@ -141,19 +140,19 @@ void Foreman::send_stats() {
   const pkg::ChunkStore::Stats cs = cache_.stats();
   s.cache_chunks = cs.chunks;
   s.cache_bytes = cs.bytes;
-  conn_->send(wq::encode(s, dial_.version));
+  conn_->send(wq::encode(s));
   m_.stats_sent.add();
   // Telemetry piggybacks on the stats cadence: one timer, two frames.
   ship_telemetry();
 }
 
 void Foreman::relay_telemetry(wq::TelemetryMessage&& msg) {
-  if (!conn_ || conn_->closed() || dial_.version != wq::WireVersion::kV2 ||
+  if (!conn_ || conn_->closed() ||
       conn_->queued_bytes() > config_.telemetry_backpressure_bytes) {
     m_.telemetry_dropped_frames.add();
     return;
   }
-  conn_->send(wq::encode(msg, wq::WireVersion::kV2));
+  conn_->send(wq::encode(msg));
   m_.telemetry_relayed.add();
 }
 

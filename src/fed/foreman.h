@@ -45,7 +45,6 @@ struct ForemanConfig {
   std::string name = "foreman";
   std::string root_host = "127.0.0.1";
   uint16_t root_port = 0;
-  wq::WireVersion wire_version = wq::WireVersion::kV2;
   // Advertised upward in the hello: nominally the shard's aggregate worker
   // capacity.
   alloc::Resources capacity{4.0, 8e9, 50e9};

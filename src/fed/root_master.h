@@ -12,7 +12,7 @@
 //
 // Routing is cache-affinity-aware: a group is steered to the foreman that
 // already holds the most of its cacheable input files (ship-once per link),
-// tie-broken by lightest current load. A group's tasks travel in v2 batch
+// tie-broken by lightest current load. A group's tasks travel in batch
 // frames of their own. A foreman keeps sending kStats while busy, so a
 // silent link is dead whether or not it holds groups, and it is closed after
 // idle_timeout.
@@ -61,7 +61,7 @@ struct RootMasterConfig {
   std::string bind_addr = "127.0.0.1";
   // In-flight groups per foreman (group-level pipelining depth).
   int groups_per_foreman = 4;
-  // Task dispatches coalesced into one v2 batch frame per send.
+  // Task dispatches coalesced into one batch frame per send.
   size_t max_batch = 64;
   // Stop assigning groups to a link whose unsent backlog exceeds this.
   size_t write_high_watermark = 4u << 20;

@@ -121,18 +121,12 @@ class Listener {
   bool started_ = false;
 };
 
-// Send `msgs` (task or result messages) as one v2 batch frame, or as one
-// frame each where a batch frame does not apply: a single message, or the v1
-// dialect. Returns the number of frames sent.
+// Send `msgs` (task or result messages) in one frame: a batch frame, or a
+// single message's own frame. Sends nothing for none.
 template <class Msg>
-size_t send_batch(Connection& conn, const std::vector<Msg>& msgs,
-                  wq::WireVersion version) {
-  if (msgs.size() > 1 && version == wq::WireVersion::kV2) {
-    conn.send(wq::encode_batch(msgs, version));
-    return 1;
-  }
-  for (const Msg& msg : msgs) conn.send(wq::encode(msg, version));
-  return msgs.size();
+void send_batch(Connection& conn, const std::vector<Msg>& msgs) {
+  if (msgs.empty()) return;
+  conn.send(msgs.size() == 1 ? wq::encode(msgs[0]) : wq::encode_batch(msgs));
 }
 
 }  // namespace lfm::net

@@ -128,13 +128,9 @@ void Dispatcher::on_message(uint64_t id, Connection& conn, std::string&& wire) {
     case wq::MessageKind::kHello: {
       const wq::HelloMessage hello = wq::decode_hello(wire);
       l.helloed = true;
-      l.version = hello.preferred;
       l.name = hello.worker_name;
       m_.hellos.add();
-      mark(policy_.hello_mark,
-           hello.worker_name + " v" +
-               std::to_string(static_cast<int>(hello.preferred)),
-           id);
+      mark(policy_.hello_mark, hello.worker_name, id);
       dispatch();
       return;
     }
@@ -326,7 +322,7 @@ void Dispatcher::ship_files(Link& l, const Unit& u) {
       auto f = u.files.find(s.name);
       if (f == u.files.end()) continue;  // not master-staged (peer-local)
       if (s.cacheable && l.shipped_files.count(s.name)) continue;
-      l.conn->send(wq::encode(wq::FileMessage{s.name, s.cacheable, f->second}, l.version));
+      l.conn->send(wq::encode(wq::FileMessage{s.name, s.cacheable, f->second}));
       ++totals_.files_sent;
       m_.files_sent.add();
       m_.frames_out.add();
@@ -338,7 +334,8 @@ void Dispatcher::ship_files(Link& l, const Unit& u) {
 void Dispatcher::flush() {
   Link* l = std::exchange(batch_link_, nullptr);
   if (l != nullptr && !batch_.empty() && !l->conn->closed()) {
-    m_.frames_out.add(static_cast<int64_t>(send_batch(*l->conn, batch_, l->version)));
+    send_batch(*l->conn, batch_);
+    m_.frames_out.add();
     m_.dispatched_tasks.add(static_cast<int64_t>(batch_.size()));
     m_.batch_size.observe(static_cast<double>(batch_.size()));
   }
@@ -348,8 +345,10 @@ void Dispatcher::flush() {
 void Dispatcher::heartbeat() {
   const double now = EventLoop::now();
   // Closing inside the loop is safe: handle_close runs deferred (on_accept).
+  // A link that never says hello is idle-closed like any other, but only a
+  // helloed one is pinged.
   for (auto& [id, l] : links_) {
-    if (!l.open()) continue;
+    if (l.conn->closed()) continue;
     const bool busy = !l.inflight.empty();
     if (busy && policy_.silent_when_busy) continue;
     if (settings_.idle_timeout > 0 &&
@@ -358,11 +357,11 @@ void Dispatcher::heartbeat() {
       l.conn->close("idle-timeout");
       continue;
     }
-    if (busy) continue;
+    if (busy || !l.helloed) continue;
     l.ping_nonce += 1;
     l.last_ping_sent = now;
     wq::ControlMessage ping{wq::ControlType::kPing, l.ping_nonce, now};
-    l.conn->send(wq::encode(ping, l.version));
+    l.conn->send(wq::encode(ping));
     m_.pings.add();
     m_.frames_out.add();
   }
@@ -380,7 +379,7 @@ void Dispatcher::begin_finish() {
   for (auto& [id, l] : links_) {
     if (l.conn->closed()) continue;
     wq::ControlMessage bye{wq::ControlType::kBye, 0, EventLoop::now()};
-    l.conn->send(wq::encode(bye, l.version));
+    l.conn->send(wq::encode(bye));
     m_.frames_out.add();
     // Tracing runs leave the close to the peer: its bye handler ships the
     // final kTelemetry frames (a foreman's include its drained subtree's)
@@ -465,7 +464,6 @@ serde::Value Dispatcher::statusz_value() const {
     ld["id"] = static_cast<int64_t>(id);
     ld["name"] = l.name;
     ld["alive"] = l.open();
-    ld["wire_version"] = static_cast<int64_t>(l.version);
     ld["queued_bytes"] = static_cast<int64_t>(l.conn->queued_bytes());
     ld["clock_offset_seconds"] = l.offset.offset();
     add_link_statusz(l, ld);

@@ -2,18 +2,19 @@
 // fed::RootMaster (DESIGN.md §13, §14).
 //
 // Serves the Work Queue dialogue over a listener. Peers (workers, or
-// foremen) connect, introduce themselves with a hello (which pins the wire
-// version spoken to them), receive staged input files and task dispatches,
-// and stream results back. The core owns everything that dialogue needs on
+// foremen) connect, introduce themselves with a hello, receive staged input
+// files and task dispatches, and stream results back; every frame is the
+// one wq wire format. The core owns everything that dialogue needs on
 // the master side:
 //   * accept, hello, ping/pong with a per-link ClockOffsetEstimator, and the
-//     clock-offset accumulation on relayed kTelemetry frames;
+//     clock-offset accumulation on relayed kTelemetry frames; idle close
+//     for every link, including one that never says hello;
 //   * per-task done flags and the results store (exactly-once results,
 //     at-least-once attempts: a late result for a completed task is counted
 //     as a duplicate and discarded);
 //   * per-link in-flight units, requeued to the front of the queue when the
 //     link closes;
-//   * the ship-once file set per link, and v2 batch coalescing behind the
+//   * the ship-once file set per link, and batch coalescing behind the
 //     write watermark (a peer that stops reading stops receiving work, not
 //     the whole master);
 //   * the finish sequence, byte totals, common statusz fields, and metric
@@ -100,7 +101,7 @@ class Dispatcher {
     uint16_t port = 0;
     std::string bind_addr;
     size_t units_per_link = 1;  // in-flight units per link
-    size_t max_batch = 64;      // task dispatches per v2 batch frame
+    size_t max_batch = 64;      // task dispatches per batch frame
     size_t write_high_watermark = 0;
     double heartbeat_interval = 0.0;
     double idle_timeout = 0.0;
@@ -134,7 +135,6 @@ class Dispatcher {
   struct Link {
     std::shared_ptr<Connection> conn;
     bool helloed = false;
-    wq::WireVersion version = wq::WireVersion::kV2;
     std::string name;
     std::set<size_t> inflight;            // unit indices in flight here
     std::set<std::string> shipped_files;  // cacheable files already sent

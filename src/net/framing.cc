@@ -6,19 +6,11 @@
 namespace lfm::net {
 namespace {
 
-constexpr uint8_t kFrameMagic0 = 0xF7;  // wq v2 frame opener (protocol.cc)
-constexpr size_t kFrameFixedHeader = 4;
 constexpr size_t kMaxVarintBytes = 10;
+constexpr uint8_t kFramePrefix[] = {wq::kFrameMagic0, wq::kFrameMagic1,
+                                    wq::kFrameVersion};
 
 }  // namespace
-
-size_t FrameSplitter::effective_limit(bool v1) const {
-  const size_t base =
-      max_message_bytes_ != 0 ? max_message_bytes_ : wq::max_frame_body_bytes();
-  // v1 ships payload bytes base64-coded (+33%) plus line overhead; v2 adds
-  // only the fixed header and a <=10-byte varint.
-  return v1 ? base + base / 3 + 4096 : base + kFrameFixedHeader + kMaxVarintBytes;
-}
 
 void FrameSplitter::feed(const char* data, size_t size) {
   // Lazy compaction: drop consumed bytes once they dominate the buffer, so
@@ -26,86 +18,53 @@ void FrameSplitter::feed(const char* data, size_t size) {
   // amortized O(1) per message.
   if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
     buffer_.erase(0, consumed_);
-    line_scan_ -= std::min(line_scan_, consumed_);
     consumed_ = 0;
   }
   buffer_.append(data, size);
 }
 
-size_t FrameSplitter::probe() {
+size_t FrameSplitter::probe() const {
   const size_t available = buffered();
-  if (available == 0) return 0;
   const char* base = buffer_.data() + consumed_;
-
-  if (static_cast<uint8_t>(base[0]) == kFrameMagic0) {
-    // v2: fixed header, then the body-length varint, parsed incrementally.
-    if (available < kFrameFixedHeader + 1) return 0;
-    uint64_t body_len = 0;
-    int shift = 0;
-    size_t i = kFrameFixedHeader;
-    while (true) {
-      if (i >= available) return 0;  // varint still incomplete
-      if (i - kFrameFixedHeader >= kMaxVarintBytes || shift > 63) {
-        throw Error("net: corrupt frame length varint");
-      }
-      const uint8_t b = static_cast<uint8_t>(base[i]);
-      body_len |= static_cast<uint64_t>(b & 0x7f) << shift;
-      ++i;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
-    }
-    // The satellite check: reject a hostile length prefix NOW, from the
-    // handful of header bytes, before waiting for (or buffering) the body.
-    if (body_len > wq::max_frame_body_bytes()) {
-      throw Error("net: frame body length " + std::to_string(body_len) +
-                  " exceeds limit " + std::to_string(wq::max_frame_body_bytes()));
-    }
-    const size_t total = i + static_cast<size_t>(body_len);
-    return available >= total ? total : 0;
-  }
-
-  // v1: scan forward for a line whose first token is "end"; the message is
-  // everything through that line's newline.
-  if (line_scan_ < consumed_) line_scan_ = consumed_;
-  while (line_scan_ < buffer_.size()) {
-    const size_t nl = buffer_.find('\n', line_scan_);
-    if (nl == std::string::npos) {
-      line_scan_ = buffer_.size();  // no complete line yet; resume here
-      return 0;
-    }
-    // First token of [line_scan_, nl).
-    size_t s = line_scan_;
-    while (s < nl && (buffer_[s] == ' ' || buffer_[s] == '\t')) ++s;
-    size_t e = s;
-    while (e < nl && buffer_[e] != ' ' && buffer_[e] != '\t' && buffer_[e] != '\r') ++e;
-    line_scan_ = nl + 1;
-    if (e - s == 3 && buffer_.compare(s, 3, "end") == 0) {
-      return nl + 1 - consumed_;
+  for (size_t i = 0; i < sizeof kFramePrefix && i < available; ++i) {
+    if (static_cast<uint8_t>(base[i]) != kFramePrefix[i]) {
+      throw Error("net: bad frame header byte " + std::to_string(i));
     }
   }
-  return 0;
+  // Then the type byte, then the body-length varint, parsed incrementally.
+  if (available < wq::kFrameFixedHeader + 1) return 0;
+  uint64_t body_len = 0;
+  int shift = 0;
+  size_t i = wq::kFrameFixedHeader;
+  while (true) {
+    if (i >= available) return 0;  // varint still incomplete
+    if (i - wq::kFrameFixedHeader >= kMaxVarintBytes || shift > 63) {
+      throw Error("net: corrupt frame length varint");
+    }
+    const uint8_t b = static_cast<uint8_t>(base[i]);
+    body_len |= static_cast<uint64_t>(b & 0x7f) << shift;
+    ++i;
+    if ((b & 0x80) == 0) break;
+    shift += 7;
+  }
+  // Reject a hostile length prefix NOW, from the handful of header bytes,
+  // before waiting for (or buffering) the body.
+  if (body_len > wq::max_frame_body_bytes()) {
+    throw Error("net: frame body length " + std::to_string(body_len) +
+                " exceeds limit " + std::to_string(wq::max_frame_body_bytes()));
+  }
+  const size_t total = i + static_cast<size_t>(body_len);
+  return available >= total ? total : 0;
 }
 
 bool FrameSplitter::next(std::string& message) {
   const size_t total = probe();
-  if (total == 0) {
-    // With every complete message already extracted, the remainder is one
-    // incomplete message. v2 lengths were vetted by probe(); v1 text has no
-    // length prefix, so cap the unterminated accumulation here.
-    if (buffered() > 0 && static_cast<uint8_t>(buffer_[consumed_]) != kFrameMagic0 &&
-        buffered() > effective_limit(/*v1=*/true)) {
-      throw Error("net: v1 message exceeds " +
-                  std::to_string(effective_limit(true)) + " bytes without 'end'");
-    }
-    return false;
-  }
+  if (total == 0) return false;
   message.assign(buffer_, consumed_, total);
   consumed_ += total;
-  if (line_scan_ < consumed_) line_scan_ = consumed_;
   if (consumed_ == buffer_.size()) {
     buffer_.clear();
     consumed_ = 0;
-    line_scan_ = 0;
   }
   return true;
 }

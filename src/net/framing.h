@@ -1,23 +1,19 @@
-// Incremental reassembly of wq wire messages from a TCP byte stream.
+// Incremental reassembly of wq frames from a TCP byte stream.
 //
 // TCP delivers bytes, not messages: one send() can arrive fragmented across
 // many reads (down to one byte at a time) and many sends can coalesce into
-// one read. FrameSplitter turns that stream back into the exact wire
-// strings the wq::protocol codecs accept, both versions at once:
+// one read. FrameSplitter turns that stream back into the exact frames the
+// wq::protocol codecs accept. It parses each header incrementally:
 //
-//   * v2 — length-prefixed binary frames: magic(0xF7 'Q') ver type, then a
-//     varint body length. The splitter parses the header incrementally and
-//     waits for exactly header+body bytes. The body length is checked
-//     against wq::max_frame_body_bytes() the moment the varint completes —
-//     BEFORE any buffering of the claimed body — so a hostile 16-byte
-//     header cannot make the receiver allocate gigabytes.
-//   * v1 — LF-delimited text terminated by an "end" line. The line scan
-//     resumes where it left off, so dripping a long message one byte at a
-//     time stays O(n) total.
+//   * the prefix bytes 0xF7 'Q' 0x02 are checked as soon as each one is
+//     buffered, so a stream that is not wq frames (an HTTP request, a
+//     stray text protocol) is rejected from its first wrong byte;
+//   * the varint body length is checked against wq::max_frame_body_bytes()
+//     the moment it completes, so a hostile 16-byte header cannot make the
+//     receiver allocate gigabytes.
 //
-// Streams may interleave versions freely (the first byte of each message
-// re-selects the dialect), which is how a connection keeps working across
-// per-message version negotiation.
+// Both checks run before any body byte is waited for; a frame is handed
+// out once exactly header+body bytes are buffered.
 #pragma once
 
 #include <cstddef>
@@ -27,35 +23,27 @@ namespace lfm::net {
 
 class FrameSplitter {
  public:
-  // `max_message_bytes` == 0 derives the cap from wq::max_frame_body_bytes()
-  // at feed time (v1 text gets 4/3 slack for its base64-coded payloads).
-  explicit FrameSplitter(size_t max_message_bytes = 0)
-      : max_message_bytes_(max_message_bytes) {}
-
-  // Append raw stream bytes. Throws lfm::Error on a malformed or oversized
-  // frame header; the connection owning the stream must then be dropped
-  // (there is no way to resynchronize a binary stream with a corrupt
-  // length).
+  // Append raw stream bytes.
   void feed(const char* data, size_t size);
   void feed(const std::string& data) { feed(data.data(), data.size()); }
 
-  // Extract the next complete message, if any. Call in a loop after feed().
+  // Extract the next complete frame, if any. Call in a loop after feed().
+  // Throws lfm::Error on a malformed or oversized frame header; the
+  // connection owning the stream must then be dropped (there is no way to
+  // resynchronize a binary stream with a corrupt header).
   bool next(std::string& message);
 
-  // Bytes buffered but not yet forming a complete message. Non-zero when
+  // Bytes buffered but not yet forming a complete frame. Non-zero when
   // the peer closed mid-frame — the owner should treat that EOF as dirty.
   size_t buffered() const { return buffer_.size() - consumed_; }
 
  private:
-  size_t effective_limit(bool v1) const;
-  // Returns the total byte length of the first buffered message, or 0 if
-  // more bytes are needed. Throws on malformed/oversized headers.
-  size_t probe();
+  // Returns the total byte length of the first buffered frame, or 0 if
+  // more bytes are needed. Throws on a malformed/oversized header.
+  size_t probe() const;
 
   std::string buffer_;
-  size_t consumed_ = 0;   // bytes already handed out (compacted lazily)
-  size_t line_scan_ = 0;  // v1: resume offset of the "end"-line scan
-  size_t max_message_bytes_;
+  size_t consumed_ = 0;  // bytes already handed out (compacted lazily)
 };
 
 }  // namespace lfm::net

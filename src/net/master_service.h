@@ -6,7 +6,7 @@
 // its own unit of work, and a unit goes to the first worker link, in accept
 // order, with room: fewer than tasks_per_worker tasks in flight and a write
 // queue under the high watermark. Consecutive dispatches to one worker
-// coalesce into v2 batch frames of up to max_batch tasks.
+// coalesce into batch frames of up to max_batch tasks.
 //
 // A worker running a task through its LFM reads and sends nothing until
 // the task finishes, so a busy link is never pinged or closed for idleness;
@@ -37,7 +37,7 @@ struct MasterServiceConfig {
   std::string bind_addr = "127.0.0.1";
   // In-flight dispatches per connection (pipelining depth).
   int tasks_per_worker = 8;
-  // Dispatches coalesced into one v2 batch frame per send.
+  // Dispatches coalesced into one batch frame per send.
   size_t max_batch = 64;
   // Stop assigning work to a connection whose unsent backlog exceeds this.
   size_t write_high_watermark = 4u << 20;

@@ -90,10 +90,7 @@ void Uplink::try_connect() {
     });
   });
   conn_->start();
-  // The hello travels in the preferred dialect itself — receiving it both
-  // names the version and demonstrates this end speaks it.
-  conn_->send(wq::encode(wq::HelloMessage{dial_.name, dial_.version, dial_.capacity},
-                         dial_.version));
+  conn_->send(wq::encode(wq::HelloMessage{dial_.name, dial_.capacity}));
   last_send_ = EventLoop::now();
   on_connected();
 }
@@ -143,7 +140,7 @@ void Uplink::answer_control(Connection& conn, const std::string& wire) {
     // emitted only on tracing runs (the field stays off the wire otherwise,
     // keeping untraced control frames byte-identical).
     if (obs::Recorder::enabled()) pong.peer_time = EventLoop::now();
-    conn.send(wq::encode(pong, wq::detect_version(wire)));
+    conn.send(wq::encode(pong));
     last_send_ = EventLoop::now();
   } else if (ctl.type == wq::ControlType::kBye) {
     bye_ = true;
@@ -154,7 +151,6 @@ void Uplink::answer_control(Connection& conn, const std::string& wire) {
 void Uplink::ship_telemetry() {
   if (!obs::Recorder::enabled()) return;
   if (!conn_ || conn_->closed()) return;
-  if (dial_.version != wq::WireVersion::kV2) return;  // v2-only frame
   obs::Recorder& r = obs::Recorder::global();
   if (r.event_count() == 0 && telemetry_dropped_ == 0) return;
   if (conn_->queued_bytes() > dial_.telemetry_backpressure_bytes) {
@@ -175,7 +171,7 @@ void Uplink::ship_telemetry() {
   msg.events = obs::to_telemetry(r.drain_events());
   msg.counters = r.metrics().counters();
   msg.gauges = r.metrics().gauges();
-  conn_->send(wq::encode(msg, wq::WireVersion::kV2));
+  conn_->send(wq::encode(msg));
   last_send_ = EventLoop::now();
 }
 

@@ -2,12 +2,11 @@
 // (toward its master) and fed::Foreman (toward its root) (DESIGN.md §13).
 //
 // Owns the event loop and the connection. It connects, introduces itself
-// with a hello naming its preferred wire version and capacity, answers
-// pings with pongs, and ships this process's own buffered trace events
-// upward in kTelemetry frames (tracing runs only). A connection that dies
-// without a bye is a network fault: the uplink reconnects with
-// chaos::RetryPolicy exponential backoff (jitter included,
-// deterministically seeded by the peer name).
+// with a hello naming itself and its capacity, answers pings with pongs,
+// and ships this process's own buffered trace events upward in kTelemetry
+// frames (tracing runs only). A connection that dies without a bye is a
+// network fault: the uplink reconnects with chaos::RetryPolicy exponential
+// backoff (jitter included, deterministically seeded by the peer name).
 //
 // The reconnect budget (max_attempts) counts failures — failed connects
 // plus unexpected closes — since the owner last proved the link works and
@@ -58,7 +57,6 @@ class Uplink {
     std::string name;
     std::string host;
     uint16_t port;
-    wq::WireVersion version;
     alloc::Resources capacity;
     chaos::RetryPolicy reconnect;
     int max_attempts;

@@ -10,8 +10,8 @@
 namespace lfm::net {
 
 WorkerClient::WorkerClient(WorkerClientOptions o)
-    : Uplink({"net", "worker", o.name, o.host, o.port, o.wire_version, o.capacity,
-              o.reconnect, o.max_reconnect_attempts, o.telemetry_backpressure_bytes},
+    : Uplink({"net", "worker", o.name, o.host, o.port, o.capacity, o.reconnect,
+              o.max_reconnect_attempts, o.telemetry_backpressure_bytes},
              Count(nullptr, "obs.telemetry_dropped")),
       options_(std::move(o)),
       worker_(options_.worker) {}
@@ -57,7 +57,6 @@ void WorkerClient::on_bye(Connection& conn) {
 }
 
 void WorkerClient::on_tasks(Connection& conn, const std::string& wire) {
-  const wq::WireVersion reply_version = wq::detect_version(wire);
   const std::vector<wq::TaskMessage> tasks = wq::decode_task_batch(wire);
   std::vector<wq::ResultMessage> results;
   results.reserve(tasks.size());
@@ -88,7 +87,7 @@ void WorkerClient::on_tasks(Connection& conn, const std::string& wire) {
     }
   }
   if (conn.closed()) return;
-  send_batch(conn, results, reply_version);
+  send_batch(conn, results);
   last_send_ = EventLoop::now();
   // Completed work restores the full reconnect budget: the link is proven
   // end-to-end (task in, result out), so future drops start from zero.

@@ -4,9 +4,9 @@
 // An Uplink to a MasterService (connect, hello, pongs, reconnect with
 // backoff under a failure budget, telemetry shipping) that serves the
 // dispatch dialogue: staged files accumulate in an in-memory FileSet, task
-// (and v2 batch) frames execute through wq::LocalWorker — i.e. through a
-// real forked monitor::LFM — and each request is answered in the wire
-// version it arrived in. Bye means the run is over: drain and return.
+// (and batch) frames execute through wq::LocalWorker — i.e. through a real
+// forked monitor::LFM — and each request's results go back in one frame.
+// Bye means the run is over: drain and return.
 //
 // The cached FileSet survives reconnects; the master re-stages whatever
 // the fresh connection is missing. Each completed task restores the full
@@ -32,7 +32,6 @@ struct WorkerClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
   std::string name = "worker";
-  wq::WireVersion wire_version = wq::WireVersion::kV2;
   alloc::Resources capacity{4.0, 8e9, 50e9};
   wq::LocalWorkerOptions worker;
   // Echo mode, for transport benchmarks: skip the LFM and answer every task

@@ -116,39 +116,6 @@ std::string base64_encode(const Bytes& data) {
   return out;
 }
 
-Bytes base64_decode(const std::string& text) {
-  const auto value_of = [](char c) -> int {
-    if (c >= 'A' && c <= 'Z') return c - 'A';
-    if (c >= 'a' && c <= 'z') return c - 'a' + 26;
-    if (c >= '0' && c <= '9') return c - '0' + 52;
-    if (c == '+') return 62;
-    if (c == '/') return 63;
-    throw Error("base64: invalid character");
-  };
-  if (text.size() % 4 != 0) throw Error("base64: length not a multiple of 4");
-  Bytes out;
-  out.reserve(text.size() / 4 * 3);
-  for (size_t i = 0; i < text.size(); i += 4) {
-    int pad = 0;
-    uint32_t n = 0;
-    for (int j = 0; j < 4; ++j) {
-      const char c = text[i + static_cast<size_t>(j)];
-      if (c == '=') {
-        if (i + 4 != text.size() || j < 2) throw Error("base64: misplaced padding");
-        ++pad;
-        n <<= 6;
-      } else {
-        if (pad > 0) throw Error("base64: data after padding");
-        n = (n << 6) | static_cast<uint32_t>(value_of(c));
-      }
-    }
-    out.push_back(static_cast<uint8_t>((n >> 16) & 0xff));
-    if (pad < 2) out.push_back(static_cast<uint8_t>((n >> 8) & 0xff));
-    if (pad < 1) out.push_back(static_cast<uint8_t>(n & 0xff));
-  }
-  return out;
-}
-
 std::string to_json(const Value& value) {
   std::string out;
   render(value, out);

@@ -21,7 +21,4 @@ Value from_json(const std::string& text);
 // Base64 used for bytes payloads (standard alphabet, padded).
 std::string base64_encode(const Bytes& data);
 
-// Inverse of base64_encode; throws lfm::Error on malformed input.
-Bytes base64_decode(const std::string& text);
-
 }  // namespace lfm::serde

@@ -50,7 +50,7 @@ struct MasterMetrics {
   }
 };
 
-// Simulated data-plane traffic, accounted in protocol-v2 bytes: batched
+// Simulated data-plane traffic, accounted in wire-frame bytes: batched
 // task frames out (one frame per worker per dispatch event), single result
 // frames back.
 struct DistMetrics {
@@ -165,7 +165,7 @@ void Master::wire_account_result(const TaskRecord& rec, bool exhausted,
   msg.wall_seconds = runtime;
   WireSimMetrics& m = WireSimMetrics::get();
   m.result_frames.add();
-  m.result_bytes.add(static_cast<int64_t>(encoded_size(msg, WireVersion::kV2)));
+  m.result_bytes.add(static_cast<int64_t>(encoded_size(msg)));
 }
 
 void Master::avail_erase(const Worker& worker) {

@@ -298,7 +298,7 @@ class Master : public chaos::FaultSink {
   void trace_task_end(size_t record_index, const char* outcome);
 
   // --- wire accounting (obs-only; never feeds scheduling) -------------------
-  // The simulated data plane speaks protocol v2 with batching: within one
+  // The simulated data plane speaks the wire frames with batching: within one
   // dispatch event the master drains its ready queue per worker, and every
   // TaskMessage bound for the same worker is accounted as one batch frame
   // (wire.frames / wire.bytes / wire.batch_size). Result returns arrive

@@ -6,20 +6,12 @@
 #include <limits>
 
 #include "obs/recorder.h"
-#include "serde/json.h"
 #include "serde/pickle.h"
-#include "util/strings.h"
 
 namespace lfm::wq {
 namespace {
 
-// --- v2 frame constants -----------------------------------------------------
-// Frames open with a byte that cannot begin a v1 text message (v1 starts
-// with ASCII 't'/'r'), so decoders can sniff the version from byte 0.
-constexpr uint8_t kFrameMagic0 = 0xF7;
-constexpr uint8_t kFrameMagic1 = 'Q';
-constexpr uint8_t kFrameVersion = 2;
-
+// The frame type byte (header byte 3); the prefix before it is in protocol.h.
 enum FrameType : uint8_t {
   kFrameTask = 1,
   kFrameResult = 2,
@@ -31,9 +23,6 @@ enum FrameType : uint8_t {
   kFrameStats = 8,
   kFrameTelemetry = 9,
 };
-
-// Fixed header bytes before the body-length varint: magic(2) ver(1) type(1).
-constexpr size_t kFrameFixedHeader = 4;
 
 // Decode-side frame body cap (see protocol.h). Relaxed atomics: the limit is
 // configuration, not synchronization.
@@ -75,402 +64,7 @@ void count_decoded(size_t bytes) {
   m.bytes_decoded.add(static_cast<int64_t>(bytes));
 }
 
-// --- v1 text helpers --------------------------------------------------------
-
-// Command lines are the only field that may contain spaces; they are
-// percent-escaped so every message line splits safely on whitespace.
-std::string escape_command(const std::string& cmd) {
-  std::string out;
-  for (const char c : cmd) {
-    if (c == '%' || c == ' ' || c == '\n' || c == '\t') {
-      out += strformat("%%%02x", static_cast<unsigned char>(c));
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string unescape_command(const std::string& wire) {
-  std::string out;
-  for (size_t i = 0; i < wire.size(); ++i) {
-    if (wire[i] != '%') {
-      out += wire[i];
-      continue;
-    }
-    if (i + 2 >= wire.size()) throw Error("protocol: truncated escape");
-    const auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-      throw Error("protocol: bad escape digit");
-    };
-    out += static_cast<char>(hex(wire[i + 1]) * 16 + hex(wire[i + 2]));
-    i += 2;
-  }
-  return out;
-}
-
-std::vector<std::vector<std::string>> parse_lines(const std::string& wire,
-                                                  const char* expected_head) {
-  std::vector<std::vector<std::string>> lines;
-  bool terminated = false;
-  for (const auto& raw : split(wire, '\n')) {
-    if (raw.empty()) continue;
-    auto fields = split_nonempty(raw, ' ');
-    if (fields.empty()) continue;
-    if (fields[0] == "end") {
-      terminated = true;
-      break;
-    }
-    lines.push_back(std::move(fields));
-  }
-  if (!terminated) throw Error("protocol: message not terminated by 'end'");
-  if (lines.empty() || lines[0][0] != expected_head) {
-    throw Error(std::string("protocol: expected '") + expected_head + "' message");
-  }
-  return lines;
-}
-
-uint64_t parse_u64(const std::string& s) {
-  if (s.empty()) throw Error("protocol: empty number");
-  uint64_t v = 0;
-  for (const char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      throw Error("protocol: bad number '" + s + "'");
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    // Overflow guard: a field wider than 2^64 must throw, not wrap.
-    if (v > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-      throw Error("protocol: number out of range '" + s + "'");
-    }
-    v = v * 10 + digit;
-  }
-  return v;
-}
-
-// Signed variant of parse_u64. Integer wire fields (byte counts, exit
-// codes) parse through this, not through a double: above 2^53 a double
-// silently drops low bits, and an int has no business round-tripping
-// through floating point at all.
-int64_t parse_i64(const std::string& s) {
-  const bool negative = !s.empty() && s[0] == '-';
-  const uint64_t magnitude = parse_u64(negative ? s.substr(1) : s);
-  const uint64_t limit =
-      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) + (negative ? 1 : 0);
-  if (magnitude > limit) throw Error("protocol: number out of range '" + s + "'");
-  return negative ? -static_cast<int64_t>(magnitude) : static_cast<int64_t>(magnitude);
-}
-
-double parse_real(const std::string& s) {
-  try {
-    size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw Error("protocol: bad real '" + s + "'");
-    return v;
-  } catch (const std::exception&) {
-    throw Error("protocol: bad real '" + s + "'");
-  }
-}
-
-void need_fields(const std::vector<std::string>& fields, size_t count) {
-  if (fields.size() != count) {
-    throw Error("protocol: wrong field count in '" + join(fields, " ") + "'");
-  }
-}
-
-// --- v1 encode/decode (the original line-oriented protocol) -----------------
-
-void encode_v1(const TaskMessage& msg, std::string& out) {
-  if (!valid_token(msg.category)) throw Error("protocol: invalid category token");
-  out += strformat("task %llu %s\n", static_cast<unsigned long long>(msg.task_id),
-                   msg.category.c_str());
-  out += "cmd " + escape_command(msg.command_line) + "\n";
-  out += strformat("alloc %.3f %lld %lld\n", msg.allocation.cores,
-                   static_cast<long long>(msg.allocation.memory_bytes),
-                   static_cast<long long>(msg.allocation.disk_bytes));
-  for (const auto& f : msg.infiles) {
-    if (!valid_token(f.name)) throw Error("protocol: invalid file name " + f.name);
-    out += strformat("infile %s %lld %d\n", f.name.c_str(),
-                     static_cast<long long>(f.size_bytes), f.cacheable ? 1 : 0);
-  }
-  for (const auto& name : msg.outfiles) {
-    if (!valid_token(name)) throw Error("protocol: invalid file name " + name);
-    out += "outfile " + name + "\n";
-  }
-  out += "end\n";
-}
-
-void encode_v1(const ResultMessage& msg, std::string& out) {
-  out += strformat("result %llu %d\n", static_cast<unsigned long long>(msg.task_id),
-                   msg.exit_code);
-  if (msg.exhausted) {
-    if (!valid_token(msg.exhausted_resource)) {
-      throw Error("protocol: invalid resource token");
-    }
-    out += "exhausted " + msg.exhausted_resource + "\n";
-  }
-  out += strformat("usage %.3f %lld %lld %.3f\n", msg.cores_used,
-                   static_cast<long long>(msg.memory_peak_bytes),
-                   static_cast<long long>(msg.disk_peak_bytes), msg.wall_seconds);
-  if (!msg.payload.empty()) {
-    out += "payload " + serde::base64_encode(msg.payload) + "\n";
-  }
-  out += "end\n";
-}
-
-TaskMessage decode_task_v1(const std::string& wire) {
-  const auto lines = parse_lines(wire, "task");
-  TaskMessage msg;
-  bool saw_alloc = false;
-  for (const auto& fields : lines) {
-    if (fields[0] == "task") {
-      need_fields(fields, 3);
-      msg.task_id = parse_u64(fields[1]);
-      msg.category = fields[2];
-    } else if (fields[0] == "cmd") {
-      need_fields(fields, 2);
-      msg.command_line = unescape_command(fields[1]);
-    } else if (fields[0] == "alloc") {
-      need_fields(fields, 4);
-      msg.allocation.cores = parse_real(fields[1]);
-      // The wire carries whole bytes; parse as integers (exact to 2^63)
-      // before widening into the double-typed resource vector.
-      msg.allocation.memory_bytes = static_cast<double>(parse_i64(fields[2]));
-      msg.allocation.disk_bytes = static_cast<double>(parse_i64(fields[3]));
-      saw_alloc = true;
-    } else if (fields[0] == "infile") {
-      need_fields(fields, 4);
-      TaskMessage::FileStanza f;
-      f.name = fields[1];
-      f.size_bytes = parse_i64(fields[2]);
-      f.cacheable = fields[3] == "1";
-      msg.infiles.push_back(std::move(f));
-    } else if (fields[0] == "outfile") {
-      need_fields(fields, 2);
-      msg.outfiles.push_back(fields[1]);
-    } else {
-      throw Error("protocol: unknown stanza '" + fields[0] + "'");
-    }
-  }
-  if (msg.task_id == 0) throw Error("protocol: missing task id");
-  if (!saw_alloc) throw Error("protocol: missing alloc stanza");
-  return msg;
-}
-
-ResultMessage decode_result_v1(const std::string& wire) {
-  const auto lines = parse_lines(wire, "result");
-  ResultMessage msg;
-  bool saw_usage = false;
-  for (const auto& fields : lines) {
-    if (fields[0] == "result") {
-      need_fields(fields, 3);
-      msg.task_id = parse_u64(fields[1]);
-      const int64_t code = parse_i64(fields[2]);
-      if (code < std::numeric_limits<int>::min() ||
-          code > std::numeric_limits<int>::max()) {
-        throw Error("protocol: number out of range '" + fields[2] + "'");
-      }
-      msg.exit_code = static_cast<int>(code);
-    } else if (fields[0] == "exhausted") {
-      need_fields(fields, 2);
-      msg.exhausted = true;
-      msg.exhausted_resource = fields[1];
-    } else if (fields[0] == "usage") {
-      need_fields(fields, 5);
-      msg.cores_used = parse_real(fields[1]);
-      // Byte peaks are integers on the wire; a double round-trip would lose
-      // precision above 2^53 (the labeler would learn a wrong peak).
-      msg.memory_peak_bytes = parse_i64(fields[2]);
-      msg.disk_peak_bytes = parse_i64(fields[3]);
-      msg.wall_seconds = parse_real(fields[4]);
-      saw_usage = true;
-    } else if (fields[0] == "payload") {
-      need_fields(fields, 2);
-      msg.payload = serde::base64_decode(fields[1]);
-    } else {
-      throw Error("protocol: unknown stanza '" + fields[0] + "'");
-    }
-  }
-  if (msg.task_id == 0) throw Error("protocol: missing task id");
-  if (!saw_usage) throw Error("protocol: missing usage stanza");
-  return msg;
-}
-
-// --- v1 transport-control messages (hello / put / control) ------------------
-
-const char* control_type_token(ControlType type) {
-  switch (type) {
-    case ControlType::kPing: return "ping";
-    case ControlType::kPong: return "pong";
-    case ControlType::kBye: return "bye";
-  }
-  throw Error("protocol: bad control type");
-}
-
-ControlType parse_control_type(const std::string& token) {
-  if (token == "ping") return ControlType::kPing;
-  if (token == "pong") return ControlType::kPong;
-  if (token == "bye") return ControlType::kBye;
-  throw Error("protocol: unknown control type '" + token + "'");
-}
-
-void encode_v1(const HelloMessage& msg, std::string& out) {
-  if (!valid_token(msg.worker_name)) throw Error("protocol: invalid worker name");
-  out += strformat("hello %s %d\n", msg.worker_name.c_str(),
-                   static_cast<int>(msg.preferred));
-  out += strformat("cap %.3f %lld %lld\n", msg.capacity.cores,
-                   static_cast<long long>(msg.capacity.memory_bytes),
-                   static_cast<long long>(msg.capacity.disk_bytes));
-  out += "end\n";
-}
-
-HelloMessage decode_hello_v1(const std::string& wire) {
-  const auto lines = parse_lines(wire, "hello");
-  HelloMessage msg;
-  bool saw_cap = false;
-  for (const auto& fields : lines) {
-    if (fields[0] == "hello") {
-      need_fields(fields, 3);
-      msg.worker_name = fields[1];
-      const int64_t v = parse_i64(fields[2]);
-      if (v != 1 && v != 2) throw Error("protocol: bad hello version '" + fields[2] + "'");
-      msg.preferred = static_cast<WireVersion>(v);
-    } else if (fields[0] == "cap") {
-      need_fields(fields, 4);
-      msg.capacity.cores = parse_real(fields[1]);
-      msg.capacity.memory_bytes = static_cast<double>(parse_i64(fields[2]));
-      msg.capacity.disk_bytes = static_cast<double>(parse_i64(fields[3]));
-      saw_cap = true;
-    } else {
-      throw Error("protocol: unknown stanza '" + fields[0] + "'");
-    }
-  }
-  if (msg.worker_name.empty()) throw Error("protocol: missing worker name");
-  if (!saw_cap) throw Error("protocol: missing cap stanza");
-  return msg;
-}
-
-void encode_v1(const FileMessage& msg, std::string& out) {
-  if (!valid_token(msg.name)) throw Error("protocol: invalid file name " + msg.name);
-  out += strformat("put %s %d\n", msg.name.c_str(), msg.cacheable ? 1 : 0);
-  if (!msg.content.empty()) {
-    out += "payload " + serde::base64_encode(msg.content) + "\n";
-  }
-  out += "end\n";
-}
-
-FileMessage decode_file_v1(const std::string& wire) {
-  const auto lines = parse_lines(wire, "put");
-  FileMessage msg;
-  for (const auto& fields : lines) {
-    if (fields[0] == "put") {
-      need_fields(fields, 3);
-      msg.name = fields[1];
-      msg.cacheable = fields[2] == "1";
-    } else if (fields[0] == "payload") {
-      need_fields(fields, 2);
-      msg.content = serde::base64_decode(fields[1]);
-    } else {
-      throw Error("protocol: unknown stanza '" + fields[0] + "'");
-    }
-  }
-  if (msg.name.empty()) throw Error("protocol: missing file name");
-  return msg;
-}
-
-void encode_v1(const ControlMessage& msg, std::string& out) {
-  // peer_time rides as an optional trailing fifth field (pongs only).
-  // Emitting it only when nonzero keeps default control messages
-  // byte-identical to the pre-extension encoding.
-  if (msg.peer_time != 0.0) {
-    out += strformat("control %s %llu %.9f %.9f\n", control_type_token(msg.type),
-                     static_cast<unsigned long long>(msg.nonce), msg.timestamp,
-                     msg.peer_time);
-  } else {
-    out += strformat("control %s %llu %.9f\n", control_type_token(msg.type),
-                     static_cast<unsigned long long>(msg.nonce), msg.timestamp);
-  }
-  out += "end\n";
-}
-
-void encode_v1(const StatsMessage& msg, std::string& out) {
-  if (!valid_token(msg.source)) throw Error("protocol: invalid stats source");
-  out += strformat("stats %s %lld %lld %lld\n", msg.source.c_str(),
-                   static_cast<long long>(msg.workers),
-                   static_cast<long long>(msg.pending),
-                   static_cast<long long>(msg.completed));
-  out += strformat("fanout %lld %lld\n", static_cast<long long>(msg.fanout_bytes),
-                   static_cast<long long>(msg.fanout_files));
-  out += strformat("cache %lld %lld\n", static_cast<long long>(msg.cache_chunks),
-                   static_cast<long long>(msg.cache_bytes));
-  out += "end\n";
-}
-
-StatsMessage decode_stats_v1(const std::string& wire) {
-  const auto lines = parse_lines(wire, "stats");
-  StatsMessage msg;
-  for (const auto& fields : lines) {
-    if (fields[0] == "stats") {
-      need_fields(fields, 5);
-      msg.source = fields[1];
-      msg.workers = parse_i64(fields[2]);
-      msg.pending = parse_i64(fields[3]);
-      msg.completed = parse_i64(fields[4]);
-    } else if (fields[0] == "fanout") {
-      need_fields(fields, 3);
-      msg.fanout_bytes = parse_i64(fields[1]);
-      msg.fanout_files = parse_i64(fields[2]);
-    } else if (fields[0] == "cache") {
-      need_fields(fields, 3);
-      msg.cache_chunks = parse_i64(fields[1]);
-      msg.cache_bytes = parse_i64(fields[2]);
-    } else {
-      throw Error("protocol: unknown stanza '" + fields[0] + "'");
-    }
-  }
-  if (msg.source.empty()) throw Error("protocol: missing stats source");
-  return msg;
-}
-
-ControlMessage decode_control_v1(const std::string& wire) {
-  const auto lines = parse_lines(wire, "control");
-  if (lines.size() != 1) throw Error("protocol: extra stanza in control message");
-  const auto& fields = lines[0];
-  if (fields.size() != 4 && fields.size() != 5) {
-    throw Error("protocol: wrong field count in '" + join(fields, " ") + "'");
-  }
-  ControlMessage msg;
-  msg.type = parse_control_type(fields[1]);
-  msg.nonce = parse_u64(fields[2]);
-  msg.timestamp = parse_real(fields[3]);
-  if (fields.size() == 5) msg.peer_time = parse_real(fields[4]);
-  return msg;
-}
-
-// Split a v1 concatenation into messages at "end" lines (field-wise, the
-// same rule parse_lines applies).
-std::vector<std::string> split_v1_messages(const std::string& wire) {
-  std::vector<std::string> chunks;
-  std::string current;
-  bool any_content = false;
-  for (const auto& raw : split(wire, '\n')) {
-    current += raw;
-    current += '\n';
-    const auto fields = split_nonempty(raw, ' ');
-    if (!fields.empty() && fields[0] == "end") {
-      chunks.push_back(std::move(current));
-      current.clear();
-      any_content = false;
-    } else if (!fields.empty()) {
-      any_content = true;
-    }
-  }
-  if (any_content) throw Error("protocol: message not terminated by 'end'");
-  return chunks;
-}
-
-// --- v2 binary encode/decode ------------------------------------------------
+// --- frame bodies -----------------------------------------------------------
 
 void validate_task_tokens(const TaskMessage& msg) {
   if (!valid_token(msg.category)) throw Error("protocol: invalid category token");
@@ -648,15 +242,13 @@ void write_result_body(const ResultMessage& msg, StringWriter& w) {
   w.svarint(msg.memory_peak_bytes);
   w.svarint(msg.disk_peak_bytes);
   w.real(msg.wall_seconds);
-  // Raw payload bytes — the v1 base64 detour (+33% bytes, one extra full
-  // copy each way) is exactly what v2 exists to remove.
   if (!msg.payload.empty()) w.bytes(serde::BytesView(msg.payload));
   if (msg.trace_id != 0) w.varint(msg.trace_id);
 }
 
 void write_hello_body(const HelloMessage& msg, StringWriter& w) {
   w.str(msg.worker_name);
-  w.u8(static_cast<uint8_t>(msg.preferred));
+  w.u8(kFrameVersion);
   w.real(msg.capacity.cores);
   w.real(msg.capacity.memory_bytes);
   w.real(msg.capacity.disk_bytes);
@@ -796,9 +388,7 @@ ResultMessage read_result_body(serde::Reader& r) {
 HelloMessage read_hello_body(serde::Reader& r) {
   HelloMessage msg;
   msg.worker_name = std::string(r.str());
-  const uint8_t v = r.u8();
-  if (v != 1 && v != 2) throw Error("protocol: bad hello version");
-  msg.preferred = static_cast<WireVersion>(v);
+  if (r.u8() != kFrameVersion) throw Error("protocol: bad hello version");
   msg.capacity.cores = r.real();
   msg.capacity.memory_bytes = r.real();
   msg.capacity.disk_bytes = r.real();
@@ -927,7 +517,7 @@ Frame parse_frame(const std::string& wire) {
 [[noreturn]] void rethrow_as_protocol(const Error& e) {
   const std::string what = e.what();
   if (what.rfind("protocol:", 0) == 0) throw e;
-  throw Error("protocol: malformed v2 frame (" + what + ")");
+  throw Error("protocol: malformed frame (" + what + ")");
 }
 
 template <typename Fn>
@@ -940,20 +530,21 @@ auto protocol_guard(Fn&& fn) {
 }
 
 template <typename Message>
-std::string encode_one_v2(const Message& msg, uint8_t type, size_t body_len,
-                          void (*write_body)(const Message&, StringWriter&)) {
+std::string encode_frame(const Message& msg, uint8_t type, size_t body_len,
+                         void (*write_body)(const Message&, StringWriter&)) {
   std::string out;
   out.reserve(frame_size(body_len));
   StringWriter w(out);
   write_frame_header(w, type, body_len);
   write_body(msg, w);
+  count_encoded(out.size(), 1);
   return out;
 }
 
 template <typename Message>
-std::string encode_batch_v2(const std::vector<Message>& msgs, uint8_t type,
-                            size_t (*body_size)(const Message&),
-                            void (*write_body)(const Message&, StringWriter&)) {
+std::string encode_batch_frame(const std::vector<Message>& msgs, uint8_t type,
+                               size_t (*body_size)(const Message&),
+                               void (*write_body)(const Message&, StringWriter&)) {
   std::vector<size_t> sizes;
   sizes.reserve(msgs.size());
   size_t body_len = serde::varint_size(msgs.size());
@@ -970,38 +561,65 @@ std::string encode_batch_v2(const std::vector<Message>& msgs, uint8_t type,
     w.varint(sizes[i]);
     write_body(msgs[i], w);
   }
+  count_encoded(out.size(), msgs.size());
   return out;
 }
 
+// Single-frame decode: header parse, type check, body read, trailing-
+// garbage check.
 template <typename Message>
-std::vector<Message> decode_batch_v2(Frame& frame, uint8_t single_type,
-                                     uint8_t batch_type,
-                                     Message (*read_body)(serde::Reader&)) {
-  std::vector<Message> out;
-  if (frame.type == single_type) {
-    out.push_back(read_body(frame.body));
-    if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
-    return out;
-  }
-  if (frame.type != batch_type) {
-    throw Error("protocol: unexpected frame type " + std::to_string(frame.type));
-  }
-  const uint64_t count = frame.body.varint();
-  out.reserve(std::min<size_t>(count, frame.body.remaining()));
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t len = frame.body.varint();
-    if (len > frame.body.remaining()) throw Error("protocol: truncated frame");
-    // Bound each entry to its own reader: the body readers treat "bytes
-    // remain" as "trailing extension present", which must mean bytes of
-    // THIS entry, not of the ones that follow it in the batch.
-    serde::Reader entry(frame.body.raw(len), len);
-    out.push_back(read_body(entry));
-    if (entry.remaining() != 0) {
-      throw Error("protocol: batch entry length mismatch");
+Message decode_frame(const std::string& wire, uint8_t type, const char* what,
+                     Message (*read_body)(serde::Reader&)) {
+  count_decoded(wire.size());
+  return protocol_guard([&] {
+    Frame frame = parse_frame(wire);
+    if (frame.type != type) {
+      throw Error(std::string("protocol: expected '") + what + "' message");
     }
-  }
-  if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
-  return out;
+    Message msg = read_body(frame.body);
+    if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
+    return msg;
+  });
+}
+
+// Batch decode; a single-message frame of `single_type` is a batch of one.
+template <typename Message>
+std::vector<Message> decode_batch_frame(const std::string& wire, uint8_t single_type,
+                                        uint8_t batch_type,
+                                        Message (*read_body)(serde::Reader&)) {
+  count_decoded(wire.size());
+  return protocol_guard([&] {
+    Frame frame = parse_frame(wire);
+    std::vector<Message> out;
+    if (frame.type == single_type) {
+      out.push_back(read_body(frame.body));
+      if (frame.body.remaining() != 0) {
+        throw Error("protocol: trailing garbage after frame");
+      }
+      return out;
+    }
+    if (frame.type != batch_type) {
+      throw Error("protocol: unexpected frame type " + std::to_string(frame.type));
+    }
+    const uint64_t count = frame.body.varint();
+    out.reserve(std::min<size_t>(count, frame.body.remaining()));
+    for (uint64_t i = 0; i < count; ++i) {
+      const uint64_t len = frame.body.varint();
+      if (len > frame.body.remaining()) throw Error("protocol: truncated frame");
+      // Bound each entry to its own reader: the body readers treat "bytes
+      // remain" as "trailing extension present", which must mean bytes of
+      // THIS entry, not of the ones that follow it in the batch.
+      serde::Reader entry(frame.body.raw(len), len);
+      out.push_back(read_body(entry));
+      if (entry.remaining() != 0) {
+        throw Error("protocol: batch entry length mismatch");
+      }
+    }
+    if (frame.body.remaining() != 0) {
+      throw Error("protocol: trailing garbage after frame");
+    }
+    return out;
+  });
 }
 
 }  // namespace
@@ -1017,237 +635,106 @@ bool valid_token(const std::string& token) {
   return true;
 }
 
-WireVersion detect_version(const std::string& wire) {
-  if (wire.empty()) throw Error("protocol: empty message");
-  return static_cast<uint8_t>(wire[0]) == kFrameMagic0 ? WireVersion::kV2
-                                                       : WireVersion::kV1;
-}
-
-std::string encode(const TaskMessage& msg, WireVersion version) {
+std::string encode(const TaskMessage& msg) {
   validate_task_tokens(msg);
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    out = encode_one_v2(msg, kFrameTask, task_body_size(msg), write_task_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+  return encode_frame(msg, kFrameTask, task_body_size(msg), write_task_body);
 }
 
-std::string encode(const ResultMessage& msg, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    out = encode_one_v2(msg, kFrameResult, result_body_size(msg), write_result_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+std::string encode(const ResultMessage& msg) {
+  return encode_frame(msg, kFrameResult, result_body_size(msg), write_result_body);
 }
 
-std::string encode(const HelloMessage& msg, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    if (!valid_token(msg.worker_name)) throw Error("protocol: invalid worker name");
-    out = encode_one_v2(msg, kFrameHello, hello_body_size(msg), write_hello_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+std::string encode(const HelloMessage& msg) {
+  if (!valid_token(msg.worker_name)) throw Error("protocol: invalid worker name");
+  return encode_frame(msg, kFrameHello, hello_body_size(msg), write_hello_body);
 }
 
-std::string encode(const FileMessage& msg, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    if (!valid_token(msg.name)) throw Error("protocol: invalid file name " + msg.name);
-    out = encode_one_v2(msg, kFrameFile, file_body_size(msg), write_file_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+std::string encode(const FileMessage& msg) {
+  if (!valid_token(msg.name)) throw Error("protocol: invalid file name " + msg.name);
+  return encode_frame(msg, kFrameFile, file_body_size(msg), write_file_body);
 }
 
-std::string encode(const ControlMessage& msg, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    out = encode_one_v2(msg, kFrameControl, control_body_size(msg), write_control_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+std::string encode(const ControlMessage& msg) {
+  return encode_frame(msg, kFrameControl, control_body_size(msg), write_control_body);
 }
 
-std::string encode(const StatsMessage& msg, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    if (!valid_token(msg.source)) throw Error("protocol: invalid stats source");
-    out = encode_one_v2(msg, kFrameStats, stats_body_size(msg), write_stats_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+std::string encode(const StatsMessage& msg) {
+  if (!valid_token(msg.source)) throw Error("protocol: invalid stats source");
+  return encode_frame(msg, kFrameStats, stats_body_size(msg), write_stats_body);
 }
 
-std::string encode(const TelemetryMessage& msg, WireVersion version) {
-  if (version == WireVersion::kV1) {
-    // Telemetry has no v1 text form; a v1 link simply does not ship it.
-    throw Error("protocol: telemetry requires wire v2");
-  }
+std::string encode(const TelemetryMessage& msg) {
   if (!valid_token(msg.source)) throw Error("protocol: invalid telemetry source");
-  std::string out = encode_one_v2(msg, kFrameTelemetry, telemetry_body_size(msg),
-                                  write_telemetry_body);
-  count_encoded(out.size(), 1);
-  return out;
+  return encode_frame(msg, kFrameTelemetry, telemetry_body_size(msg),
+                      write_telemetry_body);
 }
 
-std::string encode_batch(const std::vector<TaskMessage>& msgs, WireVersion version) {
+std::string encode_batch(const std::vector<TaskMessage>& msgs) {
   for (const auto& msg : msgs) validate_task_tokens(msg);
-  std::string out;
-  if (version == WireVersion::kV1) {
-    for (const auto& msg : msgs) encode_v1(msg, out);
-  } else {
-    out = encode_batch_v2(msgs, kFrameTaskBatch, task_body_size, write_task_body);
-  }
-  count_encoded(out.size(), msgs.size());
-  return out;
+  return encode_batch_frame(msgs, kFrameTaskBatch, task_body_size, write_task_body);
 }
 
-std::string encode_batch(const std::vector<ResultMessage>& msgs, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    for (const auto& msg : msgs) encode_v1(msg, out);
-  } else {
-    out = encode_batch_v2(msgs, kFrameResultBatch, result_body_size, write_result_body);
-  }
-  count_encoded(out.size(), msgs.size());
-  return out;
+std::string encode_batch(const std::vector<ResultMessage>& msgs) {
+  return encode_batch_frame(msgs, kFrameResultBatch, result_body_size,
+                            write_result_body);
 }
 
 TaskMessage decode_task(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_task_v1(wire);
-  return protocol_guard([&] {
-    Frame frame = parse_frame(wire);
-    if (frame.type != kFrameTask) {
-      throw Error("protocol: expected 'task' message");
-    }
-    TaskMessage msg = read_task_body(frame.body);
-    if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
-    return msg;
-  });
+  return decode_frame(wire, kFrameTask, "task", read_task_body);
 }
 
 ResultMessage decode_result(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_result_v1(wire);
-  return protocol_guard([&] {
-    Frame frame = parse_frame(wire);
-    if (frame.type != kFrameResult) {
-      throw Error("protocol: expected 'result' message");
-    }
-    ResultMessage msg = read_result_body(frame.body);
-    if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
-    return msg;
-  });
+  return decode_frame(wire, kFrameResult, "result", read_result_body);
 }
-
-namespace {
-
-// Shared v2 single-frame decode: header parse, type check, body read,
-// trailing-garbage check — the shape decode_task/decode_result hand-roll.
-template <typename Message>
-Message decode_one_v2(const std::string& wire, uint8_t type, const char* what,
-                      Message (*read_body)(serde::Reader&)) {
-  return protocol_guard([&] {
-    Frame frame = parse_frame(wire);
-    if (frame.type != type) {
-      throw Error(std::string("protocol: expected '") + what + "' message");
-    }
-    Message msg = read_body(frame.body);
-    if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
-    return msg;
-  });
-}
-
-}  // namespace
 
 HelloMessage decode_hello(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_hello_v1(wire);
-  return decode_one_v2(wire, kFrameHello, "hello", read_hello_body);
+  return decode_frame(wire, kFrameHello, "hello", read_hello_body);
 }
 
 FileMessage decode_file(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_file_v1(wire);
-  return decode_one_v2(wire, kFrameFile, "put", read_file_body);
+  return decode_frame(wire, kFrameFile, "put", read_file_body);
 }
 
 ControlMessage decode_control(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_control_v1(wire);
-  return decode_one_v2(wire, kFrameControl, "control", read_control_body);
+  return decode_frame(wire, kFrameControl, "control", read_control_body);
 }
 
 StatsMessage decode_stats(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_stats_v1(wire);
-  return decode_one_v2(wire, kFrameStats, "stats", read_stats_body);
+  return decode_frame(wire, kFrameStats, "stats", read_stats_body);
 }
 
 TelemetryMessage decode_telemetry(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) {
-    throw Error("protocol: telemetry requires wire v2");
-  }
-  return decode_one_v2(wire, kFrameTelemetry, "telemetry", read_telemetry_body);
+  return decode_frame(wire, kFrameTelemetry, "telemetry", read_telemetry_body);
+}
+
+std::vector<TaskMessage> decode_task_batch(const std::string& wire) {
+  return decode_batch_frame(wire, kFrameTask, kFrameTaskBatch, read_task_body);
+}
+
+std::vector<ResultMessage> decode_result_batch(const std::string& wire) {
+  return decode_batch_frame(wire, kFrameResult, kFrameResultBatch, read_result_body);
 }
 
 MessageKind classify(const std::string& wire) {
-  if (detect_version(wire) == WireVersion::kV2) {
-    if (wire.size() < kFrameFixedHeader) throw Error("protocol: truncated frame");
-    if (static_cast<uint8_t>(wire[1]) != kFrameMagic1 ||
-        static_cast<uint8_t>(wire[2]) != kFrameVersion) {
-      throw Error("protocol: bad frame magic");
-    }
-    switch (static_cast<uint8_t>(wire[3])) {
-      case kFrameTask: return MessageKind::kTask;
-      case kFrameResult: return MessageKind::kResult;
-      case kFrameTaskBatch: return MessageKind::kTaskBatch;
-      case kFrameResultBatch: return MessageKind::kResultBatch;
-      case kFrameHello: return MessageKind::kHello;
-      case kFrameFile: return MessageKind::kFile;
-      case kFrameControl: return MessageKind::kControl;
-      case kFrameStats: return MessageKind::kStats;
-      case kFrameTelemetry: return MessageKind::kTelemetry;
-    }
-    throw Error("protocol: unexpected frame type " +
-                std::to_string(static_cast<unsigned>(wire[3])));
+  if (wire.size() < kFrameFixedHeader) throw Error("protocol: truncated frame");
+  if (static_cast<uint8_t>(wire[0]) != kFrameMagic0 ||
+      static_cast<uint8_t>(wire[1]) != kFrameMagic1 ||
+      static_cast<uint8_t>(wire[2]) != kFrameVersion) {
+    throw Error("protocol: bad frame magic");
   }
-  // v1: the first token of the first non-empty line, scanned in place (no
-  // line splitting — this runs per inbound message on the net demux path).
-  size_t i = 0;
-  while (i < wire.size() &&
-         std::isspace(static_cast<unsigned char>(wire[i]))) {
-    ++i;
+  const uint8_t type = static_cast<uint8_t>(wire[3]);
+  switch (type) {
+    case kFrameTask: return MessageKind::kTask;
+    case kFrameResult: return MessageKind::kResult;
+    case kFrameTaskBatch: return MessageKind::kTaskBatch;
+    case kFrameResultBatch: return MessageKind::kResultBatch;
+    case kFrameHello: return MessageKind::kHello;
+    case kFrameFile: return MessageKind::kFile;
+    case kFrameControl: return MessageKind::kControl;
+    case kFrameStats: return MessageKind::kStats;
+    case kFrameTelemetry: return MessageKind::kTelemetry;
   }
-  size_t j = i;
-  while (j < wire.size() && !std::isspace(static_cast<unsigned char>(wire[j]))) {
-    ++j;
-  }
-  const std::string head = wire.substr(i, j - i);
-  if (head == "task") return MessageKind::kTask;
-  if (head == "result") return MessageKind::kResult;
-  if (head == "hello") return MessageKind::kHello;
-  if (head == "put") return MessageKind::kFile;
-  if (head == "control") return MessageKind::kControl;
-  if (head == "stats") return MessageKind::kStats;
-  throw Error("protocol: unknown message head '" + head + "'");
+  throw Error("protocol: unexpected frame type " + std::to_string(type));
 }
 
 size_t max_frame_body_bytes() {
@@ -1259,48 +746,10 @@ void set_max_frame_body_bytes(size_t limit) {
                                std::memory_order_relaxed);
 }
 
-std::vector<TaskMessage> decode_task_batch(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) {
-    std::vector<TaskMessage> out;
-    for (const auto& chunk : split_v1_messages(wire)) {
-      out.push_back(decode_task_v1(chunk));
-    }
-    return out;
-  }
-  return protocol_guard([&] {
-    Frame frame = parse_frame(wire);
-    return decode_batch_v2(frame, kFrameTask, kFrameTaskBatch, read_task_body);
-  });
-}
+size_t encoded_size(const TaskMessage& msg) { return frame_size(task_body_size(msg)); }
 
-std::vector<ResultMessage> decode_result_batch(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) {
-    std::vector<ResultMessage> out;
-    for (const auto& chunk : split_v1_messages(wire)) {
-      out.push_back(decode_result_v1(chunk));
-    }
-    return out;
-  }
-  return protocol_guard([&] {
-    Frame frame = parse_frame(wire);
-    return decode_batch_v2(frame, kFrameResult, kFrameResultBatch, read_result_body);
-  });
-}
-
-size_t encoded_size(const TaskMessage& msg, WireVersion version) {
-  if (version == WireVersion::kV2) return frame_size(task_body_size(msg));
-  std::string out;
-  encode_v1(msg, out);
-  return out.size();
-}
-
-size_t encoded_size(const ResultMessage& msg, WireVersion version) {
-  if (version == WireVersion::kV2) return frame_size(result_body_size(msg));
-  std::string out;
-  encode_v1(msg, out);
-  return out.size();
+size_t encoded_size(const ResultMessage& msg) {
+  return frame_size(result_body_size(msg));
 }
 
 size_t task_body_size_v2(uint64_t task_id, const std::string& category,
@@ -1328,8 +777,7 @@ size_t batch_entry_size(size_t body_size) {
 }
 
 size_t batch_frame_size(size_t count, size_t prefixed_body_bytes) {
-  const size_t body_len = serde::varint_size(count) + prefixed_body_bytes;
-  return kFrameFixedHeader + serde::varint_size(body_len) + body_len;
+  return frame_size(serde::varint_size(count) + prefixed_body_bytes);
 }
 
 }  // namespace lfm::wq

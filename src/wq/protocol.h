@@ -3,21 +3,12 @@
 // input and output files, and the resource allocation — plus the worker's
 // result report with measured usage for the labeler.
 //
-// Two wire versions coexist:
-//   * v1 — the original line-oriented text protocol (real Work Queue's
-//     shape: "task <id>", "infile <name> <size> <flags>", ..., "end").
-//     Payload bytes travel base64-coded (+33% bytes, two copies). Kept
-//     encodable behind WireVersion::kV1 for goldens and cross-version
-//     tests; always decodable.
-//   * v2 — length-prefixed binary frames (default): varints and raw — not
-//     base64 — payload bytes, reusing the serde wire primitives
-//     (serde::Writer/Reader). A batch frame packs many task dispatches or
-//     result returns into one network message, which is how the master
-//     amortizes per-message cost when draining its ready queue per worker.
-//
-// Decoders auto-detect the version from the first byte (v2 frames open
-// with a 0xF7 magic byte that can never start a v1 text message), so a v2
-// master interoperates with a v1 worker and vice versa.
+// One wire format: length-prefixed binary frames. Each frame opens with the
+// header 0xF7 'Q' 0x02 <type> and a varint body length; fields are varints
+// and raw payload bytes, reusing the serde wire primitives.
+// A batch frame packs many task dispatches or result returns into one
+// network message, which is how the master amortizes per-message cost when
+// draining its ready queue per worker.
 #pragma once
 
 #include <cstdint>
@@ -32,19 +23,24 @@
 
 namespace lfm::wq {
 
-enum class WireVersion : uint8_t { kV1 = 1, kV2 = 2 };
-
 // --- decode-side hardening ---------------------------------------------------
-// Upper bound on a single frame's body (v2) or message text (v1) accepted by
-// the decode paths and by the net layer's incremental reassembler. A hostile
-// or corrupt varint length prefix is rejected against this limit *before*
-// any buffering or allocation happens, so a 16-byte crafted header cannot
-// make a decoder reserve gigabytes. Process-wide; the default (64 MiB) is
+// Upper bound on a single frame's body accepted by the decode paths and by
+// the net layer's incremental reassembler. A hostile or corrupt varint
+// length prefix is rejected against this limit *before* any buffering or
+// allocation happens, so a 16-byte crafted header cannot make a decoder
+// reserve gigabytes. Process-wide; the default (64 MiB) is
 // far above any legitimate message. Encoders are not checked — a peer that
 // encodes above the receiver's limit simply gets its frame rejected.
 size_t max_frame_body_bytes();
 void set_max_frame_body_bytes(size_t limit);
 inline constexpr size_t kDefaultMaxFrameBodyBytes = 64ull << 20;
+
+// Every frame opens with the prefix 0xF7 'Q' 0x02 and one type byte; the
+// body length (a varint) and the body follow.
+inline constexpr uint8_t kFrameMagic0 = 0xF7;
+inline constexpr uint8_t kFrameMagic1 = 'Q';
+inline constexpr uint8_t kFrameVersion = 2;
+inline constexpr size_t kFrameFixedHeader = 4;
 
 // Master -> worker: run this task.
 struct TaskMessage {
@@ -61,10 +57,9 @@ struct TaskMessage {
   std::vector<std::string> outfiles;
   // Distributed-trace context, minted once at the root when the task is
   // submitted and carried to whichever process ultimately runs it. Zero
-  // means "untraced": v2 frames only append these as trailing extension
+  // means "untraced": frames only append these as trailing extension
   // fields when trace_id != 0, so default-constructed messages stay
-  // byte-identical to the pre-extension encoding (old decoders and v1
-  // peers simply never see them).
+  // byte-identical to the pre-extension encoding.
   uint64_t trace_id = 0;
   uint64_t parent_span = 0;
 };
@@ -80,8 +75,8 @@ struct ResultMessage {
   int64_t memory_peak_bytes = 0;
   int64_t disk_peak_bytes = 0;
   double wall_seconds = 0.0;
-  // Pickled function result (Python-function tasks). v2 carries it as raw
-  // length-prefixed bytes; v1 base64-codes it into a "payload" stanza.
+  // Pickled function result (Python-function tasks), as raw length-prefixed
+  // bytes.
   serde::Bytes payload;
   // Echo of the task's trace id (same trailing-extension rules as
   // TaskMessage: absent on the wire when zero).
@@ -90,13 +85,10 @@ struct ResultMessage {
 
 // --- transport control messages (src/net/) ----------------------------------
 // Worker -> master, first message on a fresh connection: who is connecting
-// and which wire version it wants to be addressed in. The master records the
-// version and speaks it for every subsequent send on that connection — the
-// whole of version negotiation (each side replies in the dialect it was
-// addressed in, and hello sets the opening dialect).
+// and what it offers. The body keeps a version byte, always 2; a hello
+// carrying any other value is rejected.
 struct HelloMessage {
   std::string worker_name;
-  WireVersion preferred = WireVersion::kV2;
   alloc::Resources capacity;  // what the worker node offers
 };
 
@@ -140,9 +132,8 @@ struct StatsMessage {
 
 // Any process -> its upstream (worker -> foreman -> root): a batch of trace
 // events plus metric snapshots, shipped on the result/stats cadence so the
-// root's obs::Collector can merge the whole tree into one timeline. v2-only
-// (there is no v1 text form; encoding at kV1 throws) — a v1 peer simply
-// never ships telemetry. `clock_offset` is the cumulative sender-clock-
+// root's obs::Collector can merge the whole tree into one timeline.
+// `clock_offset` is the cumulative sender-clock-
 // minus-receiver-clock estimate accumulated across relay hops; `dropped`
 // counts events the sender discarded under backpressure.
 struct TelemetryMessage {
@@ -155,9 +146,9 @@ struct TelemetryMessage {
   std::vector<std::pair<std::string, double>> gauges;
 };
 
-// What kind of message a wire string holds, decided from the v2 frame type
-// byte (or the first v1 token) without decoding the body — the net layer's
-// inbound demux. Throws on bytes that are neither.
+// What kind of message a wire string holds, decided from the frame type
+// byte without decoding the body — the net layer's inbound demux. Throws on
+// a bad header or an unknown type.
 enum class MessageKind {
   kTask,
   kResult,
@@ -171,24 +162,20 @@ enum class MessageKind {
 };
 MessageKind classify(const std::string& wire);
 
-// Serialize one message (v1: LF lines terminated by "end\n"; v2: one frame).
-std::string encode(const TaskMessage& msg, WireVersion version = WireVersion::kV2);
-std::string encode(const ResultMessage& msg, WireVersion version = WireVersion::kV2);
-std::string encode(const HelloMessage& msg, WireVersion version = WireVersion::kV2);
-std::string encode(const FileMessage& msg, WireVersion version = WireVersion::kV2);
-std::string encode(const ControlMessage& msg, WireVersion version = WireVersion::kV2);
-std::string encode(const StatsMessage& msg, WireVersion version = WireVersion::kV2);
-std::string encode(const TelemetryMessage& msg, WireVersion version = WireVersion::kV2);
+// Serialize one message as one frame.
+std::string encode(const TaskMessage& msg);
+std::string encode(const ResultMessage& msg);
+std::string encode(const HelloMessage& msg);
+std::string encode(const FileMessage& msg);
+std::string encode(const ControlMessage& msg);
+std::string encode(const StatsMessage& msg);
+std::string encode(const TelemetryMessage& msg);
 
-// Serialize many messages into one network send. v2 emits a single batch
-// frame; v1 has no batch framing, so messages are simply concatenated.
-std::string encode_batch(const std::vector<TaskMessage>& msgs,
-                         WireVersion version = WireVersion::kV2);
-std::string encode_batch(const std::vector<ResultMessage>& msgs,
-                         WireVersion version = WireVersion::kV2);
+// Serialize many messages into one batch frame (one network send).
+std::string encode_batch(const std::vector<TaskMessage>& msgs);
+std::string encode_batch(const std::vector<ResultMessage>& msgs);
 
 // Parse; throws lfm::Error with the offending input on malformed bytes.
-// Either wire version is accepted (auto-detected).
 TaskMessage decode_task(const std::string& wire);
 ResultMessage decode_result(const std::string& wire);
 HelloMessage decode_hello(const std::string& wire);
@@ -197,22 +184,18 @@ ControlMessage decode_control(const std::string& wire);
 StatsMessage decode_stats(const std::string& wire);
 TelemetryMessage decode_telemetry(const std::string& wire);
 
-// Parse a batched send of either version. Single-message frames (and v1
-// concatenations) decode as a batch of their message count.
+// Parse a batch frame. A single-message frame decodes as a batch of one.
 std::vector<TaskMessage> decode_task_batch(const std::string& wire);
 std::vector<ResultMessage> decode_result_batch(const std::string& wire);
 
-// Version negotiation: which version a peer spoke. Throws on empty input.
-WireVersion detect_version(const std::string& wire);
-
-// Exact size in bytes that encode(msg, version) would produce. For kV2 this
-// is pure arithmetic (no allocation) — the master's wire accounting uses it
-// on the dispatch hot path; kV1 falls back to encoding.
-size_t encoded_size(const TaskMessage& msg, WireVersion version = WireVersion::kV2);
-size_t encoded_size(const ResultMessage& msg, WireVersion version = WireVersion::kV2);
+// Exact size in bytes that encode(msg) would produce, by pure arithmetic
+// (no allocation) — the master's wire accounting uses it on the dispatch
+// hot path.
+size_t encoded_size(const TaskMessage& msg);
+size_t encoded_size(const ResultMessage& msg);
 
 // Wire accounting for the simulated master, no message objects built:
-// the v2 task-frame body size from dispatch-time fields (`command` is the
+// the task-frame body size from dispatch-time fields (`command` is the
 // command line the master would ship — empty in the simulated data plane),
 // its length-prefixed size inside a batch frame, and the exact size of a
 // batch frame holding `count` messages whose prefixed bodies sum to
@@ -223,7 +206,8 @@ size_t task_body_size_v2(uint64_t task_id, const std::string& category,
 size_t batch_entry_size(size_t body_size);
 size_t batch_frame_size(size_t count, size_t prefixed_body_bytes);
 
-// File/category names travel unquoted; reject whitespace and control chars.
+// Names on the wire (files, categories, peers, sources) are non-empty and
+// free of whitespace and control characters.
 bool valid_token(const std::string& token);
 
 }  // namespace lfm::wq

@@ -152,23 +152,6 @@ ResultMessage LocalWorker::execute(const TaskMessage& task, const FileSet& files
   return result;
 }
 
-std::string LocalWorker::handle(const std::string& task_wire, const FileSet& files) {
-  // Reply in the version the master spoke — the whole of version
-  // negotiation: each side answers in the dialect it was addressed in.
-  const WireVersion version = detect_version(task_wire);
-  return encode(execute(decode_task(task_wire), files), version);
-}
-
-std::string LocalWorker::handle_batch(const std::string& batch_wire,
-                                      const FileSet& files) {
-  const WireVersion version = detect_version(batch_wire);
-  std::vector<ResultMessage> results;
-  for (auto& task : decode_task_batch(batch_wire)) {
-    results.push_back(execute(task, files));
-  }
-  return encode_batch(results, version);
-}
-
 std::pair<TaskMessage, FileSet> make_python_task(
     uint64_t task_id, const std::string& category, const std::string& module_source,
     const std::string& function, const serde::Value& args,

@@ -30,17 +30,7 @@ class LocalWorker {
  public:
   explicit LocalWorker(LocalWorkerOptions options = {}) : options_(options) {}
 
-  // Execute one task message; returns the result message (wire form). The
-  // reply speaks whatever wire version the request arrived in, so a v1
-  // master keeps working against a v2-capable worker (version negotiation).
-  std::string handle(const std::string& task_wire, const FileSet& files = {});
-
-  // Execute a batched send (one network message carrying many task
-  // dispatches) and return one batched reply, again mirroring the request's
-  // wire version. Results are positionally aligned with the tasks.
-  std::string handle_batch(const std::string& batch_wire, const FileSet& files = {});
-
-  // Structured variant. Two command forms:
+  // Execute one task. Two command forms:
   //   * any shell command line — fork/exec under the LFM (bash_app path)
   //   * "lfm-pyrun <module_file> <args_file> <function>" — run the named
   //     function from the shipped module source in the mini-Python

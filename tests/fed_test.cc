@@ -573,8 +573,8 @@ TEST(Federation, SilentForemanHoldingAGroupIsClosedAndTheGroupRunsOnASibling) {
 
   const int fake = net::connect_tcp("127.0.0.1", root.port());
   ASSERT_GE(fake, 0);
-  const std::string hello = wq::encode(
-      wq::HelloMessage{"fake", wq::WireVersion::kV2, alloc::Resources{1.0, 1e9, 1e9}});
+  const std::string hello =
+      wq::encode(wq::HelloMessage{"fake", alloc::Resources{1.0, 1e9, 1e9}});
   ASSERT_EQ(::write(fake, hello.data(), hello.size()),
             static_cast<ssize_t>(hello.size()));
   await_foremen(loop, root, 1);

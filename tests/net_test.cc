@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <map>
 #include <string>
@@ -52,8 +53,8 @@ std::vector<std::string> split_all(FrameSplitter& splitter) {
 
 // --- FrameSplitter -----------------------------------------------------------
 
-TEST(FrameSplitter, OneByteDripV2) {
-  const std::string wire = wq::encode(simple_task(7), wq::WireVersion::kV2);
+TEST(FrameSplitter, OneByteDrip) {
+  const std::string wire = wq::encode(simple_task(7));
   FrameSplitter splitter;
   std::string message;
   for (size_t i = 0; i + 1 < wire.size(); ++i) {
@@ -67,30 +68,18 @@ TEST(FrameSplitter, OneByteDripV2) {
   EXPECT_FALSE(splitter.next(message));
 }
 
-TEST(FrameSplitter, OneByteDripV1) {
-  const std::string wire = wq::encode(simple_task(9), wq::WireVersion::kV1);
-  FrameSplitter splitter;
-  std::string message;
-  for (const char c : wire) splitter.feed(&c, 1);
-  ASSERT_TRUE(splitter.next(message));
-  EXPECT_EQ(message, wire);
-  EXPECT_EQ(splitter.buffered(), 0u);
-}
-
-TEST(FrameSplitter, CoalescedMixedVersionsInOneFeed) {
-  // Five messages of alternating dialects arriving as one TCP segment, the
-  // per-message version re-detected from each first byte.
+TEST(FrameSplitter, CoalescedKindsInOneFeed) {
+  // Five frames of different kinds arriving as one TCP segment, each cut
+  // at its own length prefix.
   wq::ResultMessage r;
   r.task_id = 3;
   r.payload = serde::Bytes{'e', 'n', 'd', '\n', 0xF7, 'Q', 2};  // traps naive scans
   const std::vector<std::string> wires = {
-      wq::encode(simple_task(1), wq::WireVersion::kV2),
-      wq::encode(simple_task(2), wq::WireVersion::kV1),
-      wq::encode(r, wq::WireVersion::kV2),
-      wq::encode_batch(std::vector<wq::TaskMessage>{simple_task(4), simple_task(5)},
-                       wq::WireVersion::kV2),
-      wq::encode(wq::ControlMessage{wq::ControlType::kPing, 1, 2.5},
-                 wq::WireVersion::kV1),
+      wq::encode(simple_task(1)),
+      wq::encode(wq::FileMessage{"f.pkl", true, serde::Bytes{0xF7, 'Q', 2, 1}}),
+      wq::encode(r),
+      wq::encode_batch(std::vector<wq::TaskMessage>{simple_task(4), simple_task(5)}),
+      wq::encode(wq::ControlMessage{wq::ControlType::kPing, 1, 2.5}),
   };
   std::string stream;
   for (const std::string& w : wires) stream += w;
@@ -104,7 +93,7 @@ TEST(FrameSplitter, CoalescedMixedVersionsInOneFeed) {
 
 TEST(FrameSplitter, FragmentBoundaryInsideHeader) {
   // Split inside the 4-byte fixed header and inside the length varint.
-  const std::string wire = wq::encode(simple_task(11), wq::WireVersion::kV2);
+  const std::string wire = wq::encode(simple_task(11));
   for (size_t cut = 1; cut < 6 && cut < wire.size(); ++cut) {
     FrameSplitter splitter;
     std::string message;
@@ -116,7 +105,7 @@ TEST(FrameSplitter, FragmentBoundaryInsideHeader) {
   }
 }
 
-TEST(FrameSplitter, OversizedV2LengthRejectedFromHeaderAlone) {
+TEST(FrameSplitter, OversizedLengthRejectedFromHeaderAlone) {
   // 2^62-byte claimed body: must throw once the varint completes, without
   // waiting for (or buffering) any body bytes.
   const std::string header{'\xF7', 'Q', 2, 1,
@@ -132,29 +121,24 @@ TEST(FrameSplitter, OversizedV2LengthRejectedFromHeaderAlone) {
       Error);
 }
 
-TEST(FrameSplitter, OversizedV1MessageRejected) {
-  wq::set_max_frame_body_bytes(1024);
-  FrameSplitter splitter;
-  std::string message;
-  const std::string line = "task 1 cat\n";  // never an "end" line
-  EXPECT_THROW(
-      {
-        // The cap allows base64/overhead slack above the configured limit;
-        // feed well past it.
-        for (int i = 0; i < 2000; ++i) {
-          splitter.feed(line);
-          splitter.next(message);
-        }
-      },
-      Error);
-  wq::set_max_frame_body_bytes(0);
+TEST(FrameSplitter, NonFrameBytesRejectedAsSoonAsFed) {
+  // Each input is a wrong byte in the 0xF7 'Q' 0x02 prefix, with nothing
+  // after it: the splitter must not wait for a length or a body first.
+  for (const std::string& bad : {std::string("G"), std::string("\xF7X"),
+                                 std::string("\xF7Q\x01")}) {
+    FrameSplitter splitter;
+    std::string message;
+    splitter.feed(bad);
+    EXPECT_THROW(splitter.next(message), Error) << "input size " << bad.size();
+  }
 }
 
 TEST(FrameSplitter, ManySmallMessagesUnderLimitPass) {
-  // The v1 cap applies per message, not to the connection's total traffic.
+  // The frame cap applies per message, not to the connection's total
+  // traffic.
   wq::set_max_frame_body_bytes(4096);
   FrameSplitter splitter;
-  const std::string wire = wq::encode(wq::ControlMessage{}, wq::WireVersion::kV1);
+  const std::string wire = wq::encode(wq::ControlMessage{});
   size_t delivered = 0;
   std::string message;
   for (int i = 0; i < 500; ++i) {
@@ -241,9 +225,9 @@ TEST(Connection, EchoAcrossRealSockets) {
   auto client = std::make_shared<Connection>(loop, fd, 1);
   std::vector<std::string> echoed;
   const std::vector<std::string> sent = {
-      wq::encode(simple_task(1), wq::WireVersion::kV2),
-      wq::encode(simple_task(2), wq::WireVersion::kV1),
-      wq::encode(wq::ControlMessage{}, wq::WireVersion::kV2),
+      wq::encode(simple_task(1)),
+      wq::encode(wq::FileMessage{"f.pkl", false, serde::Bytes{1, 2}}),
+      wq::encode(wq::ControlMessage{}),
   };
   client->set_on_message([&](Connection&, std::string&& wire) {
     echoed.push_back(std::move(wire));
@@ -276,7 +260,7 @@ TEST(Connection, MidFrameEofReportedAsSuch) {
 
   const int fd = connect_tcp("127.0.0.1", listener.port());
   ASSERT_GE(fd, 0);
-  // A v2 header promising 100 body bytes, then only 4, then close.
+  // A frame header promising 100 body bytes, then only 4, then close.
   const std::string partial{'\xF7', 'Q', 2, 1, 100, 'a', 'b', 'c', 'd'};
   ASSERT_EQ(::send(fd, partial.data(), partial.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(partial.size()));
@@ -316,8 +300,7 @@ TEST(Connection, ProtocolErrorClosesWithDecoderMessage) {
 
 // --- end-to-end: master process <-> forked worker processes ------------------
 
-pid_t fork_worker(uint16_t port, const std::string& name,
-                  wq::WireVersion version) {
+pid_t fork_worker(uint16_t port, const std::string& name) {
   const pid_t pid = fork();
   if (pid != 0) return pid;
   // Drop inherited fds: a surviving copy of the master's listener keeps
@@ -329,7 +312,6 @@ pid_t fork_worker(uint16_t port, const std::string& name,
     options.host = "127.0.0.1";
     options.port = port;
     options.name = name;
-    options.wire_version = version;
     options.worker.poll_interval = 0.01;
     WorkerClient client(options);
     client.run();
@@ -374,12 +356,10 @@ def mix(a, b):
   MasterService master(loop, config);
   for (auto& [task, files] : specs) master.submit(task, files);
 
-  // Two v2 workers and two v1 workers: version negotiation is live.
   std::vector<pid_t> workers;
-  workers.push_back(fork_worker(master.port(), "w2a", wq::WireVersion::kV2));
-  workers.push_back(fork_worker(master.port(), "w2b", wq::WireVersion::kV2));
-  workers.push_back(fork_worker(master.port(), "w1a", wq::WireVersion::kV1));
-  workers.push_back(fork_worker(master.port(), "w1b", wq::WireVersion::kV1));
+  for (const char* name : {"wa", "wb", "wc", "wd"}) {
+    workers.push_back(fork_worker(master.port(), name));
+  }
 
   std::map<uint64_t, int> results_per_task;
   master.set_on_result([&](const wq::ResultMessage& r) {
@@ -420,7 +400,7 @@ TEST(NetEndToEnd, DroppedConnectionRequeuesAndReconnects) {
     t.command_line = "sleep 0.15";
     master.submit(t);
   }
-  const pid_t worker = fork_worker(master.port(), "flaky", wq::WireVersion::kV2);
+  const pid_t worker = fork_worker(master.port(), "flaky");
   bool dropped = false;
   loop.run_after(0.25, [&] { dropped = master.drop_connection(0); });
 
@@ -462,7 +442,7 @@ wq::TaskMessage rich_task(uint64_t id) {
 TEST(RelayFraming, TaskBatchSurvivesDripFedRelayHopBitIdentical) {
   std::vector<wq::TaskMessage> tasks;
   for (uint64_t id = 40; id < 47; ++id) tasks.push_back(rich_task(id));
-  const std::string wire = wq::encode_batch(tasks, wq::WireVersion::kV2);
+  const std::string wire = wq::encode_batch(tasks);
 
   // Relay ingress: the root-link stream drips in one byte at a time.
   FrameSplitter splitter;
@@ -480,12 +460,12 @@ TEST(RelayFraming, TaskBatchSurvivesDripFedRelayHopBitIdentical) {
   const std::vector<wq::TaskMessage> decoded =
       wq::decode_task_batch(messages[0]);
   ASSERT_EQ(decoded.size(), tasks.size());
-  EXPECT_EQ(wq::encode_batch(decoded, wq::WireVersion::kV2), wire);
+  EXPECT_EQ(wq::encode_batch(decoded), wire);
 }
 
 TEST(RelayFraming, ResultBatchWithHostilePayloadRelaysBitIdentical) {
-  // Payload bytes chosen to look like framing: the v2 magic pair, a v1
-  // "end" terminator line, NULs and LFs. The relay must treat them as
+  // Payload bytes chosen to look like framing: the frame magic, a text
+  // "end" line, NULs and LFs. The relay must treat them as
   // opaque body bytes at every hop.
   std::vector<wq::ResultMessage> results;
   for (int i = 0; i < 5; ++i) {
@@ -504,7 +484,7 @@ TEST(RelayFraming, ResultBatchWithHostilePayloadRelaysBitIdentical) {
     r.payload.push_back(static_cast<uint8_t>(i));
     results.push_back(std::move(r));
   }
-  const std::string wire = wq::encode_batch(results, wq::WireVersion::kV2);
+  const std::string wire = wq::encode_batch(results);
 
   FrameSplitter splitter;
   std::vector<std::string> messages;
@@ -522,13 +502,12 @@ TEST(RelayFraming, ResultBatchWithHostilePayloadRelaysBitIdentical) {
   for (size_t i = 0; i < decoded.size(); ++i) {
     EXPECT_EQ(decoded[i].payload, results[i].payload) << "result " << i;
   }
-  EXPECT_EQ(wq::encode_batch(decoded, wq::WireVersion::kV2), wire);
+  EXPECT_EQ(wq::encode_batch(decoded), wire);
 }
 
 TEST(RelayFraming, MidFrameEofAtRelayHopKeepsPartialBufferedThenCompletes) {
   const std::string wire = wq::encode_batch(
-      std::vector<wq::TaskMessage>{rich_task(70), rich_task(71)},
-      wq::WireVersion::kV2);
+      std::vector<wq::TaskMessage>{rich_task(70), rich_task(71)});
   // The upstream link stalls (or dies) with the frame split anywhere at
   // all: no partial message may ever be surfaced, and the buffered byte
   // count must expose the dirtiness of an EOF at that point.
@@ -545,8 +524,7 @@ TEST(RelayFraming, MidFrameEofAtRelayHopKeepsPartialBufferedThenCompletes) {
     ASSERT_TRUE(splitter.next(m)) << "cut at " << cut;
     EXPECT_EQ(m, wire) << "cut at " << cut;
     EXPECT_EQ(splitter.buffered(), 0u);
-    EXPECT_EQ(wq::encode_batch(wq::decode_task_batch(m), wq::WireVersion::kV2),
-              wire);
+    EXPECT_EQ(wq::encode_batch(wq::decode_task_batch(m)), wire);
   }
 }
 
@@ -870,7 +848,7 @@ TEST(MasterService, BusyWorkerOutlastsIdleTimeoutWithoutRequeue) {
   wq::TaskMessage t = simple_task(400);
   t.command_line = "sleep 0.8";
   master.submit(t);
-  const pid_t worker = fork_worker(master.port(), "busy", wq::WireVersion::kV2);
+  const pid_t worker = fork_worker(master.port(), "busy");
 
   const NetMasterStats stats = master.run_until_complete(20.0);
 
@@ -904,6 +882,91 @@ TEST(MasterService, ListenerRefusesConnectsOnceTheRunReturns) {
   const int fd = connect_tcp("127.0.0.1", master.port());
   EXPECT_LT(fd, 0) << "the finished master still accepts connections";
   if (fd >= 0) ::close(fd);
+}
+
+// True once the peer end of `fd` is closed (EOF, or a reset).
+bool peer_closed(int fd) {
+  char c;
+  const ssize_t n = ::recv(fd, &c, 1, MSG_DONTWAIT);
+  return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+}
+
+TEST(MasterService, PeerThatNeverSaysHelloIsIdleClosed) {
+  // A raw socket connects and stays silent; an echo worker arrives 1 s
+  // later. The silent link holds no work, so idle_timeout closes it like
+  // any other link. Untraced, it would otherwise stay open until the run
+  // ends; traced, the finish sequence leaves each close to the peer and
+  // would wait for it forever.
+  constexpr double kHeartbeat = 0.05;
+  constexpr double kIdle = 0.3;
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    obs::Recorder::global().set_enabled(traced);
+    obs::Recorder::global().clear();
+    obs::Metrics metrics;
+    EventLoop loop;
+    MasterServiceConfig config;
+    config.heartbeat_interval = kHeartbeat;
+    config.idle_timeout = kIdle;
+    config.metrics = &metrics;
+    MasterService master(loop, config);
+    master.submit(simple_task(600));
+
+    const int silent = connect_tcp("127.0.0.1", master.port());
+    ASSERT_GE(silent, 0);
+    const double connected_at = EventLoop::now();
+    double eof_after = -1.0;
+    const uint64_t watch = loop.run_every(0.01, [&] {
+      if (eof_after < 0 && peer_closed(silent)) {
+        eof_after = EventLoop::now() - connected_at;
+      }
+    });
+    pid_t worker = -1;
+    loop.run_after(1.0, [&] { worker = fork_worker(master.port(), "late"); });
+
+    NetMasterStats stats;
+    EXPECT_NO_THROW(stats = master.run_until_complete(4.0));
+    loop.cancel_timer(watch);
+    ::close(silent);
+    obs::Recorder::global().set_enabled(false);
+    obs::Recorder::global().clear();
+
+    EXPECT_EQ(stats.tasks_completed, 1);
+    EXPECT_GE(metrics.counter("net.idle_closes").value(), 1);
+    if (!traced) {
+      EXPECT_GE(eof_after, 0.0) << "the silent peer was never closed";
+      EXPECT_LE(eof_after, kIdle + 2 * kHeartbeat);
+    }
+    ASSERT_GT(worker, 0);
+    int status = -1;
+    ASSERT_EQ(waitpid(worker, &status, 0), worker);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+}
+
+TEST(MasterService, NonFramePeerIsClosedAtOnce) {
+  // An HTTP request is not a wq frame: its first byte already says so, so
+  // the link closes at once rather than at the 30 s idle timeout.
+  EventLoop loop;
+  MasterServiceConfig config;
+  config.idle_timeout = 30.0;
+  MasterService master(loop, config);
+  const int fd = connect_tcp("127.0.0.1", master.port());
+  ASSERT_GE(fd, 0);
+  const std::string request = "GET / HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  bool closed = false;
+  loop.run_every(0.01, [&] {
+    if (peer_closed(fd)) {
+      closed = true;
+      loop.stop();
+    }
+  });
+  loop.run_after(1.0, [&] { loop.stop(); });
+  loop.run();
+  ::close(fd);
+  EXPECT_TRUE(closed) << "no EOF within 1 s";
 }
 
 }  // namespace

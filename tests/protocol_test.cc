@@ -1,6 +1,7 @@
-// Tests for the Work Queue wire protocol codec, both wire versions.
+// Tests for the Work Queue wire protocol codec.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,16 +34,9 @@ ResultMessage sample_result() {
   return msg;
 }
 
-class ProtocolBothVersions : public ::testing::TestWithParam<WireVersion> {};
-
-INSTANTIATE_TEST_SUITE_P(Versions, ProtocolBothVersions,
-                         ::testing::Values(WireVersion::kV1, WireVersion::kV2));
-
-TEST_P(ProtocolBothVersions, TaskRoundtrip) {
+TEST(Protocol, TaskRoundtrip) {
   const TaskMessage original = sample_task();
-  const std::string wire = encode(original, GetParam());
-  EXPECT_EQ(detect_version(wire), GetParam());
-  const TaskMessage back = decode_task(wire);
+  const TaskMessage back = decode_task(encode(original));
   EXPECT_EQ(back.task_id, 42u);
   EXPECT_EQ(back.category, "hep-analysis");
   EXPECT_EQ(back.command_line, original.command_line);
@@ -55,13 +49,20 @@ TEST_P(ProtocolBothVersions, TaskRoundtrip) {
   EXPECT_FALSE(back.infiles[1].cacheable);
   ASSERT_EQ(back.outfiles.size(), 1u);
   EXPECT_EQ(back.outfiles[0], "hist-00001.pkl");
+
+  // Integer fields are exact: 2^53 + 1 is the first integer a double cannot
+  // represent, and sizes may be negative.
+  constexpr int64_t kBoundary = (int64_t{1} << 53) + 1;
+  for (const int64_t size : {kBoundary, int64_t{-5}, INT64_MAX, INT64_MIN}) {
+    TaskMessage t = sample_task();
+    t.infiles[0].size_bytes = size;
+    EXPECT_EQ(decode_task(encode(t)).infiles[0].size_bytes, size);
+  }
 }
 
-TEST_P(ProtocolBothVersions, ResultRoundtrip) {
+TEST(Protocol, ResultRoundtrip) {
   const ResultMessage msg = sample_result();
-  const std::string wire = encode(msg, GetParam());
-  EXPECT_EQ(detect_version(wire), GetParam());
-  const ResultMessage back = decode_result(wire);
+  const ResultMessage back = decode_result(encode(msg));
   EXPECT_EQ(back.task_id, 7u);
   EXPECT_EQ(back.exit_code, 0);
   EXPECT_FALSE(back.exhausted);
@@ -69,45 +70,62 @@ TEST_P(ProtocolBothVersions, ResultRoundtrip) {
   EXPECT_EQ(back.memory_peak_bytes, 88000000);
   EXPECT_DOUBLE_EQ(back.wall_seconds, 63.25);
   EXPECT_EQ(back.payload, msg.payload);
+
+  // Exact integers above the double range, negative peaks, and negative
+  // exit codes (-9: killed by SIGKILL).
+  constexpr int64_t kBoundary = (int64_t{1} << 53) + 1;
+  for (const int64_t peak : {kBoundary, -kBoundary, INT64_MAX, INT64_MIN}) {
+    ResultMessage r = sample_result();
+    r.memory_peak_bytes = peak;
+    r.disk_peak_bytes = peak + (peak < 0 ? 2 : -2);
+    const ResultMessage rback = decode_result(encode(r));
+    EXPECT_EQ(rback.memory_peak_bytes, r.memory_peak_bytes);
+    EXPECT_EQ(rback.disk_peak_bytes, r.disk_peak_bytes);
+  }
+  for (const int code : {-9, -1, INT32_MIN, INT32_MAX}) {
+    ResultMessage r = sample_result();
+    r.exit_code = code;
+    EXPECT_EQ(decode_result(encode(r)).exit_code, code);
+  }
 }
 
-TEST_P(ProtocolBothVersions, ExhaustionReport) {
+TEST(Protocol, ExhaustionReport) {
   ResultMessage msg;
   msg.task_id = 9;
   msg.exit_code = -1;
   msg.exhausted = true;
   msg.exhausted_resource = "memory";
   msg.wall_seconds = 10.0;
-  const ResultMessage back = decode_result(encode(msg, GetParam()));
+  const ResultMessage back = decode_result(encode(msg));
   EXPECT_TRUE(back.exhausted);
   EXPECT_EQ(back.exhausted_resource, "memory");
   EXPECT_EQ(back.exit_code, -1);
 }
 
-TEST_P(ProtocolBothVersions, CommandEscaping) {
+TEST(Protocol, CommandLineRoundtripsVerbatim) {
   TaskMessage msg = sample_task();
   msg.command_line = "sh -c 'echo 100% done\ttab\nnewline'";
-  const TaskMessage back = decode_task(encode(msg, GetParam()));
+  const TaskMessage back = decode_task(encode(msg));
   EXPECT_EQ(back.command_line, msg.command_line);
 }
 
-TEST_P(ProtocolBothVersions, EncodedSizeMatchesEncode) {
+TEST(Protocol, EncodedSizeMatchesEncode) {
   const TaskMessage t = sample_task();
   const ResultMessage r = sample_result();
-  EXPECT_EQ(encoded_size(t, GetParam()), encode(t, GetParam()).size());
-  EXPECT_EQ(encoded_size(r, GetParam()), encode(r, GetParam()).size());
+  EXPECT_EQ(encoded_size(t), encode(t).size());
+  EXPECT_EQ(encoded_size(r), encode(r).size());
 }
 
-TEST_P(ProtocolBothVersions, RejectsInvalidTokens) {
+TEST(Protocol, RejectsInvalidTokens) {
   TaskMessage msg = sample_task();
   msg.category = "has space";
-  EXPECT_THROW(encode(msg, GetParam()), Error);
+  EXPECT_THROW(encode(msg), Error);
   msg = sample_task();
   msg.infiles[0].name = "bad\nname";
-  EXPECT_THROW(encode(msg, GetParam()), Error);
+  EXPECT_THROW(encode(msg), Error);
 }
 
-TEST_P(ProtocolBothVersions, TaskBatchRoundtrip) {
+TEST(Protocol, TaskBatchRoundtrip) {
   std::vector<TaskMessage> batch;
   for (int i = 0; i < 5; ++i) {
     TaskMessage msg = sample_task();
@@ -115,7 +133,7 @@ TEST_P(ProtocolBothVersions, TaskBatchRoundtrip) {
     msg.command_line = "run step " + std::to_string(i);
     batch.push_back(std::move(msg));
   }
-  const std::vector<TaskMessage> back = decode_task_batch(encode_batch(batch, GetParam()));
+  const std::vector<TaskMessage> back = decode_task_batch(encode_batch(batch));
   ASSERT_EQ(back.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(back[static_cast<size_t>(i)].task_id, 100u + static_cast<uint64_t>(i));
@@ -123,15 +141,14 @@ TEST_P(ProtocolBothVersions, TaskBatchRoundtrip) {
   }
 }
 
-TEST_P(ProtocolBothVersions, ResultBatchRoundtrip) {
+TEST(Protocol, ResultBatchRoundtrip) {
   std::vector<ResultMessage> batch;
   for (int i = 0; i < 4; ++i) {
     ResultMessage msg = sample_result();
     msg.task_id = 200 + static_cast<uint64_t>(i);
     batch.push_back(std::move(msg));
   }
-  const std::vector<ResultMessage> back =
-      decode_result_batch(encode_batch(batch, GetParam()));
+  const std::vector<ResultMessage> back = decode_result_batch(encode_batch(batch));
   ASSERT_EQ(back.size(), 4u);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(back[static_cast<size_t>(i)].task_id, 200u + static_cast<uint64_t>(i));
@@ -139,64 +156,27 @@ TEST_P(ProtocolBothVersions, ResultBatchRoundtrip) {
   }
 }
 
-TEST_P(ProtocolBothVersions, SingleMessageDecodesAsBatchOfOne) {
-  const std::vector<TaskMessage> back =
-      decode_task_batch(encode(sample_task(), GetParam()));
+TEST(Protocol, SingleMessageDecodesAsBatchOfOne) {
+  const std::vector<TaskMessage> back = decode_task_batch(encode(sample_task()));
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0].task_id, 42u);
 }
 
-// A v1 peer and a v2 peer exchange the same logical messages: encoding in
-// one version and re-encoding the decoded message in the other must be
-// lossless in both directions.
-TEST(Protocol, CrossVersionDecode) {
-  const TaskMessage t = sample_task();
-  const TaskMessage via_v1 = decode_task(encode(t, WireVersion::kV1));
-  const TaskMessage via_v2 = decode_task(encode(via_v1, WireVersion::kV2));
-  EXPECT_EQ(via_v2.task_id, t.task_id);
-  EXPECT_EQ(via_v2.command_line, t.command_line);
-  EXPECT_EQ(encode(via_v2, WireVersion::kV1), encode(t, WireVersion::kV1));
-
-  const ResultMessage r = sample_result();
-  const ResultMessage rv2 = decode_result(encode(r, WireVersion::kV2));
-  EXPECT_EQ(encode(rv2, WireVersion::kV1), encode(r, WireVersion::kV1));
-  const ResultMessage rv1 = decode_result(encode(r, WireVersion::kV1));
-  EXPECT_EQ(encode(rv1, WireVersion::kV2), encode(r, WireVersion::kV2));
-}
-
-TEST(Protocol, DetectVersion) {
-  EXPECT_EQ(detect_version(encode(sample_task(), WireVersion::kV1)), WireVersion::kV1);
-  EXPECT_EQ(detect_version(encode(sample_task(), WireVersion::kV2)), WireVersion::kV2);
-  EXPECT_THROW(detect_version(""), Error);
-}
-
-TEST(Protocol, V2IsSmallerOnPayloadBearingResults) {
+TEST(Protocol, PayloadTravelsRaw) {
   ResultMessage msg = sample_result();
   msg.payload.assign(4096, 0xAB);  // incompressible-looking raw bytes
-  const size_t v1 = encode(msg, WireVersion::kV1).size();
-  const size_t v2 = encode(msg, WireVersion::kV2).size();
-  // v1 base64 inflates the payload by 4/3; v2 ships it raw.
-  EXPECT_LT(v2, v1 * 3 / 4);
-}
-
-TEST(Protocol, WireIsLineOriented) {
-  const std::string wire = encode(sample_task(), WireVersion::kV1);
-  EXPECT_EQ(wire.substr(0, 5), "task ");
-  EXPECT_EQ(wire.substr(wire.size() - 4), "end\n");
-  // One stanza per line; no raw spaces inside the cmd payload.
-  EXPECT_NE(wire.find("\ninfile hep-conda-env.tar.gz 240000000 1\n"),
-            std::string::npos);
-}
-
-TEST(Protocol, RejectsUnterminated) {
-  std::string wire = encode(sample_task(), WireVersion::kV1);
-  wire = wire.substr(0, wire.size() - 4);  // chop "end\n"
-  EXPECT_THROW(decode_task(wire), Error);
+  const std::string wire = encode(msg);
+  // The payload's bytes appear verbatim; the rest of the frame is a few
+  // dozen bytes of header and fields, not a 4/3 text encoding.
+  const std::string raw(msg.payload.begin(), msg.payload.end());
+  EXPECT_NE(wire.find(raw), std::string::npos);
+  EXPECT_LT(wire.size(), msg.payload.size() + 64);
 }
 
 TEST(Protocol, RejectsTruncatedFrame) {
-  const std::string wire = encode(sample_task(), WireVersion::kV2);
-  for (const size_t keep : {size_t{1}, size_t{3}, wire.size() / 2, wire.size() - 1}) {
+  const std::string wire = encode(sample_task());
+  for (const size_t keep : {size_t{0}, size_t{1}, size_t{3}, wire.size() / 2,
+                            wire.size() - 1}) {
     EXPECT_THROW(decode_task(wire.substr(0, keep)), Error) << "keep=" << keep;
   }
   // Trailing garbage after the frame body is also an error.
@@ -204,74 +184,11 @@ TEST(Protocol, RejectsTruncatedFrame) {
 }
 
 TEST(Protocol, RejectsWrongMessageKind) {
-  for (const WireVersion v : {WireVersion::kV1, WireVersion::kV2}) {
-    EXPECT_THROW(decode_result(encode(sample_task(), v)), Error);
-    ResultMessage r;
-    r.task_id = 1;
-    r.wall_seconds = 1.0;
-    EXPECT_THROW(decode_task(encode(r, v)), Error);
-  }
-}
-
-TEST(Protocol, RejectsUnknownStanza) {
-  EXPECT_THROW(decode_task("task 1 cat\nbogus stanza\nend\n"), Error);
-}
-
-TEST(Protocol, RejectsMissingAllocOrUsage) {
-  EXPECT_THROW(decode_task("task 1 cat\ncmd x\nend\n"), Error);
-  EXPECT_THROW(decode_result("result 1 0\nend\n"), Error);
-}
-
-TEST(Protocol, RejectsMalformedNumbers) {
-  EXPECT_THROW(decode_task("task abc cat\nalloc 1 1 1\nend\n"), Error);
-  EXPECT_THROW(decode_task("task 1 cat\nalloc x 1 1\nend\n"), Error);
-  EXPECT_THROW(decode_result("result 1 0\nusage 1 nope 1 1\nend\n"), Error);
-}
-
-// Regression: v1 integer fields (peak bytes, infile sizes, exit codes) used
-// to be parsed through the double path, which silently rounds above 2^53.
-// 2^53 + 1 is the first integer a double cannot represent.
-TEST(Protocol, V1IntegerFieldsExactAboveDoubleRange) {
-  constexpr int64_t kBoundary = (int64_t{1} << 53) + 1;
+  EXPECT_THROW(decode_result(encode(sample_task())), Error);
   ResultMessage r;
   r.task_id = 1;
-  r.memory_peak_bytes = kBoundary;
-  r.disk_peak_bytes = kBoundary + 2;
   r.wall_seconds = 1.0;
-  const ResultMessage back = decode_result(encode(r, WireVersion::kV1));
-  EXPECT_EQ(back.memory_peak_bytes, kBoundary);
-  EXPECT_EQ(back.disk_peak_bytes, kBoundary + 2);
-
-  TaskMessage t = sample_task();
-  t.infiles[0].size_bytes = kBoundary;
-  const TaskMessage tback = decode_task(encode(t, WireVersion::kV1));
-  EXPECT_EQ(tback.infiles[0].size_bytes, kBoundary);
-}
-
-TEST(Protocol, V1NegativeIntegerFields) {
-  ResultMessage r;
-  r.task_id = 3;
-  r.exit_code = -9;  // killed by SIGKILL
-  r.wall_seconds = 0.5;
-  const ResultMessage back = decode_result(encode(r, WireVersion::kV1));
-  EXPECT_EQ(back.exit_code, -9);
-}
-
-// Regression: the v1 integer parser multiplied without an overflow check,
-// so a 25-digit field wrapped around and decoded as garbage.
-TEST(Protocol, V1RejectsOverflowingIntegers) {
-  const std::string huge(25, '9');
-  EXPECT_THROW(decode_task("task " + huge + " cat\nalloc 1 1 1\nend\n"), Error);
-  EXPECT_THROW(
-      decode_result("result 1 0\nusage 1 " + huge + " 1 1\nend\n"), Error);
-  // INT64_MAX itself still parses.
-  const ResultMessage ok = decode_result(
-      "result 1 0\nusage 1.0 9223372036854775807 0 1.0\nend\n");
-  EXPECT_EQ(ok.memory_peak_bytes, INT64_MAX);
-  // One past it does not.
-  EXPECT_THROW(
-      decode_result("result 1 0\nusage 1.0 9223372036854775808 0 1.0\nend\n"),
-      Error);
+  EXPECT_THROW(decode_task(encode(r)), Error);
 }
 
 TEST(Protocol, ValidTokenRules) {
@@ -280,11 +197,6 @@ TEST(Protocol, ValidTokenRules) {
   EXPECT_FALSE(valid_token(""));
   EXPECT_FALSE(valid_token("a b"));
   EXPECT_FALSE(valid_token("a\tb"));
-}
-
-TEST(Protocol, FieldCountValidation) {
-  EXPECT_THROW(decode_task("task 1\nalloc 1 1 1\nend\n"), Error);
-  EXPECT_THROW(decode_task("task 1 cat extra_field\nalloc 1 1 1\nend\n"), Error);
 }
 
 TEST(Protocol, BatchSizeArithmeticMatchesEncoder) {
@@ -303,30 +215,37 @@ TEST(Protocol, BatchSizeArithmeticMatchesEncoder) {
     batch.push_back(std::move(msg));
   }
   EXPECT_EQ(batch_frame_size(batch.size(), prefixed),
-            encode_batch(batch, WireVersion::kV2).size());
+            encode_batch(batch).size());
 }
 
-TEST_P(ProtocolBothVersions, HelloRoundtrip) {
+TEST(Protocol, HelloRoundtrip) {
   HelloMessage msg;
   msg.worker_name = "node-17.cluster";
-  msg.preferred = WireVersion::kV1;
   msg.capacity = alloc::Resources{16.0, 64e9, 500e9};
-  const std::string wire = encode(msg, GetParam());
-  EXPECT_EQ(detect_version(wire), GetParam());
+  const std::string wire = encode(msg);
   EXPECT_EQ(classify(wire), MessageKind::kHello);
   const HelloMessage back = decode_hello(wire);
   EXPECT_EQ(back.worker_name, "node-17.cluster");
-  EXPECT_EQ(back.preferred, WireVersion::kV1);
   EXPECT_DOUBLE_EQ(back.capacity.cores, 16.0);
   EXPECT_DOUBLE_EQ(back.capacity.memory_bytes, 64e9);
+
+  // The body's version byte (just before the three capacity doubles) is
+  // always 2, and a hello carrying any other value is rejected.
+  const size_t version_at = wire.size() - 25;
+  EXPECT_EQ(wire[version_at], '\x02');
+  for (const char other : {'\x00', '\x01', '\x03', '\xFF'}) {
+    std::string bad = wire;
+    bad[version_at] = other;
+    EXPECT_THROW(decode_hello(bad), Error) << "version byte " << int(other);
+  }
 }
 
-TEST_P(ProtocolBothVersions, FileRoundtrip) {
+TEST(Protocol, FileRoundtrip) {
   FileMessage msg;
   msg.name = "fn-7.py";
   msg.cacheable = true;
   msg.content = serde::Bytes{0x00, 0x0A, 0xF7, 'e', 'n', 'd', '\n', 0xFF};
-  const std::string wire = encode(msg, GetParam());
+  const std::string wire = encode(msg);
   EXPECT_EQ(classify(wire), MessageKind::kFile);
   const FileMessage back = decode_file(wire);
   EXPECT_EQ(back.name, "fn-7.py");
@@ -335,16 +254,16 @@ TEST_P(ProtocolBothVersions, FileRoundtrip) {
 
   FileMessage empty;
   empty.name = "empty.pkl";
-  const FileMessage back2 = decode_file(encode(empty, GetParam()));
+  const FileMessage back2 = decode_file(encode(empty));
   EXPECT_TRUE(back2.content.empty());
   EXPECT_FALSE(back2.cacheable);
 }
 
-TEST_P(ProtocolBothVersions, ControlRoundtrip) {
+TEST(Protocol, ControlRoundtrip) {
   for (ControlType type :
        {ControlType::kPing, ControlType::kPong, ControlType::kBye}) {
     ControlMessage msg{type, 12345678901234ull, 1722.034512345};
-    const std::string wire = encode(msg, GetParam());
+    const std::string wire = encode(msg);
     EXPECT_EQ(classify(wire), MessageKind::kControl);
     const ControlMessage back = decode_control(wire);
     EXPECT_EQ(back.type, type);
@@ -353,7 +272,7 @@ TEST_P(ProtocolBothVersions, ControlRoundtrip) {
   }
 }
 
-TEST_P(ProtocolBothVersions, StatsRoundtrip) {
+TEST(Protocol, StatsRoundtrip) {
   StatsMessage msg;
   msg.source = "foreman-3";
   msg.workers = 12;
@@ -363,7 +282,7 @@ TEST_P(ProtocolBothVersions, StatsRoundtrip) {
   msg.fanout_files = 4321;
   msg.cache_chunks = 512;
   msg.cache_bytes = 1073741824;
-  const std::string wire = encode(msg, GetParam());
+  const std::string wire = encode(msg);
   EXPECT_EQ(classify(wire), MessageKind::kStats);
   const StatsMessage back = decode_stats(wire);
   EXPECT_EQ(back.source, "foreman-3");
@@ -379,25 +298,23 @@ TEST_P(ProtocolBothVersions, StatsRoundtrip) {
   // rejected (it would make the root's per-shard bookkeeping ambiguous).
   StatsMessage minimal;
   minimal.source = "f";
-  const StatsMessage back2 = decode_stats(encode(minimal, GetParam()));
+  const StatsMessage back2 = decode_stats(encode(minimal));
   EXPECT_EQ(back2.source, "f");
   EXPECT_EQ(back2.workers, 0);
   StatsMessage anonymous;
-  EXPECT_THROW(decode_stats(encode(anonymous, GetParam())), Error);
+  EXPECT_THROW(decode_stats(encode(anonymous)), Error);
 }
 
 TEST(Protocol, ClassifyDistinguishesEveryKind) {
-  for (WireVersion v : {WireVersion::kV1, WireVersion::kV2}) {
-    EXPECT_EQ(classify(encode(sample_task(), v)), MessageKind::kTask);
-    EXPECT_EQ(classify(encode(sample_result(), v)), MessageKind::kResult);
-    EXPECT_EQ(classify(encode(HelloMessage{"w", WireVersion::kV2, {}}, v)),
-              MessageKind::kHello);
-    EXPECT_EQ(classify(encode(FileMessage{"f", false, {}}, v)),
-              MessageKind::kFile);
-    EXPECT_EQ(classify(encode(ControlMessage{}, v)), MessageKind::kControl);
-    EXPECT_EQ(classify(encode(StatsMessage{"f", 1, 0, 0, 0, 0, 0, 0}, v)),
-              MessageKind::kStats);
-  }
+  EXPECT_EQ(classify(encode(sample_task())), MessageKind::kTask);
+  EXPECT_EQ(classify(encode(sample_result())), MessageKind::kResult);
+  EXPECT_EQ(classify(encode(HelloMessage{"w", {}})), MessageKind::kHello);
+  EXPECT_EQ(classify(encode(FileMessage{"f", false, {}})), MessageKind::kFile);
+  EXPECT_EQ(classify(encode(ControlMessage{})), MessageKind::kControl);
+  EXPECT_EQ(classify(encode(StatsMessage{"f", 1, 0, 0, 0, 0, 0, 0})),
+            MessageKind::kStats);
+  EXPECT_EQ(classify(encode(TelemetryMessage{"t", 1, 0.0, 0, {}, {}, {}})),
+            MessageKind::kTelemetry);
   EXPECT_EQ(classify(encode_batch(std::vector<TaskMessage>{sample_task(),
                                                            sample_task()})),
             MessageKind::kTaskBatch);
@@ -406,21 +323,31 @@ TEST(Protocol, ClassifyDistinguishesEveryKind) {
             MessageKind::kResultBatch);
   EXPECT_THROW(classify(""), Error);
   EXPECT_THROW(classify("bogus 1 2\nend\n"), Error);
+  EXPECT_THROW(classify(std::string("\xF7Q\x01\x01\x00", 5)), Error);
+  // An unknown type byte is reported as the byte's value, not sign-extended.
+  try {
+    classify(std::string("\xF7Q\x02\xF0\x00", 5));
+    FAIL() << "type 0xF0 classified";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected frame type 240"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --- distributed tracing extensions ------------------------------------------
 
-TEST(Protocol, TraceIdRoundTripsOnV2TaskAndResult) {
+TEST(Protocol, TraceIdRoundTripsOnTaskAndResult) {
   TaskMessage t = sample_task();
   t.trace_id = 0xDEADBEEFCAFE1234ull;
   t.parent_span = 77;
-  const TaskMessage tback = decode_task(encode(t, WireVersion::kV2));
+  const TaskMessage tback = decode_task(encode(t));
   EXPECT_EQ(tback.trace_id, 0xDEADBEEFCAFE1234ull);
   EXPECT_EQ(tback.parent_span, 77u);
 
   ResultMessage r = sample_result();
   r.trace_id = 0xDEADBEEFCAFE1234ull;
-  const ResultMessage rback = decode_result(encode(r, WireVersion::kV2));
+  const ResultMessage rback = decode_result(encode(r));
   EXPECT_EQ(rback.trace_id, 0xDEADBEEFCAFE1234ull);
 }
 
@@ -428,29 +355,16 @@ TEST(Protocol, UntracedFramesCarryNoExtensionBytes) {
   // trace_id == 0 must leave the encoding byte-identical to a codec that
   // never heard of tracing: the extension is trailing and conditional.
   TaskMessage t = sample_task();
-  const std::string before = encode(t, WireVersion::kV2);
+  const std::string before = encode(t);
   t.trace_id = 0;
   t.parent_span = 0;
-  EXPECT_EQ(encode(t, WireVersion::kV2), before);
+  EXPECT_EQ(encode(t), before);
   t.trace_id = 5;
-  EXPECT_GT(encode(t, WireVersion::kV2).size(), before.size());
+  EXPECT_GT(encode(t).size(), before.size());
   // Decoding the untraced frame leaves the fields defaulted.
   const TaskMessage back = decode_task(before);
   EXPECT_EQ(back.trace_id, 0u);
   EXPECT_EQ(back.parent_span, 0u);
-}
-
-TEST(Protocol, V1DropsTraceIdsGracefully) {
-  // v1 has no extension slot: the ids simply don't travel — old peers see
-  // exactly the frames they always saw.
-  TaskMessage t = sample_task();
-  t.trace_id = 123;
-  t.parent_span = 9;
-  const TaskMessage back = decode_task(encode(t, WireVersion::kV1));
-  EXPECT_EQ(back.trace_id, 0u);
-  ResultMessage r = sample_result();
-  r.trace_id = 123;
-  EXPECT_EQ(decode_result(encode(r, WireVersion::kV1)).trace_id, 0u);
 }
 
 TEST(Protocol, TracedBatchEntriesStayBounded) {
@@ -461,7 +375,7 @@ TEST(Protocol, TracedBatchEntriesStayBounded) {
   tasks[2].trace_id = 3333;
   tasks[2].parent_span = 4;
   const std::vector<TaskMessage> back =
-      decode_task_batch(encode_batch(tasks, WireVersion::kV2));
+      decode_task_batch(encode_batch(tasks));
   ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(back[0].trace_id, 1111u);
   EXPECT_EQ(back[1].trace_id, 0u);
@@ -471,7 +385,7 @@ TEST(Protocol, TracedBatchEntriesStayBounded) {
   std::vector<ResultMessage> results{sample_result(), sample_result()};
   results[1].trace_id = 2222;
   const std::vector<ResultMessage> rback =
-      decode_result_batch(encode_batch(results, WireVersion::kV2));
+      decode_result_batch(encode_batch(results));
   ASSERT_EQ(rback.size(), 2u);
   EXPECT_EQ(rback[0].trace_id, 0u);
   EXPECT_EQ(rback[1].trace_id, 2222u);
@@ -481,23 +395,21 @@ TEST(Protocol, EncodedSizeCoversTraceExtensions) {
   TaskMessage t = sample_task();
   t.trace_id = 0xFFFFFFFFFFFFFFFFull;  // max-width varint
   t.parent_span = 1;
-  EXPECT_EQ(encoded_size(t, WireVersion::kV2),
-            encode(t, WireVersion::kV2).size());
+  EXPECT_EQ(encoded_size(t), encode(t).size());
   ResultMessage r = sample_result();
   r.trace_id = 300;
-  EXPECT_EQ(encoded_size(r, WireVersion::kV2),
-            encode(r, WireVersion::kV2).size());
+  EXPECT_EQ(encoded_size(r), encode(r).size());
 }
 
-TEST_P(ProtocolBothVersions, ControlPeerTimeRoundtrip) {
+TEST(Protocol, ControlPeerTimeRoundtrip) {
   ControlMessage ping{ControlType::kPong, 42, 1234.5};
   ping.peer_time = 987.654321;
-  const ControlMessage back = decode_control(encode(ping, GetParam()));
+  const ControlMessage back = decode_control(encode(ping));
   EXPECT_DOUBLE_EQ(back.peer_time, 987.654321);
   // Absent field decodes as zero — and adds no bytes to the frame.
   ControlMessage plain{ControlType::kPong, 42, 1234.5};
-  const std::string wire = encode(plain, GetParam());
-  EXPECT_LT(wire.size(), encode(ping, GetParam()).size());
+  const std::string wire = encode(plain);
+  EXPECT_LT(wire.size(), encode(ping).size());
   EXPECT_DOUBLE_EQ(decode_control(wire).peer_time, 0.0);
 }
 
@@ -529,7 +441,7 @@ TEST(Protocol, TelemetryRoundtrip) {
   msg.counters.push_back({"net.results", 12});
   msg.gauges.push_back({"net.write_queue_bytes", 4096.0});
 
-  const std::string wire = encode(msg, WireVersion::kV2);
+  const std::string wire = encode(msg);
   EXPECT_EQ(classify(wire), MessageKind::kTelemetry);
   const TelemetryMessage back = decode_telemetry(wire);
   EXPECT_EQ(back.source, "worker-3");
@@ -553,14 +465,9 @@ TEST(Protocol, TelemetryRoundtrip) {
   EXPECT_EQ(back.counters[0].second, 12);
   ASSERT_EQ(back.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(back.gauges[0].second, 4096.0);
-}
 
-TEST(Protocol, TelemetryRequiresV2) {
-  TelemetryMessage msg;
-  msg.source = "w";
-  EXPECT_THROW(encode(msg, WireVersion::kV1), Error);
   TelemetryMessage bad;  // empty source fails validation
-  EXPECT_THROW(encode(bad, WireVersion::kV2), Error);
+  EXPECT_THROW(encode(bad), Error);
 }
 
 TEST(Protocol, OversizedFrameLengthRejectedBeforeAllocation) {
@@ -585,7 +492,7 @@ TEST(Protocol, FrameBodyLimitIsConfigurable) {
   FileMessage big;
   big.name = "blob";
   big.content.assign(1024, 0xAB);
-  const std::string wire = encode(big, WireVersion::kV2);
+  const std::string wire = encode(big);
   EXPECT_THROW(decode_file(wire), Error);
   // Raising the limit back admits the same bytes.
   set_max_frame_body_bytes(0);  // 0 restores the default

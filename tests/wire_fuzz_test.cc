@@ -1,11 +1,9 @@
 // Property-based round-trip and adversarial-input tests for the two data
 // plane codecs: the serde pickle (owned and zero-copy view decode) and the
-// wq wire protocol (v1 text and v2 binary frames). Mutated inputs must
-// either decode or throw lfm::Error — never crash, hang, or read out of
-// bounds.
+// wq wire protocol's binary frames. Mutated inputs must either decode or
+// throw lfm::Error — never crash, hang, or read out of bounds.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
@@ -33,7 +31,7 @@ std::string random_token(Rng& rng, size_t max_len) {
 }
 
 std::string random_text(Rng& rng, size_t max_len) {
-  // Full printable range plus whitespace — exercises the v1 escaper.
+  // Full printable range plus whitespace.
   std::uniform_int_distribution<size_t> len(0, max_len);
   std::uniform_int_distribution<int> pick(0, 96);
   std::string s(len(rng), '\0');
@@ -141,14 +139,9 @@ wq::TaskMessage random_task(Rng& rng) {
   wq::TaskMessage msg;
   msg.task_id = rng() % 1000000 + 1;
   msg.category = random_token(rng, 16);
-  // v1 cannot carry an empty cmd line (the stanza would lose its field), so
-  // keep the command non-empty; emptiness is not interesting to fuzz here.
-  msg.command_line = "run " + random_text(rng, 76);
+  msg.command_line = random_text(rng, 80);
   std::uniform_real_distribution<double> cores(0.25, 64.0);
-  // v1 prints cores with three decimals; generate at that granularity so
-  // the round trip is exact in both versions.
-  const double quantized_cores = std::round(cores(rng) * 1000.0) / 1000.0;
-  msg.allocation = alloc::Resources{quantized_cores, double(rng() % (int64_t{1} << 40)),
+  msg.allocation = alloc::Resources{cores(rng), double(rng() % (int64_t{1} << 40)),
                                     double(rng() % (int64_t{1} << 40))};
   std::uniform_int_distribution<size_t> nfiles(0, 4);
   const size_t n = nfiles(rng);
@@ -203,17 +196,13 @@ bool same_result(const wq::ResultMessage& a, const wq::ResultMessage& b) {
          a.disk_peak_bytes == b.disk_peak_bytes && a.payload == b.payload;
 }
 
-TEST(WireFuzz, ProtocolRoundtripsBothVersions) {
+TEST(WireFuzz, ProtocolRoundtrips) {
   Rng rng(0x5EED);
   for (int i = 0; i < 200; ++i) {
     const wq::TaskMessage t = random_task(rng);
     const wq::ResultMessage r = random_result(rng);
-    for (const auto v : {wq::WireVersion::kV1, wq::WireVersion::kV2}) {
-      EXPECT_TRUE(same_task(wq::decode_task(wq::encode(t, v)), t))
-          << "i=" << i << " v=" << int(v);
-      EXPECT_TRUE(same_result(wq::decode_result(wq::encode(r, v)), r))
-          << "i=" << i << " v=" << int(v);
-    }
+    EXPECT_TRUE(same_task(wq::decode_task(wq::encode(t)), t)) << "i=" << i;
+    EXPECT_TRUE(same_result(wq::decode_result(wq::encode(r)), r)) << "i=" << i;
   }
 }
 
@@ -224,12 +213,10 @@ TEST(WireFuzz, ProtocolBatchRoundtrips) {
     std::uniform_int_distribution<size_t> n(1, 12);
     const size_t count = n(rng);
     for (size_t k = 0; k < count; ++k) batch.push_back(random_result(rng));
-    for (const auto v : {wq::WireVersion::kV1, wq::WireVersion::kV2}) {
-      const auto back = wq::decode_result_batch(wq::encode_batch(batch, v));
-      ASSERT_EQ(back.size(), batch.size()) << "i=" << i << " v=" << int(v);
-      for (size_t k = 0; k < count; ++k) {
-        EXPECT_TRUE(same_result(back[k], batch[k])) << "i=" << i << " k=" << k;
-      }
+    const auto back = wq::decode_result_batch(wq::encode_batch(batch));
+    ASSERT_EQ(back.size(), batch.size()) << "i=" << i;
+    for (size_t k = 0; k < count; ++k) {
+      EXPECT_TRUE(same_result(back[k], batch[k])) << "i=" << i << " k=" << k;
     }
   }
 }
@@ -237,14 +224,12 @@ TEST(WireFuzz, ProtocolBatchRoundtrips) {
 TEST(WireFuzz, ProtocolRejectsTruncation) {
   Rng rng(0x7A5C);
   for (int i = 0; i < 30; ++i) {
-    for (const auto v : {wq::WireVersion::kV1, wq::WireVersion::kV2}) {
-      const std::string wire = wq::encode(random_task(rng), v);
-      // Every strict prefix must be rejected, not misparsed: both versions
-      // are self-delimiting (v1 by the end line, v2 by the length prefix).
-      for (size_t keep = 1; keep < wire.size(); keep += 1 + keep / 8) {
-        EXPECT_THROW(wq::decode_task(wire.substr(0, keep)), Error)
-            << "i=" << i << " v=" << int(v) << " keep=" << keep;
-      }
+    const std::string wire = wq::encode(random_task(rng));
+    // Every strict prefix must be rejected, not misparsed: frames are
+    // self-delimiting by their length prefix.
+    for (size_t keep = 1; keep < wire.size(); keep += 1 + keep / 8) {
+      EXPECT_THROW(wq::decode_task(wire.substr(0, keep)), Error)
+          << "i=" << i << " keep=" << keep;
     }
   }
 }
@@ -252,18 +237,15 @@ TEST(WireFuzz, ProtocolRejectsTruncation) {
 TEST(WireFuzz, ProtocolSurvivesBitFlips) {
   Rng rng(0xF1135);
   for (int i = 0; i < 150; ++i) {
-    for (const auto v : {wq::WireVersion::kV1, wq::WireVersion::kV2}) {
-      std::string wire = wq::encode(random_result(rng), v);
-      std::uniform_int_distribution<size_t> pos(0, wire.size() - 1);
-      std::uniform_int_distribution<int> bit(0, 7);
-      const size_t at = pos(rng);
-      wire[at] =
-          static_cast<char>(static_cast<uint8_t>(wire[at]) ^ (1 << bit(rng)));
-      try {
-        (void)wq::decode_result(wire);
-      } catch (const Error&) {
-        // rejected — fine
-      }
+    std::string wire = wq::encode(random_result(rng));
+    std::uniform_int_distribution<size_t> pos(0, wire.size() - 1);
+    std::uniform_int_distribution<int> bit(0, 7);
+    const size_t at = pos(rng);
+    wire[at] = static_cast<char>(static_cast<uint8_t>(wire[at]) ^ (1 << bit(rng)));
+    try {
+      (void)wq::decode_result(wire);
+    } catch (const Error&) {
+      // rejected — fine
     }
   }
 }

@@ -34,7 +34,8 @@ TEST(LocalWorker, NonZeroExitPropagates) {
 
 TEST(LocalWorker, WireRoundtrip) {
   LocalWorker worker;
-  const std::string reply = worker.handle(encode(make_task("echo hi")));
+  const std::string request = encode(make_task("echo hi"));
+  const std::string reply = encode(worker.execute(decode_task(request)));
   const ResultMessage result = decode_result(reply);
   EXPECT_EQ(result.task_id, 1u);
   EXPECT_EQ(result.exit_code, 0);
@@ -67,9 +68,10 @@ TEST(LocalWorker, MeasuredUsageFeedsLabelerShape) {
   EXPECT_GE(result.cores_used, 0.0);
 }
 
-TEST(LocalWorker, HandleRejectsMalformedWire) {
+TEST(LocalWorker, MalformedWireRunsNothing) {
   LocalWorker worker;
-  EXPECT_THROW(worker.handle("garbage\nend\n"), Error);
+  EXPECT_THROW(worker.execute(decode_task("garbage\nend\n")), Error);
+  EXPECT_EQ(worker.tasks_executed(), 0);
 }
 
 TEST(LocalWorker, ScratchDirectoryUsed) {
@@ -107,7 +109,7 @@ def weigh(items, factor):
   options.poll_interval = 0.01;
   LocalWorker worker(options);
   // Full wire round trip, exactly as master<->worker would exchange.
-  const std::string reply = worker.handle(encode(task), files);
+  const std::string reply = encode(worker.execute(decode_task(encode(task)), files));
   const ResultMessage result = decode_result(reply);
   EXPECT_EQ(result.exit_code, 0);
   ASSERT_FALSE(result.payload.empty());
@@ -153,17 +155,7 @@ def hoard(n):
   EXPECT_EQ(result.exhausted_resource, "memory");
 }
 
-TEST(LocalWorker, RepliesInRequestWireVersion) {
-  // Version negotiation: the worker answers in whatever version the master
-  // spoke, so a v1 master never sees a v2 frame.
-  LocalWorker worker;
-  const std::string v1_reply = worker.handle(encode(make_task("exit 0"), WireVersion::kV1));
-  EXPECT_EQ(detect_version(v1_reply), WireVersion::kV1);
-  const std::string v2_reply = worker.handle(encode(make_task("exit 0"), WireVersion::kV2));
-  EXPECT_EQ(detect_version(v2_reply), WireVersion::kV2);
-}
-
-TEST(LocalWorker, HandleBatchExecutesAllAndRepliesBatched) {
+TEST(LocalWorker, BatchFrameExecutesAllAndRepliesBatched) {
   LocalWorker worker;
   std::vector<TaskMessage> batch;
   for (int i = 0; i < 3; ++i) {
@@ -171,8 +163,11 @@ TEST(LocalWorker, HandleBatchExecutesAllAndRepliesBatched) {
     task.task_id = 20 + static_cast<uint64_t>(i);
     batch.push_back(std::move(task));
   }
-  const std::string reply = worker.handle_batch(encode_batch(batch));
-  const std::vector<ResultMessage> results = decode_result_batch(reply);
+  std::vector<ResultMessage> replies;
+  for (const TaskMessage& task : decode_task_batch(encode_batch(batch))) {
+    replies.push_back(worker.execute(task));
+  }
+  const std::vector<ResultMessage> results = decode_result_batch(encode_batch(replies));
   ASSERT_EQ(results.size(), 3u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(results[static_cast<size_t>(i)].task_id, 20u + static_cast<uint64_t>(i));
