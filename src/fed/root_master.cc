@@ -10,8 +10,7 @@ namespace lfm::fed {
 
 namespace {
 
-// Groups are the units; each travels in frames of its own. A foreman keeps
-// sending kStats while busy, so its silence means death.
+// Groups are the units; each travels in frames of its own.
 constexpr net::Dispatcher::Policy kForemanPolicy{
     .category = "fed",
     .role = "root",
@@ -22,7 +21,6 @@ constexpr net::Dispatcher::Policy kForemanPolicy{
     .drop_mark = "fed.injected_drop",
     .ship_mark = "fed.ship",
     .ship_key = "foreman",
-    .silent_when_busy = false,
     .frame_per_unit = true,
 };
 

@@ -13,9 +13,8 @@
 // Routing is cache-affinity-aware: a group is steered to the foreman that
 // already holds the most of its cacheable input files (ship-once per link),
 // tie-broken by lightest current load. A group's tasks travel in batch
-// frames of their own. A foreman keeps sending kStats while busy, so a
-// silent link is dead whether or not it holds groups, and it is closed after
-// idle_timeout.
+// frames of their own. Every foreman link is pinged each heartbeat, and a
+// link silent for idle_timeout is dead whether or not it holds groups.
 //
 // Failure semantics extend the transport's exactly-once discipline one
 // level up: a dead foreman's in-flight groups requeue to sibling shards
@@ -65,7 +64,7 @@ struct RootMasterConfig {
   size_t max_batch = 64;
   // Stop assigning groups to a link whose unsent backlog exceeds this.
   size_t write_high_watermark = 4u << 20;
-  double heartbeat_interval = 2.0;  // ping idle foremen this often
+  double heartbeat_interval = 2.0;  // ping every foreman this often
   double idle_timeout = 30.0;       // close after this much silence (0 = off)
   // Metrics sink: null records into the process-wide registry gated on
   // obs::Recorder::enabled(); non-null records unconditionally (co-hosted
@@ -124,13 +123,7 @@ class RootMaster : private net::Dispatcher {
     return stats();
   }
 
-  // --- fault injection & introspection -------------------------------------
-  // Abruptly close the k-th (by accept order) live foreman link, as a crash
-  // would: its in-flight groups requeue to surviving siblings. Returns
-  // false if no such link.
-  bool kill_foreman(size_t k) { return drop_link(k); }
-
-  size_t pending_tasks() const { return pending(); }
+  // --- introspection ---------------------------------------------------------
   int connected_foremen() const { return connected(); }
   RootStats stats() const;
   // Last telemetry frame per live foreman, by name.

@@ -39,6 +39,20 @@ struct CommandOutcome {
   bool ok() const { return status == TaskStatus::kSuccess; }
 };
 
+// A command invocation: the child execs argv (which must not be empty) with
+// stdout and stderr on the report pipe. Stepped like any Invocation (lfm.h).
+class CommandInvocation : public Invocation {
+ public:
+  CommandInvocation(const std::vector<std::string>& argv,
+                    const CommandOptions& options);
+  // The command's exit and captured output. Call once, after done().
+  CommandOutcome finish();
+
+ private:
+  std::string program_;
+  size_t max_output_bytes_;
+};
+
 // Run argv[0] with the given arguments under the LFM. A non-zero exit code
 // is still kSuccess at the monitor level (the command ran to completion);
 // callers inspect result.exit_code. kLimitExceeded / kCrashed as usual.

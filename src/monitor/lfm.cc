@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -15,7 +16,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "monitor/detail.h"
 #include "monitor/proc_reader.h"
 #include "obs/recorder.h"
 #include "serde/pickle.h"
@@ -38,24 +38,8 @@ double timeval_seconds(const timeval& tv) {
   return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
 }
 
-// Block until the child exits (`pidfd` readable), report bytes arrive, or
-// `deadline` passes, draining the pipe into `collected` as it fills. poll()
-// skips negative descriptors, so a failed pidfd_open, or a pipe already at
-// EOF, drops out of the wait set: a finished report cannot spin the loop.
-void wait_for_event(int pidfd, int read_fd, bool& pipe_open, double deadline,
-                    serde::Bytes& collected) {
-  pollfd fds[2] = {{pidfd, POLLIN, 0}, {pipe_open ? read_fd : -1, POLLIN, 0}};
-  const double left_ms = std::clamp((deadline - now_seconds()) * 1e3, 0.0, 1e9);
-  if (::poll(fds, 2, static_cast<int>(std::ceil(left_ms))) > 0 &&
-      fds[1].revents != 0 &&
-      io::read_available(read_fd, collected) != io::ReadStatus::kAgain) {
-    pipe_open = false;
-  }
-}
-
-[[noreturn]] void child_main(const TaskFn& fn, const serde::Value& args, int report_fd) {
-  // Own process group so the parent can kill the whole task tree at once.
-  ::setpgid(0, 0);
+[[noreturn]] void function_child(const TaskFn& fn, const serde::Value& args,
+                                 int report_fd) {
   uint8_t status = kReportSuccess;
   serde::Bytes payload;
   try {
@@ -89,103 +73,6 @@ void merge_peaks(ResourceUsage& acc, const ResourceUsage& snapshot) {
 
 }  // namespace
 
-namespace detail {
-
-LoopResult monitor_loop(pid_t pid, int read_fd, const MonitorOptions& options,
-                        ResourceUsage& usage, UsageTimeline& timeline) {
-  ::fcntl(read_fd, F_SETFL, O_NONBLOCK);
-  // Readable once the child exits: the exit event that ends the wait below
-  // as soon as the task is done. Without it (kernels before 5.3) the wait
-  // ends on report bytes or when the next sample is due.
-  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
-  LoopResult result;
-  struct rusage child_usage {};
-  const double start = now_seconds();
-  double next_sample = start;
-  bool pipe_open = true;
-  const uint64_t trace_tid =
-      options.trace_tid != 0 ? options.trace_tid : static_cast<uint64_t>(pid);
-
-  while (true) {
-    const pid_t w = ::wait4(pid, &result.wait_status, WNOHANG, &child_usage);
-    if (w == pid) {
-      // The kernel's own peak and CPU totals for the child (and whatever
-      // it reaped) lift the polled figures: a sample can miss a short peak.
-      // They never lower them, and limits stay judged on polled values.
-      usage.max_rss_bytes = std::max<int64_t>(
-          usage.max_rss_bytes, int64_t{child_usage.ru_maxrss} * 1024);
-      usage.cpu_time = std::max(usage.cpu_time, timeval_seconds(child_usage.ru_utime) +
-                                                    timeval_seconds(child_usage.ru_stime));
-      break;
-    }
-    if (w < 0 && errno == ECHILD) break;  // reaped elsewhere: nothing to wait for
-
-    if (now_seconds() < next_sample) {
-      wait_for_event(pidfd, read_fd, pipe_open, next_sample, result.collected);
-      continue;
-    }
-
-    const double wall = now_seconds() - start;
-    const ResourceUsage snapshot = sample_subtree(pid, wall);
-    merge_peaks(usage, snapshot);
-    if (options.record_timeline) {
-      UsageSample sample;
-      sample.wall_time = snapshot.wall_time;
-      sample.cpu_time = snapshot.cpu_time;
-      sample.rss_bytes = snapshot.rss_bytes;
-      sample.disk_write_bytes = snapshot.disk_write_bytes;
-      sample.processes = snapshot.processes;
-      timeline.add(sample);
-    }
-    if (obs::Recorder::enabled()) {
-      // The per-task resource series the paper's evaluation is built from:
-      // one counter sample per poll on the task's trace lane.
-      obs::Recorder& r = obs::Recorder::global();
-      const double ts = r.now();
-      r.counter(obs::kPidHost, trace_tid, ts, "lfm.usage", "rss_mb",
-                static_cast<double>(snapshot.rss_bytes) / 1e6, "cores",
-                usage.cores);
-      r.counter(obs::kPidHost, trace_tid, ts, "lfm.disk", "disk_write_mb",
-                static_cast<double>(snapshot.disk_write_bytes) / 1e6, "processes",
-                static_cast<double>(snapshot.processes));
-      r.metrics().counter("lfm.polls").add();
-    }
-    if (options.on_poll) options.on_poll(usage);
-
-    if (!result.killed_for_limit) {
-      if (const auto violation = first_violation(usage, options.limits)) {
-        result.violated_resource = *violation;
-        result.killed_for_limit = true;
-        LFM_INFO("lfm", "killing task " + std::to_string(pid) + ": " + *violation +
-                            " limit exceeded (" + usage.summary() + ")");
-        if (obs::Recorder::enabled()) {
-          obs::Recorder& r = obs::Recorder::global();
-          r.instant(obs::kPidHost, trace_tid, r.now(), "limit-kill", "lfm",
-                    "resource", *violation);
-          r.metrics().counter("lfm.limit_kills").add();
-        }
-        ::kill(-pid, SIGKILL);  // the whole process group
-        ::kill(pid, SIGKILL);   // in case setpgid had not run yet
-      }
-    }
-    next_sample = now_seconds() + options.poll_interval;
-  }
-
-  // Final wall time; the child is gone so /proc reads are moot.
-  usage.wall_time = now_seconds() - start;
-  usage.cores = usage.wall_time > 0.0 ? usage.cpu_time / usage.wall_time : 0.0;
-
-  // Collect any remaining bytes. The loop ends on the direct child's exit,
-  // so a background grandchild may still hold the pipe open: take what is
-  // there without waiting for EOF.
-  io::read_available(read_fd, result.collected);
-  ::close(read_fd);
-  if (pidfd >= 0) ::close(pidfd);
-  return result;
-}
-
-}  // namespace detail
-
 const char* task_status_name(TaskStatus status) {
   switch (status) {
     case TaskStatus::kSuccess: return "success";
@@ -196,73 +83,195 @@ const char* task_status_name(TaskStatus status) {
   return "?";
 }
 
-TaskOutcome run_monitored(const TaskFn& fn, const serde::Value& args,
-                          const MonitorOptions& options) {
-  TaskOutcome outcome;
-
+Invocation::Invocation(const std::function<void(int)>& child_main,
+                       MonitorOptions options)
+    : options_(std::move(options)) {
   int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    outcome.error = std::string("pipe: ") + std::strerror(errno);
-    return outcome;
+  // Close-on-exec keeps this read end out of every command a sibling
+  // invocation execs.
+  if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
+    start_error_ = std::string("pipe: ") + std::strerror(errno);
+    done_ = true;
+    return;
   }
-
+  const pid_t parent = ::getpid();
   std::fflush(nullptr);  // avoid duplicated stdio buffers in the child
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    outcome.error = std::string("fork: ") + std::strerror(errno);
+  pid_ = ::fork();
+  if (pid_ < 0) {
+    start_error_ = std::string("fork: ") + std::strerror(errno);
     ::close(pipe_fds[0]);
     ::close(pipe_fds[1]);
-    return outcome;
+    done_ = true;
+    return;
   }
-  if (pid == 0) {
+  if (pid_ == 0) {
+    // Own process group so the parent can kill the whole task tree at once.
+    ::setpgid(0, 0);
+    // Die with the forking thread: a forked child that never execs holds
+    // every fd of its parent, its TCP socket included. The getppid check
+    // covers a parent that died before the prctl.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(1);
     ::close(pipe_fds[0]);
-    child_main(fn, args, pipe_fds[1]);  // never returns
+    child_main(pipe_fds[1]);  // never returns
+    ::_exit(127);
   }
   ::close(pipe_fds[1]);
-
-  const uint64_t trace_tid =
-      options.trace_tid != 0 ? options.trace_tid : static_cast<uint64_t>(pid);
-  const bool traced = obs::Recorder::enabled();
-  if (traced) {
+  read_fd_ = pipe_fds[0];
+  report_open_ = true;
+  ::fcntl(read_fd_, F_SETFL, O_NONBLOCK);
+  // Readable once the child exits: the exit event that lets the owner reap
+  // the task as soon as it is done. Without it (kernels before 5.3) the
+  // wait ends on report bytes or when the next sample is due.
+  pidfd_ = static_cast<int>(::syscall(SYS_pidfd_open, pid_, 0));
+  trace_tid_ = options_.trace_tid != 0 ? options_.trace_tid
+                                       : static_cast<uint64_t>(pid_);
+  traced_ = obs::Recorder::enabled();
+  if (traced_) {
     obs::Recorder& r = obs::Recorder::global();
-    r.begin(obs::kPidHost, trace_tid, r.now(), "lfm.run", "lfm");
+    r.begin(obs::kPidHost, trace_tid_, r.now(), "lfm.run", "lfm");
     r.metrics().counter("lfm.invocations").add();
   }
+  start_ = now_seconds();
+  next_sample_ = start_;
+  step();  // the first sample, right after the fork
+}
 
-  const detail::LoopResult loop =
-      detail::monitor_loop(pid, pipe_fds[0], options, outcome.usage, outcome.timeline);
-  const serde::Bytes& report = loop.collected;
-
-  if (traced) {
-    obs::Recorder& r = obs::Recorder::global();
-    r.end(obs::kPidHost, trace_tid, r.now());
-    r.metrics().histogram("lfm.invocation_seconds").observe(outcome.usage.wall_time);
+Invocation::~Invocation() {
+  if (!done_) {
+    ::kill(-pid_, SIGKILL);  // the whole process group
+    ::kill(pid_, SIGKILL);   // in case setpgid had not run yet
+    ::waitpid(pid_, &wait_status_, 0);
+    end();
   }
+  if (read_fd_ >= 0) ::close(read_fd_);
+  if (pidfd_ >= 0) ::close(pidfd_);
+}
 
-  if (loop.killed_for_limit) {
-    outcome.status = TaskStatus::kLimitExceeded;
-    outcome.violated_resource = loop.violated_resource;
-    outcome.error = "resource limit exceeded: " + loop.violated_resource;
+void Invocation::step() {
+  if (done_) return;
+  // Drain as bytes arrive: a result larger than the pipe buffer blocks the
+  // child until the parent reads.
+  if (report_open_ &&
+      io::read_available(read_fd_, report_) != io::ReadStatus::kAgain) {
+    report_open_ = false;
+  }
+  struct rusage child_usage {};
+  const pid_t w = ::wait4(pid_, &wait_status_, WNOHANG, &child_usage);
+  if (w == pid_) {
+    // The kernel's own peak and CPU totals for the child (and whatever
+    // it reaped) lift the polled figures: a sample can miss a short peak.
+    // They never lower them, and limits stay judged on polled values.
+    usage_.max_rss_bytes = std::max<int64_t>(usage_.max_rss_bytes,
+                                             int64_t{child_usage.ru_maxrss} * 1024);
+    usage_.cpu_time = std::max(usage_.cpu_time, timeval_seconds(child_usage.ru_utime) +
+                                                    timeval_seconds(child_usage.ru_stime));
+    end();
+    return;
+  }
+  if (w < 0 && errno == ECHILD) {  // reaped elsewhere: nothing to wait for
+    end();
+    return;
+  }
+  if (now_seconds() >= next_sample_) sample();
+}
+
+void Invocation::sample() {
+  const ResourceUsage snapshot = sample_subtree(pid_, now_seconds() - start_);
+  merge_peaks(usage_, snapshot);
+  if (options_.record_timeline) {
+    UsageSample s;
+    s.wall_time = snapshot.wall_time;
+    s.cpu_time = snapshot.cpu_time;
+    s.rss_bytes = snapshot.rss_bytes;
+    s.disk_write_bytes = snapshot.disk_write_bytes;
+    s.processes = snapshot.processes;
+    timeline_.add(s);
+  }
+  if (obs::Recorder::enabled()) {
+    // The per-task resource series the paper's evaluation is built from:
+    // one counter sample per poll on the task's trace lane.
+    obs::Recorder& r = obs::Recorder::global();
+    const double ts = r.now();
+    r.counter(obs::kPidHost, trace_tid_, ts, "lfm.usage", "rss_mb",
+              static_cast<double>(snapshot.rss_bytes) / 1e6, "cores", usage_.cores);
+    r.counter(obs::kPidHost, trace_tid_, ts, "lfm.disk", "disk_write_mb",
+              static_cast<double>(snapshot.disk_write_bytes) / 1e6, "processes",
+              static_cast<double>(snapshot.processes));
+    r.metrics().counter("lfm.polls").add();
+  }
+  if (options_.on_poll) options_.on_poll(usage_);
+
+  if (violated_resource_.empty()) {
+    if (const auto violation = first_violation(usage_, options_.limits)) {
+      violated_resource_ = *violation;
+      LFM_INFO("lfm", "killing task " + std::to_string(pid_) + ": " + *violation +
+                          " limit exceeded (" + usage_.summary() + ")");
+      if (obs::Recorder::enabled()) {
+        obs::Recorder& r = obs::Recorder::global();
+        r.instant(obs::kPidHost, trace_tid_, r.now(), "limit-kill", "lfm",
+                  "resource", *violation);
+        r.metrics().counter("lfm.limit_kills").add();
+      }
+      ::kill(-pid_, SIGKILL);  // the whole process group
+      ::kill(pid_, SIGKILL);   // in case setpgid had not run yet
+    }
+  }
+  next_sample_ = now_seconds() + options_.poll_interval;
+}
+
+void Invocation::end() {
+  done_ = true;
+  // Final wall time; the child is gone so /proc reads are moot.
+  usage_.wall_time = now_seconds() - start_;
+  usage_.cores = usage_.wall_time > 0.0 ? usage_.cpu_time / usage_.wall_time : 0.0;
+  // Collect any remaining bytes. The run ends on the direct child's exit,
+  // so a background grandchild may still hold the pipe open: take what is
+  // there without waiting for EOF.
+  if (report_open_) io::read_available(read_fd_, report_);
+  report_open_ = false;
+  if (traced_) {
+    obs::Recorder& r = obs::Recorder::global();
+    r.end(obs::kPidHost, trace_tid_, r.now());
+    r.metrics().histogram("lfm.invocation_seconds").observe(usage_.wall_time);
+  }
+}
+
+FunctionInvocation::FunctionInvocation(const TaskFn& fn, const serde::Value& args,
+                                       MonitorOptions options)
+    : Invocation([&](int report_fd) { function_child(fn, args, report_fd); },
+                 std::move(options)) {}
+
+TaskOutcome FunctionInvocation::finish() {
+  TaskOutcome outcome;
+  outcome.usage = usage_;
+  outcome.timeline = std::move(timeline_);
+  if (!start_error_.empty()) {
+    outcome.error = start_error_;
     return outcome;
   }
-
-  if (report.empty()) {
+  if (!violated_resource_.empty()) {
+    outcome.status = TaskStatus::kLimitExceeded;
+    outcome.violated_resource = violated_resource_;
+    outcome.error = "resource limit exceeded: " + violated_resource_;
+    return outcome;
+  }
+  if (report_.empty()) {
     outcome.status = TaskStatus::kCrashed;
-    if (WIFSIGNALED(loop.wait_status)) {
+    if (WIFSIGNALED(wait_status_)) {
       outcome.error = std::string("task killed by signal ") +
-                      std::to_string(WTERMSIG(loop.wait_status));
+                      std::to_string(WTERMSIG(wait_status_));
     } else {
       outcome.error = "task exited without reporting a result (status " +
-                      std::to_string(WEXITSTATUS(loop.wait_status)) + ")";
+                      std::to_string(WEXITSTATUS(wait_status_)) + ")";
     }
     return outcome;
   }
-
-  const uint8_t report_kind = report[0];
+  const uint8_t report_kind = report_[0];
   try {
     // Decode in place over the pipe buffer — the old copy of the payload
     // bytes into a fresh vector was pure overhead on every task return.
-    serde::Value value = serde::loads(report.data() + 1, report.size() - 1);
+    serde::Value value = serde::loads(report_.data() + 1, report_.size() - 1);
     if (report_kind == kReportSuccess) {
       outcome.status = TaskStatus::kSuccess;
       outcome.result = std::move(value);
@@ -275,6 +284,28 @@ TaskOutcome run_monitored(const TaskFn& fn, const serde::Value& args,
     outcome.error = std::string("corrupt result report: ") + e.what();
   }
   return outcome;
+}
+
+void wait_until_done(Invocation& invocation) {
+  while (!invocation.done()) {
+    // poll() skips negative descriptors, so a failed pidfd_open, or a pipe
+    // already at EOF, drops out of the wait set: a finished report cannot
+    // spin the loop.
+    pollfd fds[2] = {
+        {invocation.exit_fd(), POLLIN, 0},
+        {invocation.report_open() ? invocation.report_fd() : -1, POLLIN, 0}};
+    const double left_ms =
+        std::clamp((invocation.next_sample() - now_seconds()) * 1e3, 0.0, 1e9);
+    ::poll(fds, 2, static_cast<int>(std::ceil(left_ms)));
+    invocation.step();
+  }
+}
+
+TaskOutcome run_monitored(const TaskFn& fn, const serde::Value& args,
+                          const MonitorOptions& options) {
+  FunctionInvocation invocation(fn, args, options);
+  wait_until_done(invocation);
+  return invocation.finish();
 }
 
 }  // namespace lfm::monitor

@@ -13,7 +13,13 @@
 // interception) and on the result pipe, so a task is reaped the moment it
 // exits rather than at the next poll. The reap's kernel rusage sets a floor
 // under the measured peak RSS and CPU time.
+//
+// One stepped Invocation does all of that without ever blocking; its owner
+// decides how to wait. run_monitored() and run_command_monitored() drive one
+// invocation with poll(); net::WorkerClient drives many from its event loop.
 #pragma once
+
+#include <sys/types.h>
 
 #include <functional>
 #include <string>
@@ -60,6 +66,85 @@ struct TaskOutcome {
 
   bool ok() const { return status == TaskStatus::kSuccess; }
 };
+
+// One monitored child, advanced by whoever drives it. Construction makes the
+// report pipe, forks, opens the pidfd and takes the first sample. The child
+// gets its own process group and is SIGKILLed if the thread that forked it
+// exits, so that thread must outlive the run.
+//
+// The stepping contract:
+//   * While !done(), call step() whenever exit_fd() or report_fd() turns
+//     readable, and at the latest at next_sample(). step() never blocks: it
+//     drains the pipe, reaps the child if it has exited, and samples (or
+//     kills for a limit) when a sample is due.
+//   * Stop waiting on report_fd() once report_open() is false: a pipe at
+//     EOF reads as readable forever. exit_fd() is -1 where pidfd_open is
+//     unavailable (kernels before 5.3); then next_sample() alone paces the
+//     wait.
+//   * Once done(), call the derived type's finish() once.
+//   * Both fds stay open until the invocation is destroyed, and an owner
+//     that registered them with epoll must remove them before that. Children
+//     forked later hold copies of them (fork without exec), and epoll keeps
+//     reporting a closed fd whose file description is still open elsewhere.
+//   * Destroying an invocation whose child still runs kills the child's
+//     process group and reaps it.
+class Invocation {
+ public:
+  Invocation(const Invocation&) = delete;
+  Invocation& operator=(const Invocation&) = delete;
+
+  void step();
+  bool done() const { return done_; }
+  pid_t pid() const { return pid_; }
+  int exit_fd() const { return pidfd_; }
+  int report_fd() const { return read_fd_; }
+  bool report_open() const { return report_open_; }
+  // Steady-clock seconds (EventLoop::now()'s base) when a sample is due.
+  double next_sample() const { return next_sample_; }
+
+ protected:
+  // Forks `child_main`, which runs in the child with the report pipe's write
+  // end and must not return.
+  Invocation(const std::function<void(int report_fd)>& child_main,
+             MonitorOptions options);
+  ~Invocation();
+
+  // How the run ended, for the derived finish().
+  std::string start_error_;        // the pipe or fork failed: nothing ran
+  int wait_status_ = 0;
+  std::string violated_resource_;  // set when killed for a limit
+  serde::Bytes report_;            // everything the child wrote to the pipe
+  ResourceUsage usage_;
+  UsageTimeline timeline_;
+
+ private:
+  void sample();
+  void end();
+
+  MonitorOptions options_;
+  pid_t pid_ = -1;
+  int read_fd_ = -1;
+  int pidfd_ = -1;
+  bool report_open_ = false;
+  bool done_ = false;
+  bool traced_ = false;  // recording at the fork: the lfm.run span opened
+  uint64_t trace_tid_ = 0;
+  double start_ = 0.0;
+  double next_sample_ = 0.0;
+};
+
+// A function invocation: the child runs fn(args) and reports its result.
+class FunctionInvocation : public Invocation {
+ public:
+  FunctionInvocation(const TaskFn& fn, const serde::Value& args,
+                     MonitorOptions options);
+  // Decode the child's report. Call once, after done().
+  TaskOutcome finish();
+};
+
+// Step `invocation` until it is done, sleeping in poll() on its fds until
+// the next sample is due.
+void wait_until_done(Invocation& invocation);
 
 // Run one function invocation inside a lightweight function monitor.
 TaskOutcome run_monitored(const TaskFn& fn, const serde::Value& args,

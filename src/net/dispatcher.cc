@@ -345,19 +345,18 @@ void Dispatcher::flush() {
 void Dispatcher::heartbeat() {
   const double now = EventLoop::now();
   // Closing inside the loop is safe: handle_close runs deferred (on_accept).
-  // A link that never says hello is idle-closed like any other, but only a
-  // helloed one is pinged.
+  // Every peer answers pings whatever it is running, so silence means death
+  // for any link. A link that never says hello is idle-closed like any
+  // other, but only a helloed one is pinged.
   for (auto& [id, l] : links_) {
     if (l.conn->closed()) continue;
-    const bool busy = !l.inflight.empty();
-    if (busy && policy_.silent_when_busy) continue;
     if (settings_.idle_timeout > 0 &&
         now - l.conn->last_activity() > settings_.idle_timeout) {
       m_.idle_closes.add();
       l.conn->close("idle-timeout");
       continue;
     }
-    if (busy || !l.helloed) continue;
+    if (!l.helloed) continue;
     l.ping_nonce += 1;
     l.last_ping_sent = now;
     wq::ControlMessage ping{wq::ControlType::kPing, l.ping_nonce, now};

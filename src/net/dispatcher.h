@@ -23,9 +23,11 @@
 // The scheduling unit is a group of tasks that shares its staged files and
 // lands whole on one link; MasterService queues every task as a group of
 // one. What really differs between the two masters is a policy, fixed by
-// the derived type: which link gets the next unit (route()), whether a busy
-// link may be silent, the metric/trace vocabulary, and the hooks the root
-// uses for its journal and kStats frames.
+// the derived type: which link gets the next unit (route()), whether a batch
+// frame may span units, the metric/trace vocabulary, and the hooks the root
+// uses for its journal and kStats frames. Liveness is one rule for every
+// link: each helloed link is pinged every heartbeat, and any link silent
+// for idle_timeout is closed, busy or not.
 //
 // A dispatcher ends the run on its own only inside run(): once every
 // submitted task has a result it sends bye to every peer and stops the loop
@@ -89,9 +91,6 @@ class Dispatcher {
     const char* drop_mark;
     const char* ship_mark;  // per task when it leaves on a link,
     const char* ship_key;   // with the link's name under this key
-    // A busy link may stay silent for as long as its work takes: it is
-    // neither pinged nor closed for idleness until it is idle again.
-    bool silent_when_busy;
     // A batch frame never spans two units.
     bool frame_per_unit;
   };

@@ -10,7 +10,7 @@ namespace lfm::net {
 namespace {
 
 // Tasks are units of one, so consecutive dispatches to a worker share a
-// frame. A worker running an LFM task sends nothing until it finishes.
+// frame.
 constexpr Dispatcher::Policy kWorkerPolicy{
     .category = "net",
     .role = "master",
@@ -21,7 +21,6 @@ constexpr Dispatcher::Policy kWorkerPolicy{
     .drop_mark = "net.injected_drop",
     .ship_mark = "net.dispatch",
     .ship_key = "detail",
-    .silent_when_busy = true,
     .frame_per_unit = false,
 };
 

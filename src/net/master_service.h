@@ -8,11 +8,11 @@
 // queue under the high watermark. Consecutive dispatches to one worker
 // coalesce into batch frames of up to max_batch tasks.
 //
-// A worker running a task through its LFM reads and sends nothing until
-// the task finishes, so a busy link is never pinged or closed for idleness;
-// an idle one is pinged every heartbeat_interval (pongs feed the
-// net.rtt_seconds histogram) and closed after idle_timeout of silence — a
-// dead peer cannot hold the run hostage. A dropped connection requeues its
+// A worker runs its tasks' LFMs from its event loop, so it answers pings
+// while it works: every worker link, busy or idle, is pinged every
+// heartbeat_interval (pongs feed the net.rtt_seconds histogram) and closed
+// after idle_timeout of silence — a dead or stopped peer cannot hold the
+// run hostage, nor the tasks it held. A dropped connection requeues its
 // in-flight tasks; a result arriving later from a reconnected worker whose
 // task was re-dispatched elsewhere is counted and discarded as a duplicate.
 //
@@ -41,7 +41,7 @@ struct MasterServiceConfig {
   size_t max_batch = 64;
   // Stop assigning work to a connection whose unsent backlog exceeds this.
   size_t write_high_watermark = 4u << 20;
-  double heartbeat_interval = 2.0;  // ping idle connections this often
+  double heartbeat_interval = 2.0;  // ping every connection this often
   double idle_timeout = 30.0;       // close after this much silence (0 = off)
   // Metrics sink. Null records into the process-wide registry gated on
   // obs::Recorder::enabled() (the historical behaviour); non-null records

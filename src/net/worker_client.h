@@ -3,21 +3,35 @@
 //
 // An Uplink to a MasterService (connect, hello, pongs, reconnect with
 // backoff under a failure budget, telemetry shipping) that serves the
-// dispatch dialogue: staged files accumulate in an in-memory FileSet, task
-// (and batch) frames execute through wq::LocalWorker — i.e. through a real
-// forked monitor::LFM — and each request's results go back in one frame.
-// Bye means the run is over: drain and return.
+// dispatch dialogue: staged files accumulate in an in-memory FileSet, and
+// task (and batch) frames queue for admission. A queued task starts
+// through wq::LocalWorker — i.e. through a real forked monitor::LFM — as
+// soon as it fits beside the running ones: the allocations of the tasks
+// running must fit the capacity the hello announced, and a task larger
+// than that capacity runs alone. Each invocation's pidfd, report pipe and
+// next-sample timer are driven from the event loop (the stepping contract in
+// monitor/lfm.h), so the loop stays free to answer pings however long a
+// task runs. A result goes back when its task ends; results that end in
+// the same loop turn share one frame. Echo replies are immediate. Bye
+// means the run is over: drain and return.
 //
-// The cached FileSet survives reconnects; the master re-stages whatever
-// the fresh connection is missing. Each completed task restores the full
-// reconnect budget: the link is proven end to end (task in, result out).
-// The worker alone bounds how long it listens to silence: idle_timeout on
-// an established link, handshake_timeout on an unanswered hello.
+// A result whose link closed while its task ran is dropped (the master
+// requeued the task), and tasks still queued from a closed link are
+// dropped on reconnect. Whatever still runs when run() returns is killed
+// and reaped. The cached FileSet survives reconnects; the master re-stages
+// whatever the fresh connection is missing. Each completed task restores
+// the full reconnect budget: the link is proven end to end (task in,
+// result out). The worker alone bounds how long it listens to silence:
+// idle_timeout on an established link, handshake_timeout on an unanswered
+// hello.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "alloc/resources.h"
 #include "chaos/retry.h"
@@ -32,6 +46,8 @@ struct WorkerClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
   std::string name = "worker";
+  // Announced in the hello, and the bound on the summed allocations of the
+  // tasks running at once.
   alloc::Resources capacity{4.0, 8e9, 50e9};
   wq::LocalWorkerOptions worker;
   // Echo mode, for transport benchmarks: skip the LFM and answer every task
@@ -81,16 +97,44 @@ class WorkerClient : private Uplink {
   int64_t telemetry_dropped() const { return telemetry_dropped_; }
 
  private:
+  // An admitted task: its LFM and the loop registrations that drive it.
+  struct Running {
+    std::unique_ptr<wq::LocalWorker::Run> run;
+    uint64_t trace_id = 0;
+    alloc::Resources footprint;  // counted against the capacity
+    uint64_t link = 0;           // id of the connection it came in on
+    uint64_t timer = 0;          // next-sample timer
+  };
+
   void on_file(wq::FileMessage&& file) override;
   void on_tasks(Connection& conn, const std::string& wire) override;
   void on_bye(Connection& conn) override;
   void on_connected() override;
   void on_link_ended() override { loop_.stop(); }
 
+  // Answer every task at once with the canned payload.
+  void echo(const std::vector<wq::TaskMessage>& tasks);
+  // Start queued tasks while they fit.
+  void admit();
+  void start(const wq::TaskMessage& task, const alloc::Resources& footprint);
+  // Step the invocation of running task `key`; finish it once done.
+  void step(uint64_t key);
+  // (Re)arm the timer that steps `key` when its next sample is due.
+  void arm_sample_timer(uint64_t key, Running& r);
+  // Deregister, turn the run into its result, and queue that for sending.
+  void finish(uint64_t key);
+  void send_results();
+  void drop_one_shot_inputs(const wq::TaskMessage& task);
+
   WorkerClientOptions options_;
   wq::LocalWorker worker_;
   wq::FileSet files_;
   std::map<std::string, bool> file_cacheable_;
+  std::deque<wq::TaskMessage> queue_;  // dispatched, waiting for room
+  std::map<uint64_t, Running> running_;
+  uint64_t next_key_ = 1;
+  std::vector<wq::ResultMessage> outbox_;  // results not yet sent
+  bool send_posted_ = false;
   int64_t executed_ = 0;
 };
 

@@ -37,57 +37,7 @@ void fill_usage(ResultMessage& result, const monitor::ResourceUsage& usage) {
   result.disk_peak_bytes = usage.disk_write_bytes;
 }
 
-}  // namespace
-
-ResultMessage LocalWorker::execute_python(const TaskMessage& task,
-                                          const FileSet& files) {
-  ResultMessage result;
-  result.task_id = task.task_id;
-  result.trace_id = task.trace_id;
-
-  const auto parts = split_nonempty(task.command_line, ' ');
-  if (parts.size() != 4) {
-    result.exit_code = -1;
-    return result;
-  }
-  const auto module_it = files.find(parts[1]);
-  const auto args_it = files.find(parts[2]);
-  const std::string function = parts[3];
-  if (module_it == files.end() || args_it == files.end()) {
-    result.exit_code = -1;  // missing transferable files
-    return result;
-  }
-  // Read-decode-execute without copying the transferred bytes: the module
-  // parses straight off the file buffer through the shared parse cache (the
-  // AST, not the source, is what the interpreter runs), and the pickled
-  // args decode zero-copy — string/bytes leaves are views into the file
-  // bytes, which outlive the whole monitored run. fork() shares the parent
-  // address space, so the views stay valid inside the LFM child too.
-  const std::string_view module_source(
-      reinterpret_cast<const char*>(module_it->second.data()), module_it->second.size());
-  std::shared_ptr<const pysrc::Module> module;
-  try {
-    module = pysrc::parse_module_shared(module_source);
-  } catch (const Error& e) {
-    // Same shape a parse failure inside the child produced: exception
-    // status with the error text shipped as a pickled string payload.
-    result.exit_code = 1;
-    result.payload = serde::dumps(serde::Value(std::string(e.what())));
-    return result;
-  }
-  const serde::Value args = serde::loads_view(args_it->second);
-
-  // The function runs in the interpreter INSIDE the forked LFM child; its
-  // pickled result returns over the monitor's pipe.
-  const monitor::TaskFn body = [module = std::move(module),
-                                function](const serde::Value& a) {
-    std::vector<serde::Value> positional;
-    if (a.is_list()) positional = a.as_list();
-    return pysrc::run_python_function(module, function, std::move(positional));
-  };
-  const auto outcome = monitor::run_monitored(
-      body, args, monitor_options_for(task, options_.poll_interval));
-
+void python_result(ResultMessage& result, const monitor::TaskOutcome& outcome) {
   fill_usage(result, outcome.usage);
   switch (outcome.status) {
     case monitor::TaskStatus::kSuccess:
@@ -109,31 +59,9 @@ ResultMessage LocalWorker::execute_python(const TaskMessage& task,
       result.exit_code = -1;
       break;
   }
-  return result;
 }
 
-ResultMessage LocalWorker::execute(const TaskMessage& task, const FileSet& files) {
-  ++tasks_executed_;
-  if (obs::Recorder::enabled()) {
-    obs::Recorder::global().metrics().counter("worker.tasks_executed").add();
-  }
-  // The run span on the worker's own host lane: forked LFM included. Its
-  // trace id arrives via the caller's TraceScope (WorkerClient sets it per
-  // task), so the span joins the submit→dispatch chain minted at the root.
-  obs::ScopedSpan span(obs::kPidHost, task.task_id, "lfm.run", "worker");
-  if (starts_with(task.command_line, "lfm-pyrun ")) {
-    return execute_python(task, files);
-  }
-
-  monitor::CommandOptions command_options;
-  command_options.monitor = monitor_options_for(task, options_.poll_interval);
-  command_options.working_directory = options_.scratch_dir;
-  const auto outcome = monitor::run_command_monitored(
-      {"/bin/sh", "-c", task.command_line}, command_options);
-
-  ResultMessage result;
-  result.task_id = task.task_id;
-  result.trace_id = task.trace_id;
+void command_result(ResultMessage& result, const monitor::CommandOutcome& outcome) {
   fill_usage(result, outcome.usage);
   switch (outcome.status) {
     case monitor::TaskStatus::kSuccess:
@@ -149,7 +77,109 @@ ResultMessage LocalWorker::execute(const TaskMessage& task, const FileSet& files
       result.exit_code = -1;
       break;
   }
+}
+
+}  // namespace
+
+monitor::Invocation* LocalWorker::Run::invocation() const {
+  if (function_) return function_.get();
+  return command_.get();
+}
+
+void LocalWorker::start_python(const TaskMessage& task, const FileSet& files,
+                               Run& run) {
+  ResultMessage& result = run.result_;
+  const auto parts = split_nonempty(task.command_line, ' ');
+  if (parts.size() != 4) {
+    result.exit_code = -1;
+    return;
+  }
+  const auto module_it = files.find(parts[1]);
+  const auto args_it = files.find(parts[2]);
+  const std::string function = parts[3];
+  if (module_it == files.end() || args_it == files.end()) {
+    result.exit_code = -1;  // missing transferable files
+    return;
+  }
+  // Read-decode-execute without copying the transferred bytes: the module
+  // parses straight off the file buffer through the shared parse cache (the
+  // AST, not the source, is what the interpreter runs), and the pickled
+  // args decode zero-copy — string/bytes leaves are views into the file
+  // bytes. The child is forked before start() returns, and fork() gives it
+  // its own copy of the parent's memory, so the views stay valid inside the
+  // LFM child whatever the caller does with `files` afterwards.
+  const std::string_view module_source(
+      reinterpret_cast<const char*>(module_it->second.data()), module_it->second.size());
+  std::shared_ptr<const pysrc::Module> module;
+  try {
+    module = pysrc::parse_module_shared(module_source);
+  } catch (const Error& e) {
+    // Same shape a parse failure inside the child produced: exception
+    // status with the error text shipped as a pickled string payload.
+    result.exit_code = 1;
+    result.payload = serde::dumps(serde::Value(std::string(e.what())));
+    return;
+  }
+  const serde::Value args = serde::loads_view(args_it->second);
+
+  // The function runs in the interpreter INSIDE the forked LFM child; its
+  // pickled result returns over the monitor's pipe.
+  const monitor::TaskFn body = [module = std::move(module),
+                                function](const serde::Value& a) {
+    std::vector<serde::Value> positional;
+    if (a.is_list()) positional = a.as_list();
+    return pysrc::run_python_function(module, function, std::move(positional));
+  };
+  run.function_ = std::make_unique<monitor::FunctionInvocation>(
+      body, args, monitor_options_for(task, options_.poll_interval));
+}
+
+std::unique_ptr<LocalWorker::Run> LocalWorker::start(const TaskMessage& task,
+                                                     const FileSet& files) {
+  ++tasks_executed_;
+  auto run = std::make_unique<Run>();
+  run->result_.task_id = task.task_id;
+  run->result_.trace_id = task.trace_id;
+  if (obs::Recorder::enabled()) {
+    // The run span on the worker's own host lane, forked LFM included, from
+    // start to finish. Its trace id arrives via the caller's TraceScope
+    // (WorkerClient sets it per task), so the span joins the
+    // submit→dispatch chain minted at the root.
+    obs::Recorder& r = obs::Recorder::global();
+    r.metrics().counter("worker.tasks_executed").add();
+    r.begin(obs::kPidHost, task.task_id, r.now(), "lfm.run", "worker");
+    run->span_ = true;
+  }
+  if (starts_with(task.command_line, "lfm-pyrun ")) {
+    start_python(task, files, *run);
+    return run;
+  }
+  monitor::CommandOptions command_options;
+  command_options.monitor = monitor_options_for(task, options_.poll_interval);
+  command_options.working_directory = options_.scratch_dir;
+  run->command_ = std::make_unique<monitor::CommandInvocation>(
+      std::vector<std::string>{"/bin/sh", "-c", task.command_line}, command_options);
+  return run;
+}
+
+ResultMessage LocalWorker::finish(Run& run) {
+  ResultMessage result = std::move(run.result_);
+  if (run.function_) python_result(result, run.function_->finish());
+  if (run.command_) command_result(result, run.command_->finish());
+  if (run.span_) {
+    obs::Recorder& r = obs::Recorder::global();
+    r.end(obs::kPidHost, result.task_id, r.now());
+    run.span_ = false;
+  }
   return result;
+}
+
+ResultMessage LocalWorker::execute(const TaskMessage& task, const FileSet& files) {
+  const std::unique_ptr<Run> run = start(task, files);
+  if (monitor::Invocation* invocation = run->invocation()) {
+    monitor::wait_until_done(*invocation);
+  }
+  return finish(*run);
 }
 
 std::pair<TaskMessage, FileSet> make_python_task(

@@ -6,9 +6,15 @@
 // cores/memory/disk peaks, wall time, and the exhausted resource when the
 // LFM killed the attempt. This closes the loop: the same protocol bytes the
 // simulated master would emit drive genuine monitored execution.
+//
+// start() forks the task's LFM and returns at once; the caller drives the
+// run's monitor::Invocation (lfm.h) and hands the run to finish() when it is
+// done. net::WorkerClient runs many at a time this way from its event loop;
+// execute() is the blocking one-task form.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "monitor/command.h"
@@ -28,20 +34,40 @@ struct LocalWorkerOptions {
 
 class LocalWorker {
  public:
+  // A task between start() and finish().
+  class Run {
+   public:
+    // The LFM to drive until done(); null when the task failed before
+    // anything was forked, so finish() can follow at once.
+    monitor::Invocation* invocation() const;
+
+   private:
+    friend class LocalWorker;
+    ResultMessage result_;  // the ids, or the whole result if nothing forked
+    std::unique_ptr<monitor::FunctionInvocation> function_;
+    std::unique_ptr<monitor::CommandInvocation> command_;
+    bool span_ = false;  // the worker's lfm.run span is open
+  };
+
   explicit LocalWorker(LocalWorkerOptions options = {}) : options_(options) {}
 
-  // Execute one task. Two command forms:
+  // Start one task. Two command forms:
   //   * any shell command line — fork/exec under the LFM (bash_app path)
   //   * "lfm-pyrun <module_file> <args_file> <function>" — run the named
   //     function from the shipped module source in the mini-Python
   //     interpreter, inside a forked LFM child; the pickled result returns
   //     in ResultMessage::payload (python_app path, paper §III.A)
+  // `files` is read only here: the child gets its own copy of them.
+  std::unique_ptr<Run> start(const TaskMessage& task, const FileSet& files = {});
+  // The result of a run whose invocation is done (or absent).
+  ResultMessage finish(Run& run);
+  // start(), wait for the LFM, finish().
   ResultMessage execute(const TaskMessage& task, const FileSet& files = {});
 
   int64_t tasks_executed() const { return tasks_executed_; }
 
  private:
-  ResultMessage execute_python(const TaskMessage& task, const FileSet& files);
+  void start_python(const TaskMessage& task, const FileSet& files, Run& run);
 
   LocalWorkerOptions options_;
   int64_t tasks_executed_ = 0;

@@ -1,8 +1,16 @@
 // Tests for monitored external-command execution (the bash_app path).
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "monitor/command.h"
 
@@ -119,6 +127,77 @@ TEST(Command, SignalTermination) {
   EXPECT_EQ(outcome.status, TaskStatus::kCrashed);
   EXPECT_TRUE(outcome.result.signaled);
   EXPECT_EQ(outcome.result.signal, SIGTERM);
+}
+
+// --- the stepped invocation ------------------------------------------------------
+
+TEST(CommandInvocation, CommandsSteppedSideBySideOverlap) {
+  // Three 0.3 s commands started together and stepped from one thread run
+  // at once, and each outcome reads as run_command_monitored's would.
+  CommandOptions options;
+  options.monitor.poll_interval = 0.02;
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::unique_ptr<CommandInvocation>> running;
+  for (int i = 0; i < 3; ++i) {
+    running.push_back(std::make_unique<CommandInvocation>(
+        std::vector<std::string>{"/bin/sh", "-c",
+                                 "sleep 0.3; echo done " + std::to_string(i)},
+        options));
+  }
+  for (const auto& invocation : running) wait_until_done(*invocation);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  for (int i = 0; i < 3; ++i) {
+    const CommandOutcome outcome = running[static_cast<size_t>(i)]->finish();
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome.result.exit_code, 0);
+    EXPECT_EQ(outcome.result.output, "done " + std::to_string(i) + "\n");
+    EXPECT_GE(outcome.usage.wall_time, 0.3);
+  }
+  EXPECT_LT(elapsed, 0.8);  // one after another would take 0.9 s
+}
+
+// True while `pid` exists and is not a zombie.
+bool alive(pid_t pid) {
+  std::FILE* f = std::fopen(("/proc/" + std::to_string(pid) + "/stat").c_str(), "r");
+  if (f == nullptr) return false;
+  char buf[512] = {};
+  const size_t n = std::fread(buf, 1, sizeof buf - 1, f);
+  std::fclose(f);
+  const std::string stat(buf, n);
+  const size_t close = stat.rfind(')');
+  return close != std::string::npos && close + 2 < stat.size() &&
+         stat[close + 2] != 'Z' && stat[close + 2] != 'X';
+}
+
+TEST(CommandInvocation, CommandDiesWithTheProcessThatStartedIt) {
+  // A process starts a long command and dies without reaping it. The
+  // command, which holds every fd its starter did not mark close-on-exec,
+  // must not outlive it.
+  int pid_pipe[2];
+  ASSERT_EQ(::pipe(pid_pipe), 0);
+  const pid_t starter = ::fork();
+  ASSERT_GE(starter, 0);
+  if (starter == 0) {
+    ::close(pid_pipe[0]);
+    auto* invocation =
+        new CommandInvocation({"/bin/sleep", "30"}, CommandOptions{});
+    const pid_t child = invocation->pid();
+    const bool sent = ::write(pid_pipe[1], &child, sizeof child) == sizeof child;
+    ::_exit(sent ? 0 : 1);  // never destroys the invocation
+  }
+  ::close(pid_pipe[1]);
+  pid_t child = -1;
+  ASSERT_EQ(::read(pid_pipe[0], &child, sizeof child),
+            static_cast<ssize_t>(sizeof child));
+  ::close(pid_pipe[0]);
+  ASSERT_EQ(::waitpid(starter, nullptr, 0), starter);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (alive(child) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_FALSE(alive(child)) << "the command outlived its starter";
+  if (alive(child)) ::kill(child, SIGKILL);
 }
 
 }  // namespace

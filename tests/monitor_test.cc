@@ -2,8 +2,11 @@
 // enforcement, exception transport, crash reporting.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <ctime>
 #include <thread>
@@ -315,6 +318,83 @@ TEST(Lfm, SequentialInvocationsIndependent) {
     ASSERT_TRUE(outcome.ok());
     EXPECT_EQ(outcome.result.as_int(), i * i);
   }
+}
+
+// --- the stepped invocation ------------------------------------------------------
+
+bool fd_open(int fd) { return ::fcntl(fd, F_GETFD) != -1 || errno != EBADF; }
+
+TEST(Invocation, SteppedByHandMatchesRunMonitored) {
+  // Stepping by hand, with a plain sleep between steps and no poll(), gives
+  // the outcome run_monitored gives. The invocation's fds stay open after
+  // finish() and close only when it is destroyed.
+  MonitorOptions hog_limit;
+  hog_limit.limits.memory_bytes = 48LL << 20;
+  hog_limit.poll_interval = 0.01;
+  struct Case {
+    const char* name;
+    TaskFn fn;
+    MonitorOptions options;
+  };
+  const std::vector<Case> cases = {
+      {"success", [](const Value& v) { return Value(v.as_int() * 2); }, {}},
+      {"exception",
+       [](const Value&) -> Value { throw std::runtime_error("task exploded"); },
+       {}},
+      {"crash", [](const Value&) -> Value { ::_exit(3); }, {}},
+      {"limit kill",
+       [](const Value&) {
+         std::vector<std::string> hoard;
+         for (int i = 0; i < 100000; ++i) {
+           hoard.emplace_back(1 << 20, 'x');
+           for (size_t j = 0; j < hoard.back().size(); j += 4096) hoard.back()[j] = 'y';
+         }
+         return Value(1);
+       },
+       hog_limit},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const TaskOutcome expected = run_monitored(c.fn, Value(int64_t{21}), c.options);
+    TaskOutcome stepped;
+    int exit_fd = -1;
+    int report_fd = -1;
+    {
+      FunctionInvocation invocation(c.fn, Value(int64_t{21}), c.options);
+      exit_fd = invocation.exit_fd();
+      report_fd = invocation.report_fd();
+      while (!invocation.done()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        invocation.step();
+      }
+      stepped = invocation.finish();
+      EXPECT_TRUE(fd_open(exit_fd));
+      EXPECT_TRUE(fd_open(report_fd));
+    }
+    EXPECT_FALSE(fd_open(exit_fd));
+    EXPECT_FALSE(fd_open(report_fd));
+    EXPECT_EQ(stepped.status, expected.status);
+    EXPECT_EQ(stepped.error, expected.error);
+    EXPECT_EQ(stepped.violated_resource, expected.violated_resource);
+    EXPECT_EQ(stepped.result, expected.result);
+  }
+}
+
+TEST(Invocation, DestroyingARunningInvocationKillsAndReapsIt) {
+  pid_t pid = -1;
+  {
+    FunctionInvocation invocation(
+        [](const Value&) {
+          std::this_thread::sleep_for(std::chrono::seconds(30));
+          return Value(1);
+        },
+        Value(), {});
+    pid = invocation.pid();
+    EXPECT_FALSE(invocation.done());
+  }
+  // Reaped, not just killed: the pid is no longer this process's child.
+  EXPECT_EQ(::waitpid(pid, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Tests for the TCP transport runtime (src/net/): frame reassembly under
-// adversarial fragmentation, the epoll event loop, connection plumbing, and
-// an end-to-end master<->worker-process run over real loopback sockets with
-// an injected connection drop.
+// adversarial fragmentation, the epoll event loop, connection plumbing, an
+// end-to-end master<->worker-process run over real loopback sockets with
+// an injected connection drop, a worker's side-by-side LFMs, and the one
+// liveness rule against SIGKILLed and SIGSTOPped workers.
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -11,6 +14,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -300,7 +306,7 @@ TEST(Connection, ProtocolErrorClosesWithDecoderMessage) {
 
 // --- end-to-end: master process <-> forked worker processes ------------------
 
-pid_t fork_worker(uint16_t port, const std::string& name) {
+pid_t fork_worker(uint16_t port, const std::string& name, double cores = 4.0) {
   const pid_t pid = fork();
   if (pid != 0) return pid;
   // Drop inherited fds: a surviving copy of the master's listener keeps
@@ -312,6 +318,7 @@ pid_t fork_worker(uint16_t port, const std::string& name) {
     options.host = "127.0.0.1";
     options.port = port;
     options.name = name;
+    options.capacity.cores = cores;
     options.worker.poll_interval = 0.01;
     WorkerClient client(options);
     client.run();
@@ -319,6 +326,58 @@ pid_t fork_worker(uint16_t port, const std::string& name) {
   } catch (...) {
   }
   _exit(status);
+}
+
+// State and parent of `pid` from /proc/<pid>/stat; false once it is gone.
+bool proc_stat(long pid, char& state, long& ppid) {
+  std::FILE* f = std::fopen(("/proc/" + std::to_string(pid) + "/stat").c_str(), "r");
+  if (f == nullptr) return false;
+  char buf[512] = {};
+  const size_t n = std::fread(buf, 1, sizeof buf - 1, f);
+  std::fclose(f);
+  // "pid (comm) state ppid ...": comm may hold spaces, so parse after ')'.
+  const std::string stat(buf, n);
+  const size_t close = stat.rfind(')');
+  return close != std::string::npos &&
+         std::sscanf(stat.c_str() + close + 1, " %c %ld", &state, &ppid) == 2;
+}
+
+// True while `pid` exists and has not exited (a zombie has).
+bool alive(long pid) {
+  char state = 0;
+  long ppid = 0;
+  return proc_stat(pid, state, ppid) && state != 'Z' && state != 'X';
+}
+
+// Children of `parent` that have not exited: a worker's LFM children.
+std::vector<pid_t> live_children_of(pid_t parent) {
+  std::vector<pid_t> out;
+  DIR* dir = ::opendir("/proc");
+  if (dir == nullptr) return out;
+  while (const dirent* entry = ::readdir(dir)) {
+    const long pid = std::strtol(entry->d_name, nullptr, 10);
+    char state = 0;
+    long ppid = 0;
+    if (pid > 0 && proc_stat(pid, state, ppid) && ppid == parent && state != 'Z' &&
+        state != 'X') {
+      out.push_back(static_cast<pid_t>(pid));
+    }
+  }
+  ::closedir(dir);
+  return out;
+}
+
+// Run `loop` until `done()` holds (checked every 5 ms) or `timeout` passes.
+bool run_until(EventLoop& loop, const std::function<bool()>& done, double timeout) {
+  if (done()) return true;
+  const uint64_t poll = loop.run_every(0.005, [&] {
+    if (done()) loop.stop();
+  });
+  const uint64_t watchdog = loop.run_after(timeout, [&] { loop.stop(); });
+  loop.run();
+  loop.cancel_timer(poll);
+  loop.cancel_timer(watchdog);
+  return done();
 }
 
 TEST(NetEndToEnd, PythonTasksMatchInProcessExecutionBitForBit) {
@@ -388,16 +447,17 @@ def mix(a, b):
 }
 
 TEST(NetEndToEnd, DroppedConnectionRequeuesAndReconnects) {
-  // One worker, four slow tasks dispatched as a batch. Dropping the
-  // connection mid-execution loses the in-flight batch; the worker must
-  // reconnect (chaos::RetryPolicy backoff) and the master must re-dispatch
-  // every task, completing all of them exactly once.
+  // One worker, four slow tasks dispatched as a batch; they run side by
+  // side, so each outlasts the drop. Dropping the connection mid-execution
+  // loses the in-flight batch; the worker must reconnect
+  // (chaos::RetryPolicy backoff) and the master must re-dispatch every
+  // task, completing all of them exactly once.
   EventLoop loop;
   MasterService master(loop, {});
   const int kTasks = 4;
   for (int i = 0; i < kTasks; ++i) {
     wq::TaskMessage t = simple_task(200 + static_cast<uint64_t>(i));
-    t.command_line = "sleep 0.15";
+    t.command_line = "sleep 0.5";
     master.submit(t);
   }
   const pid_t worker = fork_worker(master.port(), "flaky");
@@ -859,6 +919,157 @@ TEST(MasterService, BusyWorkerOutlastsIdleTimeoutWithoutRequeue) {
   int status = -1;
   ASSERT_EQ(waitpid(worker, &status, 0), worker);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+TEST(MasterService, StoppedWorkerIsIdleClosedAndItsTaskRunsOnASibling) {
+  // A SIGSTOPped worker holding a task answers no ping. Busy or not, its
+  // link is closed after idle_timeout, and the task completes on a sibling.
+  obs::Metrics metrics;
+  EventLoop loop;
+  MasterServiceConfig config;
+  config.heartbeat_interval = 0.05;
+  config.idle_timeout = 0.3;
+  config.metrics = &metrics;
+  MasterService master(loop, config);
+  const pid_t stopped = fork_worker(master.port(), "stopped");
+  ASSERT_TRUE(run_until(loop, [&] { return master.connected_workers() == 1; }, 10.0));
+  wq::TaskMessage t = simple_task(450);
+  t.command_line = "sleep 0.3";
+  master.submit(t);  // the only link takes it at once
+  ASSERT_EQ(::kill(stopped, SIGSTOP), 0);
+  const pid_t sibling = fork_worker(master.port(), "sibling");
+
+  NetMasterStats stats;
+  EXPECT_NO_THROW(stats = master.run_until_complete(5.0));
+
+  EXPECT_EQ(stats.tasks_completed, 1);
+  EXPECT_EQ(stats.requeued_tasks, 1);
+  EXPECT_GE(metrics.counter("net.idle_closes").value(), 1);
+  ::kill(stopped, SIGKILL);
+  ASSERT_EQ(waitpid(stopped, nullptr, 0), stopped);
+  if (stats.tasks_completed != 1) ::kill(sibling, SIGKILL);  // no bye will come
+  int status = -1;
+  ASSERT_EQ(waitpid(sibling, &status, 0), sibling);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+// --- the worker's concurrent LFMs ---------------------------------------------
+
+TEST(WorkerClient, RunsTasksSideBySideWithinAnnouncedCapacity) {
+  // Four 0.3 s one-core tasks on one worker: announcing 4 cores they all
+  // run at once; announcing 2, never more than 2 LFM children are alive.
+  for (const double cores : {4.0, 2.0}) {
+    SCOPED_TRACE(cores);
+    EventLoop loop;
+    MasterService master(loop, {});
+    const pid_t worker = fork_worker(master.port(), "packed", cores);
+    ASSERT_TRUE(run_until(loop, [&] { return master.connected_workers() == 1; }, 10.0));
+    size_t most_alive = 0;
+    const uint64_t watch = loop.run_every(0.002, [&] {
+      most_alive = std::max(most_alive, live_children_of(worker).size());
+    });
+    const double start = EventLoop::now();
+    for (int i = 0; i < 4; ++i) {
+      wq::TaskMessage t = simple_task(460 + static_cast<uint64_t>(i));
+      t.command_line = "sleep 0.3";
+      master.submit(t);
+    }
+    const NetMasterStats stats = master.run_until_complete(20.0);
+    const double wall = EventLoop::now() - start;
+    loop.cancel_timer(watch);
+
+    EXPECT_EQ(stats.tasks_completed, 4);
+    if (cores == 4.0) {
+      EXPECT_LT(wall, 0.6);
+      EXPECT_EQ(most_alive, 4u);
+    } else {
+      EXPECT_EQ(most_alive, 2u);
+      EXPECT_GE(wall, 0.6);
+    }
+    int status = -1;
+    ASSERT_EQ(waitpid(worker, &status, 0), worker);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+}
+
+TEST(WorkerClient, ShortTaskResultDoesNotWaitForItsBatchMate) {
+  // A 1 s task and a 0.05 s task go out in one batch frame; the short
+  // task's result reaches the master long before the long one ends.
+  EventLoop loop;
+  MasterService master(loop, {});
+  wq::TaskMessage slow = simple_task(470);
+  slow.command_line = "sleep 1";
+  wq::TaskMessage quick = simple_task(471);
+  quick.command_line = "sleep 0.05";
+  master.submit(slow);
+  master.submit(quick);
+  std::map<uint64_t, double> arrived;
+  master.set_on_result(
+      [&](const wq::ResultMessage& r) { arrived[r.task_id] = EventLoop::now(); });
+  const pid_t worker = fork_worker(master.port(), "mixed");
+  const NetMasterStats stats = master.run_until_complete(20.0);
+
+  EXPECT_EQ(stats.tasks_completed, 2);
+  ASSERT_EQ(arrived.size(), 2u);
+  EXPECT_GE(arrived[470] - arrived[471], 0.5);
+  int status = -1;
+  ASSERT_EQ(waitpid(worker, &status, 0), worker);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+TEST(WorkerClient, SigkilledWorkerTakesItsLfmChildrenAlong) {
+  // An LFM child never execs, so it holds the worker's socket. Killed
+  // mid-task, the worker's link must close at once, not when the orphaned
+  // child finishes, and no LFM child of it may live on.
+  // Each round sums 200k ints inside one builtin call, so a thousand
+  // rounds take seconds while staying far inside the interpreter's step
+  // budget.
+  const char* module = R"(
+def spin(n):
+    big = [1] * 200000
+    total = 0
+    i = 0
+    while i < n:
+        total = total + sum(big)
+        i = i + 1
+    return total
+)";
+  EventLoop loop;
+  MasterService master(loop, {});
+  auto [task, files] = wq::make_python_task(
+      480, "spin", module, "spin",
+      serde::Value(serde::ValueList{serde::Value(int64_t{1000})}),
+      alloc::Resources{1.0, 512e6, 1e9});
+  master.submit(task, files);
+  const pid_t worker = fork_worker(master.port(), "doomed");
+  std::vector<pid_t> children;
+  ASSERT_TRUE(run_until(
+      loop,
+      [&] {
+        children = live_children_of(worker);
+        return !children.empty();
+      },
+      10.0));
+
+  ASSERT_EQ(::kill(worker, SIGKILL), 0);
+  const double killed_at = EventLoop::now();
+  const bool closed =
+      run_until(loop, [&] { return master.connected_workers() == 0; }, 3.0);
+  const double close_after = EventLoop::now() - killed_at;
+  ASSERT_EQ(waitpid(worker, nullptr, 0), worker);
+
+  EXPECT_TRUE(closed);
+  EXPECT_LT(close_after, 0.5);
+  // The kernel closes a dying child's fds before the child turns zombie,
+  // so give an exit already under way a moment to finish.
+  const double deadline = EventLoop::now() + 0.5;
+  for (const pid_t child : children) {
+    while (alive(child) && EventLoop::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_FALSE(alive(child)) << "LFM child " << child << " outlived its worker";
+    if (alive(child)) ::kill(child, SIGKILL);
+  }
 }
 
 TEST(MasterService, ListenerRefusesConnectsOnceTheRunReturns) {

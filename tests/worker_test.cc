@@ -2,6 +2,10 @@
 // execution, protocol out.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+#include <vector>
+
 #include "serde/pickle.h"
 #include "wq/worker.h"
 
@@ -183,6 +187,50 @@ TEST(LocalWorker, PythonTaskMissingFilesFails) {
   LocalWorker worker;
   const ResultMessage result = worker.execute(task, {});  // no files shipped
   EXPECT_EQ(result.exit_code, -1);
+  // Nothing is forked for it: the run is ready to finish at once.
+  const std::unique_ptr<LocalWorker::Run> run = worker.start(task, {});
+  EXPECT_EQ(run->invocation(), nullptr);
+  EXPECT_EQ(worker.finish(*run).exit_code, -1);
+}
+
+TEST(LocalWorker, StartedTasksRunSideBySideAndFinishLikeExecute) {
+  // Runs started together overlap; finish() gives what execute() gives.
+  const char* module = "def inc(x):\n    return x + 1\n";
+  auto [py, py_files] = make_python_task(30, "c", module, "inc",
+                                         serde::Value(serde::ValueList{serde::Value(41)}),
+                                         alloc::Resources{1.0, 1e9, 1e9});
+  TaskMessage slow_a = make_task("sleep 0.3; exit 4");
+  slow_a.task_id = 31;
+  TaskMessage slow_b = make_task("sleep 0.3; exit 5");
+  slow_b.task_id = 32;
+
+  LocalWorkerOptions options;
+  options.poll_interval = 0.01;
+  LocalWorker worker(options);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::unique_ptr<LocalWorker::Run>> runs;
+  runs.push_back(worker.start(slow_a));
+  runs.push_back(worker.start(slow_b));
+  runs.push_back(worker.start(py, py_files));
+  py_files.clear();  // the child already has its own copy
+  std::vector<ResultMessage> results;
+  for (const auto& run : runs) {
+    ASSERT_NE(run->invocation(), nullptr);
+    monitor::wait_until_done(*run->invocation());
+    results.push_back(worker.finish(*run));
+  }
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(elapsed, 0.55);  // one after another would take 0.6 s
+  EXPECT_EQ(worker.tasks_executed(), 3);
+  EXPECT_EQ(results[0].task_id, 31u);
+  EXPECT_EQ(results[0].exit_code, 4);
+  EXPECT_EQ(results[1].task_id, 32u);
+  EXPECT_EQ(results[1].exit_code, 5);
+  EXPECT_GE(results[1].wall_seconds, 0.3);
+  EXPECT_EQ(results[2].task_id, 30u);
+  ASSERT_EQ(results[2].exit_code, 0);
+  EXPECT_EQ(serde::loads(results[2].payload).as_int(), 42);
 }
 
 }  // namespace
