@@ -10,16 +10,25 @@
 //   * modeled container cold start per invocation (Table I), the
 //     alternative the paper replaces
 // and reports what fraction of a 1-second task each containment mode costs.
+//
+// The BM_fork_cost rows split one monitored call's cost against the memory
+// of the process that forks it:
+//   ./build/bench/ablation_overhead --benchmark_filter=BM_fork_cost
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <functional>
 #include <cstdio>
+#include <cstring>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "alloc/labeler.h"
 #include "flow/pyapp.h"
 #include "monitor/lfm.h"
+#include "monitor/proc_reader.h"
 #include "obs/recorder.h"
 #include "sim/network.h"
 #include "sim/site.h"
@@ -189,6 +198,58 @@ void BM_lfm_invocation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_lfm_invocation)->Unit(benchmark::kMillisecond);
+
+// The monitored call from a process holding range(0) MB of touched
+// ballast, split per call into:
+//   fork_us       the parent's time in fork() (the lfm.fork_us histogram)
+//   child_minflt  the child's minor faults, from the reap (lfm.child_minflt)
+//   start_us      the invocation's start: pipe, fork, pidfd, first sample
+//   reap_us       from then until the child is reaped: its run and exit,
+//                 the wake-up and wait4
+//   report_us     decoding the child's report
+//   rss_mb        this process's resident memory while the rows run
+void BM_fork_cost(benchmark::State& state) {
+  using clock = std::chrono::steady_clock;
+  // Mapped and unmapped here, so no allocator cache carries it between rows.
+  const size_t ballast_bytes = static_cast<size_t>(state.range(0)) << 20;
+  void* ballast = ::mmap(nullptr, ballast_bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (ballast == MAP_FAILED) {
+    state.SkipWithError("mmap failed");
+    return;
+  }
+  std::memset(ballast, 1, ballast_bytes);
+  const Value args = Value(serde::ValueList{Value(int64_t{80})});
+  obs::Recorder& recorder = obs::Recorder::global();
+  recorder.clear();
+  recorder.set_enabled(true);
+  double start = 0.0, reap = 0.0, report = 0.0;
+  for (auto _ : state) {
+    const auto t0 = clock::now();
+    monitor::FunctionInvocation invocation(native_fib_task, args, {});
+    const auto t1 = clock::now();
+    monitor::wait_until_done(invocation);
+    const auto t2 = clock::now();
+    benchmark::DoNotOptimize(invocation.finish());
+    const auto t3 = clock::now();
+    start += std::chrono::duration<double>(t1 - t0).count();
+    reap += std::chrono::duration<double>(t2 - t1).count();
+    report += std::chrono::duration<double>(t3 - t2).count();
+  }
+  recorder.set_enabled(false);
+  obs::Metrics& metrics = recorder.metrics();
+  const double calls = static_cast<double>(state.iterations());
+  state.counters["fork_us"] = metrics.histogram("lfm.fork_us").snapshot().mean();
+  state.counters["child_minflt"] = metrics.histogram("lfm.child_minflt").snapshot().mean();
+  state.counters["start_us"] = 1e6 * start / calls;
+  state.counters["reap_us"] = 1e6 * reap / calls;
+  state.counters["report_us"] = 1e6 * report / calls;
+  const auto self = monitor::sample_process(::getpid());
+  state.counters["rss_mb"] = self ? static_cast<double>(self->rss_bytes) / (1 << 20) : 0.0;
+  recorder.clear();
+  ::munmap(ballast, ballast_bytes);
+}
+BENCHMARK(BM_fork_cost)->Arg(2)->Arg(18)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -113,10 +113,8 @@ void RootMaster::on_unit_done() {
 
 void RootMaster::on_link_closed(const Link& f, const std::string& reason) {
   last_stats_.erase(f.conn->id());
-  // After the bye, foremen close their links as they finish: that is a
-  // departure, not a loss, and nothing is left in flight to requeue.
+  // A foreman that departed after the bye left nothing in flight.
   if (finishing()) return;
-  ++own_.foremen_lost;
   if (journal_ != nullptr) {
     journal_->worker_lost(static_cast<int>(f.conn->id()), net::EventLoop::now());
   }
@@ -153,7 +151,8 @@ RootStats RootMaster::stats() const {
   s.duplicate_results = t.duplicate_results;
   s.requeued_tasks = t.requeued_tasks;
   s.foremen_accepted = t.connections_accepted;
-  s.foremen_departed = t.disconnects - own_.foremen_lost;
+  s.foremen_lost = t.links_lost;
+  s.foremen_departed = t.links_departed;
   s.files_sent = t.files_sent;
   s.telemetry_frames = t.telemetry_frames;
   s.bytes_sent = t.bytes_sent;

@@ -96,7 +96,9 @@ Invocation::Invocation(const std::function<void(int)>& child_main,
   }
   const pid_t parent = ::getpid();
   std::fflush(nullptr);  // avoid duplicated stdio buffers in the child
+  const double fork_start = now_seconds();
   pid_ = ::fork();
+  fork_seconds_ = now_seconds() - fork_start;
   if (pid_ < 0) {
     start_error_ = std::string("fork: ") + std::strerror(errno);
     ::close(pipe_fds[0]);
@@ -166,6 +168,7 @@ void Invocation::step() {
                                              int64_t{child_usage.ru_maxrss} * 1024);
     usage_.cpu_time = std::max(usage_.cpu_time, timeval_seconds(child_usage.ru_utime) +
                                                     timeval_seconds(child_usage.ru_stime));
+    child_minflt_ = child_usage.ru_minflt;
     end();
     return;
   }
@@ -234,6 +237,12 @@ void Invocation::end() {
     obs::Recorder& r = obs::Recorder::global();
     r.end(obs::kPidHost, trace_tid_, r.now());
     r.metrics().histogram("lfm.invocation_seconds").observe(usage_.wall_time);
+    // The fork's two costs: the parent's time in fork(), and the page
+    // faults the child took on the copy-on-write memory it touched.
+    r.metrics().histogram("lfm.fork_us").observe(fork_seconds_ * 1e6);
+    if (child_minflt_ >= 0) {
+      r.metrics().histogram("lfm.child_minflt").observe(static_cast<double>(child_minflt_));
+    }
   }
 }
 

@@ -131,6 +131,8 @@ class Invocation {
   uint64_t trace_tid_ = 0;
   double start_ = 0.0;
   double next_sample_ = 0.0;
+  double fork_seconds_ = 0.0;  // the parent's time in fork()
+  long child_minflt_ = -1;     // the reap's ru_minflt; -1 until reaped
 };
 
 // A function invocation: the child runs fn(args) and reports its result.

@@ -233,8 +233,15 @@ void Dispatcher::handle_close(uint64_t id, const std::string& reason) {
   add_traffic(totals_, *l.conn);
   m_.bytes_out.add(l.conn->bytes_out());
   m_.bytes_in.add(l.conn->bytes_in());
-  ++totals_.disconnects;
-  m_.disconnects.add();
+  // Peers close their links as they finish once the bye is out; a close
+  // before it is a loss.
+  if (!finishing_) {
+    ++totals_.links_lost;
+    m_.links_lost.add();
+  } else {
+    ++totals_.links_departed;
+    m_.links_departed.add();
+  }
   mark(policy_.disconnect_mark, reason, id);
   on_link_closed(l, reason);
   // At-least-once: everything this link was running goes back to the front

@@ -13,7 +13,8 @@
 //     at-least-once attempts: a late result for a completed task is counted
 //     as a duplicate and discarded);
 //   * per-link in-flight units, requeued to the front of the queue when the
-//     link closes;
+//     link closes; a link that closes before the bye is lost, one that
+//     closes after it has departed;
 //   * the ship-once file set per link, and batch coalescing behind the
 //     write watermark (a peer that stops reading stops receiving work, not
 //     the whole master);
@@ -66,7 +67,8 @@ struct NetMasterStats {
   int64_t duplicate_results = 0;  // results for already-completed tasks
   int64_t requeued_tasks = 0;     // in-flight dispatches returned by drops
   int64_t connections_accepted = 0;
-  int64_t disconnects = 0;
+  int64_t links_lost = 0;      // links closed before the bye
+  int64_t links_departed = 0;  // links closed after it
   int64_t files_sent = 0;
   int64_t bytes_sent = 0;
   int64_t bytes_received = 0;
@@ -222,7 +224,8 @@ class Dispatcher {
     Count unknown_results{sink, p + "unknown_results"};
     Count duplicate_results{sink, p + "duplicate_results"};
     Count results{sink, p + "results"};
-    Count disconnects{sink, p + "disconnects"};
+    Count links_lost{sink, p + "links_lost"};
+    Count links_departed{sink, p + "links_departed"};
     Count requeued_tasks{sink, p + "requeued_tasks"};
     Count files_sent{sink, p + "files_sent"};
     Count backpressure_stalls{sink, p + "backpressure_stalls"};

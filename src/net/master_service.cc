@@ -69,7 +69,8 @@ void MasterService::add_statusz(serde::ValueDict& d) const {
   d["queue_depth"] = static_cast<int64_t>(queue_depth());
   d["requeued_tasks"] = s.requeued_tasks;
   d["connections_accepted"] = s.connections_accepted;
-  d["disconnects"] = s.disconnects;
+  d["workers_lost"] = s.links_lost;
+  d["workers_departed"] = s.links_departed;
 }
 
 void MasterService::add_link_statusz(const Link& l, serde::ValueDict& d) const {

@@ -243,58 +243,95 @@ size_t normalize_index(int64_t index, size_t size, const char* what) {
                          ": " + type_name(a) + " and " + type_name(b));
 }
 
-// x op y, the ints (or bools, as 0 and 1) `a` and `b` hold. The Values
-// only name their types in an error.
-Value int_binary(Op op, int64_t x, int64_t y, const Value& a, const Value& b) {
-  int64_t r = 0;
+// An int or bool held unboxed: what the int path computes on. A bool
+// counts as 0 or 1 in arithmetic, and stays a bool where a Value would
+// (a comparison, `not`, unary `+`).
+struct Unboxed {
+  int64_t value = 0;
+  bool is_bool = false;
+};
+
+bool unbox(const Value& v, Unboxed& out) {
+  if (v.is_int()) {
+    out = {v.as_int(), false};
+    return true;
+  }
+  if (v.is_bool()) {
+    out = {v.as_bool() ? 1 : 0, true};
+    return true;
+  }
+  return false;
+}
+
+Value box(Unboxed u) { return u.is_bool ? Value(u.value != 0) : Value(u.value); }
+
+// a op b over ints. An int result lands in `out` (true); the float of a
+// true division or a negative power in `boxed` (false).
+bool int_binary(Op op, Unboxed a, Unboxed b, Unboxed& out, Value& boxed) {
+  const int64_t x = a.value;
+  const int64_t y = b.value;
+  int64_t& r = out.value;
+  out.is_bool = false;
   switch (op) {
     case Op::kAdd:
       if (__builtin_add_overflow(x, y, &r)) op_overflow(op);
-      return Value(r);
+      return true;
     case Op::kSub:
       if (__builtin_sub_overflow(x, y, &r)) op_overflow(op);
-      return Value(r);
+      return true;
     case Op::kMul:
       if (__builtin_mul_overflow(x, y, &r)) op_overflow(op);
-      return Value(r);
+      return true;
     case Op::kDiv:
       if (y == 0) raise("ZeroDivisionError", "division by zero");
-      return Value(static_cast<double>(x) / static_cast<double>(y));
+      boxed = Value(static_cast<double>(x) / static_cast<double>(y));
+      return false;
     case Op::kFloorDiv:
       if (y == 0) raise("ZeroDivisionError", "integer division by zero");
       if (x == INT64_MIN && y == -1) op_overflow(op);
       r = x / y;
       if ((x % y != 0) && ((x < 0) != (y < 0))) --r;  // floor toward -inf
-      return Value(r);
+      return true;
     case Op::kMod:
       if (y == 0) raise("ZeroDivisionError", "modulo by zero");
-      if (y == -1) return Value(int64_t{0});  // INT64_MIN % -1 traps in C++
+      if (y == -1) {  // INT64_MIN % -1 traps in C++
+        r = 0;
+        return true;
+      }
       r = x % y;
       if (r != 0 && ((r < 0) != (y < 0))) r += y;  // Python sign convention
-      return Value(r);
+      return true;
     case Op::kPow:
-      if (y >= 0) return Value(int_pow(x, y));
-      return Value(std::pow(static_cast<double>(x), static_cast<double>(y)));
-    case Op::kBitAnd: return Value(x & y);
-    case Op::kBitOr: return Value(x | y);
-    case Op::kBitXor: return Value(x ^ y);
+      if (y < 0) {
+        boxed = Value(std::pow(static_cast<double>(x), static_cast<double>(y)));
+        return false;
+      }
+      r = int_pow(x, y);
+      return true;
+    case Op::kBitAnd: r = x & y; return true;
+    case Op::kBitOr: r = x | y; return true;
+    case Op::kBitXor: r = x ^ y; return true;
     case Op::kLShift:
       if (y < 0) raise("ValueError", "negative shift count");
-      if (x == 0) return Value(int64_t{0});
+      if (x == 0) {
+        r = 0;
+        return true;
+      }
       if (y >= 64) op_overflow(op);
       r = static_cast<int64_t>(static_cast<uint64_t>(x) << y);
       if ((r >> y) != x) op_overflow(op);
-      return Value(r);
+      return true;
     case Op::kRShift:
       if (y < 0) raise("ValueError", "negative shift count");
-      return Value(y >= 64 ? (x < 0 ? int64_t{-1} : int64_t{0}) : x >> y);
+      r = y >= 64 ? (x < 0 ? -1 : 0) : x >> y;
+      return true;
     default:
-      unsupported_operands(op, a, b);
+      unsupported_operands(op, box(a), box(b));
   }
 }
 
+// a op b when either is a number and not both are ints.
 Value binary_numeric(Op op, const Value& a, const Value& b) {
-  if (is_int_like(a) && is_int_like(b)) return int_binary(op, as_int(a), as_int(b), a, b);
   switch (op) {
     case Op::kAdd: return Value(as_real(a) + as_real(b));
     case Op::kSub: return Value(as_real(a) - as_real(b));
@@ -316,7 +353,13 @@ Value binary_numeric(Op op, const Value& a, const Value& b) {
 }
 
 Value binary_op(Op op, const Value& a, const Value& b) {
-  if (a.is_int() && b.is_int()) return int_binary(op, a.as_int(), b.as_int(), a, b);
+  Unboxed x;
+  Unboxed y;
+  if (unbox(a, x) && unbox(b, y)) {
+    Unboxed r;
+    Value real;
+    return int_binary(op, x, y, r, real) ? Value(r.value) : std::move(real);
+  }
   // Sequence semantics first.
   if (op == Op::kAdd) {
     if (a.is_str() && b.is_str()) return Value(a.as_str() + b.as_str());
@@ -382,6 +425,24 @@ bool compare_op(Op op, const Value& left, const Value& right) {
     case Op::kIs: return (left.is_none() && right.is_none()) || py_equal(left, right);
     case Op::kIsNot: return !((left.is_none() && right.is_none()) || py_equal(left, right));
     default: return false;
+  }
+}
+
+// a op b for two ints or bools, as compare_op decides it: numbers compare
+// as doubles.
+bool int_compare(Op op, Unboxed a, Unboxed b) {
+  const auto x = static_cast<double>(a.value);
+  const auto y = static_cast<double>(b.value);
+  switch (op) {
+    case Op::kEq:
+    case Op::kIs: return x == y;
+    case Op::kNe:
+    case Op::kIsNot: return x != y;
+    case Op::kLt: return x < y;
+    case Op::kLe: return x <= y;
+    case Op::kGt: return x > y;
+    case Op::kGe: return x >= y;
+    default: return compare_op(op, box(a), box(b));
   }
 }
 
@@ -558,13 +619,25 @@ struct Interpreter::Impl {
     raise("NameError", "name '" + name.id + "' is not defined");
   }
 
-  void store(Frame& frame, uint32_t id, Value&& value) {
+  // The value a store to `id` writes, marked bound.
+  Value& bind(Frame& frame, uint32_t id) {
     if (frame.locals != nullptr && !frame.locals[id].global) {
-      frame.locals[id].value = std::move(value);
       frame.locals[id].bound = true;
+      return frame.locals[id].value;
+    }
+    globals[id].bound = true;
+    return globals[id].value;
+  }
+
+  void store(Frame& frame, uint32_t id, Value&& value) { bind(frame, id) = std::move(value); }
+
+  // Writes an int into the bound value in place.
+  void store(Frame& frame, uint32_t id, Unboxed value) {
+    Value& bound = bind(frame, id);
+    if (value.is_bool) {
+      bound = Value(value.value != 0);
     } else {
-      globals[id].value = std::move(value);
-      globals[id].bound = true;
+      bound.set_int(value.value);
     }
   }
 
@@ -663,18 +736,6 @@ struct Interpreter::Impl {
     std::optional<Range> range;
     ValueList items;
     size_t next = 0;
-
-    bool take(Value& out) {
-      if (range) {
-        int64_t i = 0;
-        if (!range->take(i)) return false;
-        out = Value(i);
-        return true;
-      }
-      if (next == items.size()) return false;
-      out = std::move(items[next++]);
-      return true;
-    }
   };
 
   Iteration iteration(Frame& frame, const Expr& iter) {
@@ -686,6 +747,34 @@ struct Interpreter::Impl {
       it.items = iterate(eval(frame, iter));
     }
     return it;
+  }
+
+  // Ticks once for the next round of `it` and binds its item to `target`;
+  // false when `it` is done. An int goes into a name target in place.
+  bool next_item(Frame& frame, Iteration& it, const Expr& target) {
+    const auto* name = target.kind == ExprKind::kName
+                           ? static_cast<const NameExpr*>(&target)
+                           : nullptr;
+    Unboxed i;
+    if (it.range) {
+      if (!it.range->take(i.value)) return false;
+      tick();
+      if (name != nullptr) {
+        store(frame, id(frame, name->slot), i);
+      } else {
+        assign_target(frame, target, Value(i.value));
+      }
+      return true;
+    }
+    if (it.next == it.items.size()) return false;
+    tick();
+    Value& item = it.items[it.next++];
+    if (name != nullptr && unbox(item, i)) {
+      store(frame, id(frame, name->slot), i);
+    } else {
+      assign_target(frame, target, std::move(item));
+    }
+    return true;
   }
 
   static Range range_of(const std::vector<Value>& args) {
@@ -741,6 +830,10 @@ struct Interpreter::Impl {
   Flow exec_stmt(Frame& frame, const Stmt& stmt);
   Flow exec_try(Frame& frame, const TryStmt& stmt);
   Value eval(Frame& frame, const Expr& expr);
+  bool eval_int(Frame& frame, const Expr& expr, Unboxed& out, Value& boxed);
+  bool eval_binop(Frame& frame, const BinOpExpr& b, Unboxed& out, Value& boxed);
+  bool eval_unary(Frame& frame, const UnaryOpExpr& u, Unboxed& out, Value& boxed);
+  bool eval_compare(Frame& frame, const CompareExpr& c);
   Value eval_subscript(Frame& frame, const SubscriptExpr& s);
   Value eval_call(Frame& frame, const CallExpr& call);
   Value call_value(Frame& frame, const Value& callee, std::vector<Value> args);
@@ -783,7 +876,18 @@ Flow Interpreter::Impl::exec_stmt(Frame& frame, const Stmt& stmt) {
       return Flow::kNormal;
     case StmtKind::kAssign: {
       const auto& n = static_cast<const AssignStmt&>(stmt);
-      Value value = eval(frame, *n.value);
+      Value value;
+      if (n.targets.size() == 1 && n.targets[0]->kind == ExprKind::kName) {
+        const uint32_t i = id(frame, static_cast<const NameExpr&>(*n.targets[0]).slot);
+        Unboxed r;
+        if (eval_int(frame, *n.value, r, value)) {
+          store(frame, i, r);
+        } else {
+          store(frame, i, std::move(value));
+        }
+        return Flow::kNormal;
+      }
+      value = eval(frame, *n.value);
       for (size_t i = 0; i + 1 < n.targets.size(); ++i) {
         assign_target(frame, *n.targets[i], Value(value));
       }
@@ -792,13 +896,29 @@ Flow Interpreter::Impl::exec_stmt(Frame& frame, const Stmt& stmt) {
     }
     case StmtKind::kAugAssign: {
       const auto& n = static_cast<const AugAssignStmt&>(stmt);
-      const Value rhs = eval(frame, *n.value);
       const Op op = augmented_base(n.op);
+      Unboxed y;
+      Value rhs;
+      const bool rhs_int = eval_int(frame, *n.value, y, rhs);
       if (n.target->kind == ExprKind::kName) {
         const auto& name = static_cast<const NameExpr&>(*n.target);
-        store(frame, id(frame, name.slot), binary_op(op, load(frame, name), rhs));
+        const uint32_t i = id(frame, name.slot);
+        const Value* bound = find(frame, i);
+        Unboxed x;
+        if (rhs_int && bound != nullptr && unbox(*bound, x)) {
+          Unboxed r;
+          if (int_binary(op, x, y, r, rhs)) {  // else a float, in rhs
+            store(frame, i, r);
+          } else {
+            store(frame, i, std::move(rhs));
+          }
+          return Flow::kNormal;
+        }
+        if (rhs_int) rhs = box(y);
+        store(frame, i, binary_op(op, load(frame, name), rhs));
         return Flow::kNormal;
       }
+      if (rhs_int) rhs = box(y);
       Value* slot = resolve_lvalue(frame, *n.target);
       if (slot == nullptr) raise("SyntaxError", "invalid augmented-assignment target");
       *slot = binary_op(op, *slot, rhs);
@@ -837,10 +957,7 @@ Flow Interpreter::Impl::exec_stmt(Frame& frame, const Stmt& stmt) {
     case StmtKind::kFor: {
       const auto& n = static_cast<const ForStmt&>(stmt);
       Iteration it = iteration(frame, *n.iter);
-      Value item;
-      while (it.take(item)) {
-        tick();
-        assign_target(frame, *n.target, std::move(item));
+      while (next_item(frame, it, *n.target)) {
         const Flow flow = exec_body(frame, n.body);
         if (flow == Flow::kBreak) return Flow::kNormal;
         if (flow == Flow::kReturn) return flow;
@@ -1086,32 +1203,16 @@ Value Interpreter::Impl::eval(Frame& frame, const Expr& expr) {
         assign_target(frame, *b.lhs, Value(value));
         return value;
       }
-      const Value lhs = eval(frame, *b.lhs);
-      const Value rhs = eval(frame, *b.rhs);
-      return binary_op(b.op, lhs, rhs);
+      Unboxed r;
+      Value boxed;
+      return eval_binop(frame, b, r, boxed) ? box(r) : std::move(boxed);
     }
     case ExprKind::kUnaryOp: {
-      const auto& u = static_cast<const UnaryOpExpr&>(expr);
-      const Value v = eval(frame, *u.operand);
-      switch (u.op) {
-        case Op::kNot: return Value(!truthy(v));
-        case Op::kNeg:
-          if (is_int_like(v)) {
-            if (as_int(v) == INT64_MIN) int_overflow("result of unary '-'");
-            return Value(-as_int(v));
-          }
-          if (v.is_real()) return Value(-v.as_real());
-          break;
-        case Op::kPos:
-          if (is_number(v)) return v;
-          break;
-        case Op::kInvert:
-          if (is_int_like(v)) return Value(~as_int(v));
-          break;
-        default: break;
-      }
-      raise("TypeError", "bad operand type for unary " + std::string(op_text(u.op)) +
-                             ": " + type_name(v));
+      Unboxed r;
+      Value boxed;
+      return eval_unary(frame, static_cast<const UnaryOpExpr&>(expr), r, boxed)
+                 ? box(r)
+                 : std::move(boxed);
     }
     case ExprKind::kBoolOp: {
       const auto& b = static_cast<const BoolOpExpr&>(expr);
@@ -1122,16 +1223,8 @@ Value Interpreter::Impl::eval(Frame& frame, const Expr& expr) {
       }
       return last;
     }
-    case ExprKind::kCompare: {
-      const auto& c = static_cast<const CompareExpr&>(expr);
-      Value left = eval(frame, *c.lhs);
-      for (const auto& [op, rhs_expr] : c.rest) {
-        Value right = eval(frame, *rhs_expr);
-        if (!compare_op(op, left, right)) return Value(false);
-        left = std::move(right);
-      }
-      return Value(true);
-    }
+    case ExprKind::kCompare:
+      return Value(eval_compare(frame, static_cast<const CompareExpr&>(expr)));
     case ExprKind::kSubscript:
       return eval_subscript(frame, static_cast<const SubscriptExpr&>(expr));
     case ExprKind::kTuple:
@@ -1213,6 +1306,137 @@ Value Interpreter::Impl::eval(Frame& frame, const Expr& expr) {
       unsupported("generators");
   }
   raise("RuntimeError", "unhandled expression kind");
+}
+
+// --- the int path -----------------------------------------------------------------
+// BinOp, UnaryOp and Compare compute on int64 while their operands are
+// ints or bools, and box only the result they hand back to eval(). Each
+// node still ticks once, as eval() does.
+
+// Evaluates `expr` as eval() would. An int or bool result lands unboxed in
+// `out` (true), any other in `boxed` (false). A name's int is read where it
+// is bound and an int literal's value is the parsed one, so evaluating an
+// int expression builds no Value.
+bool Interpreter::Impl::eval_int(Frame& frame, const Expr& expr, Unboxed& out,
+                                 Value& boxed) {
+  switch (expr.kind) {
+    case ExprKind::kName: {
+      tick();
+      const auto& name = static_cast<const NameExpr&>(expr);
+      if (const Value* v = find(frame, id(frame, name.slot))) {
+        if (unbox(*v, out)) return true;
+        boxed = *v;
+        return false;
+      }
+      boxed = load(frame, name);  // a def's handle, or NameError
+      return false;
+    }
+    case ExprKind::kConstant: {
+      const auto& c = static_cast<const ConstantExpr&>(expr);
+      if (c.const_kind == ConstantKind::kInt && !c.error) {
+        tick();
+        out = {c.int_value, false};
+        return true;
+      }
+      if (c.const_kind == ConstantKind::kBool) {
+        tick();
+        out = {c.bool_value, true};
+        return true;
+      }
+      break;
+    }
+    case ExprKind::kBinOp: {
+      const auto& b = static_cast<const BinOpExpr&>(expr);
+      if (b.op == Op::kWalrus) break;
+      tick();
+      return eval_binop(frame, b, out, boxed);
+    }
+    case ExprKind::kUnaryOp:
+      tick();
+      return eval_unary(frame, static_cast<const UnaryOpExpr&>(expr), out, boxed);
+    case ExprKind::kCompare:
+      tick();
+      out = {eval_compare(frame, static_cast<const CompareExpr&>(expr)), true};
+      return true;
+    default:
+      break;
+  }
+  boxed = eval(frame, expr);
+  return unbox(boxed, out);
+}
+
+// lhs op rhs: on int64 while both operands are ints or bools, else by
+// binary_op from the first operand that is not.
+bool Interpreter::Impl::eval_binop(Frame& frame, const BinOpExpr& b, Unboxed& out,
+                                   Value& boxed) {
+  Unboxed x;
+  Unboxed y;
+  // `boxed` holds a boxed lhs until the result replaces it: a Value built
+  // and destroyed per node would cost as much as the arithmetic.
+  if (!eval_int(frame, *b.lhs, x, boxed)) {
+    boxed = binary_op(b.op, boxed, eval(frame, *b.rhs));
+    return unbox(boxed, out);
+  }
+  if (!eval_int(frame, *b.rhs, y, boxed)) {
+    boxed = binary_op(b.op, box(x), boxed);
+    return unbox(boxed, out);
+  }
+  return int_binary(b.op, x, y, out, boxed);
+}
+
+bool Interpreter::Impl::eval_unary(Frame& frame, const UnaryOpExpr& u, Unboxed& out,
+                                   Value& boxed) {
+  Unboxed x;
+  if (eval_int(frame, *u.operand, x, boxed)) {
+    switch (u.op) {
+      case Op::kNot:
+        out = {x.value == 0, true};
+        return true;
+      case Op::kNeg:
+        if (x.value == INT64_MIN) int_overflow("result of unary '-'");
+        out = {-x.value, false};
+        return true;
+      case Op::kPos:
+        out = x;
+        return true;
+      default:  // kInvert
+        out = {~x.value, false};
+        return true;
+    }
+  }
+  if (u.op == Op::kNot) {
+    out = {!truthy(boxed), true};
+    return true;
+  }
+  if (boxed.is_real() && (u.op == Op::kNeg || u.op == Op::kPos)) {
+    if (u.op == Op::kNeg) boxed = Value(-boxed.as_real());
+    return false;
+  }
+  raise("TypeError", "bad operand type for unary " + std::string(op_text(u.op)) + ": " +
+                         type_name(boxed));
+}
+
+// A comparison chain; a link between two ints or bools compares unboxed.
+bool Interpreter::Impl::eval_compare(Frame& frame, const CompareExpr& c) {
+  Unboxed x;
+  Unboxed y;
+  Value left;
+  Value right;
+  bool left_int = eval_int(frame, *c.lhs, x, left);
+  for (const auto& [op, rhs_expr] : c.rest) {
+    const bool right_int = eval_int(frame, *rhs_expr, y, right);
+    if (left_int && right_int) {
+      if (!int_compare(op, x, y)) return false;
+    } else {
+      if (left_int) left = box(x);
+      if (right_int) right = box(y);
+      if (!compare_op(op, left, right)) return false;
+    }
+    x = y;
+    left_int = right_int;
+    if (!right_int) left = std::move(right);
+  }
+  return true;
 }
 
 Value Interpreter::Impl::eval_subscript(Frame& frame, const SubscriptExpr& s) {
@@ -1343,10 +1567,7 @@ void Interpreter::Impl::expand(Frame& frame, const ComprehensionExpr& comp,
   }
   const auto& clause = comp.clauses[clause_index];
   Iteration it = iteration(frame, *clause.iter);
-  Value item;
-  while (it.take(item)) {
-    tick();
-    assign_target(frame, *clause.target, std::move(item));
+  while (next_item(frame, it, *clause.target)) {
     bool keep = true;
     for (const auto& cond : clause.conditions) {
       if (!truthy(eval(frame, *cond))) {

@@ -33,6 +33,8 @@
 //     literal that does not fit (raised when the literal is evaluated).
 //     `INT64_MIN % -1` is 0, and a negative shift count raises ValueError,
 //     as in Python.
+//   * numbers compare as doubles, so two ints beyond 2**53 that round to
+//     the same double compare equal.
 //
 // Evaluation runs over the tree as the parser resolved it (ast.h): no
 // operator, literal or name is looked up by string. A function frame keeps
@@ -41,6 +43,13 @@
 // name, runs the def directly; a def becomes a `{"__callable__": id}`
 // handle only when used as a value, at most one handle per def. A
 // `for ... in range(...)` counts without building the list.
+//
+// Ints and bools are evaluated unboxed. BinOp, UnaryOp and Compare over
+// them compute on int64_t, reading a name's int where it is bound and an
+// int literal's parsed value, and fall back to the serde::Value operators
+// at the first operand that is neither. A name-target assignment,
+// augmented assignment or loop variable writes its int into the bound
+// value in place. Every evaluated node takes one step of the budget.
 //
 // Not supported (PyError "UnsupportedError"): classes, generators/yield,
 // with, async, attribute assignment.

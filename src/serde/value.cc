@@ -147,4 +147,8 @@ std::string Value::repr() const {
   return out;
 }
 
+void Value::wrong_kind(const char* expected) const {
+  throw Error(std::string("Value: expected ") + expected + ", got " + repr());
+}
+
 }  // namespace lfm::serde

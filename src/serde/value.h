@@ -132,6 +132,9 @@ class Value {
   const ValueDict& as_dict() const { return get<ValueDict>("dict"); }
   ValueDict& as_dict() { return get_mut<ValueDict>("dict"); }
 
+  // Makes this value the int `i`, in place when it already holds an int.
+  void set_int(int64_t i) { v_ = i; }
+
   // Dict field access; throws on missing key or non-dict.
   const Value& at(const std::string& key) const;
   bool contains(const std::string& key) const;
@@ -154,18 +157,16 @@ class Value {
 
   template <typename T>
   const T& get(const char* name) const {
-    if (!std::holds_alternative<T>(v_)) {
-      throw Error(std::string("Value: expected ") + name + ", got " + repr());
-    }
-    return std::get<T>(v_);
+    if (const T* p = std::get_if<T>(&v_)) return *p;
+    wrong_kind(name);
   }
   template <typename T>
   T& get_mut(const char* name) {
-    if (!std::holds_alternative<T>(v_)) {
-      throw Error(std::string("Value: expected ") + name + ", got " + repr());
-    }
-    return std::get<T>(v_);
+    if (T* p = std::get_if<T>(&v_)) return *p;
+    wrong_kind(name);
   }
+  // The accessors' type error, out of line so that they inline.
+  [[noreturn]] void wrong_kind(const char* expected) const;
 
   // mutable: owning accessors materialize borrowed leaves in place.
   mutable std::variant<std::monostate, bool, int64_t, double, std::string, Bytes,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <thread>
 
@@ -12,6 +13,7 @@
 #include "pysrc/interp.h"
 #include "pysrc/parse_cache.h"
 #include "pysrc/unparse.h"
+#include "util/hash.h"
 
 namespace lfm::pysrc {
 namespace {
@@ -846,5 +848,403 @@ TEST(Interp, PyShortFunctionsMatchNativeArithmetic) {
   }
 }
 
+
+// --- the int path: the same results, errors and steps as boxed evaluation -------
+
+// What calling `function` of `source` gives: the result's repr, or the
+// error's text.
+std::string outcome(const std::string& source, const std::string& function = "f",
+                    std::vector<Value> args = {}) {
+  Interpreter interp;
+  interp.exec_source(source);
+  try {
+    return interp.call(function, std::move(args)).repr();
+  } catch (const PyError& e) {
+    return e.what();
+  }
+}
+
+TEST(Interp, OverflowInsideAnIntExpressionNamesItsOperator) {
+  const char* const source = "def f(a, b, c):\n    return a * b + c\n";
+  const Value big(int64_t{3037000500});  // big * big > INT64_MAX
+  EXPECT_EQ(outcome(source, "f", {big, big, Value(1)}),
+            "OverflowError: result of '*' does not fit in int64");
+  EXPECT_EQ(outcome(source, "f", {Value(1), Value(INT64_MAX), Value(1)}),
+            "OverflowError: result of '+' does not fit in int64");
+  EXPECT_EQ(outcome("def f(a):\n    return 1 + -(a - 1)\n", "f", {Value(-INT64_MAX)}),
+            "OverflowError: result of unary '-' does not fit in int64");
+  EXPECT_EQ(outcome("def f(a):\n    x = a\n    x *= a\n    return x\n", "f", {big}),
+            "OverflowError: result of '*' does not fit in int64");
+}
+
+TEST(Interp, DivisionRulesHoldMidExpression) {
+  const char* const source = "def f(a, b):\n    return [1 + a // b, 1 + a % b]\n";
+  EXPECT_EQ(outcome(source, "f", {Value(7), Value(0)}),
+            "ZeroDivisionError: integer division by zero");
+  EXPECT_EQ(outcome("def f(a, b):\n    return 1 + a % b\n", "f", {Value(7), Value(0)}),
+            "ZeroDivisionError: modulo by zero");
+  EXPECT_EQ(outcome("def f(a, b):\n    x = 2\n    x //= b\n    return x\n", "f",
+                    {Value(7), Value(0)}),
+            "ZeroDivisionError: integer division by zero");
+  EXPECT_EQ(outcome("def f(a, b):\n    return (a - 1) % b + 5\n", "f",
+                    {Value(-INT64_MAX), Value(-1)}),
+            "5");
+  EXPECT_EQ(outcome("def f(a, b):\n    return (a - 1) // b\n", "f",
+                    {Value(-INT64_MAX), Value(-1)}),
+            "OverflowError: result of '//' does not fit in int64");
+}
+
+// `expr`'s value as the interpreter's repr() spells it, which tells 1.0
+// from 1 and True from 1.
+std::string py(const std::string& expr) { return ev("repr(" + expr + ")").as_str(); }
+
+TEST(Interp, OperandsLeaveTheIntPathMidExpression) {
+  EXPECT_EQ(py("True + True"), "2");
+  EXPECT_EQ(py("+True"), "True");
+  EXPECT_EQ(py("-True + 0"), "-1");
+  EXPECT_EQ(py("~False"), "-1");
+  EXPECT_EQ(py("not 0"), "True");
+  EXPECT_EQ(py("(1 < 2) + 1"), "2");
+  EXPECT_EQ(py("True * 3.5"), "3.5");
+  EXPECT_EQ(py("True / 2"), "0.5");
+  EXPECT_EQ(py("2 ** -1 + 1"), "1.5");
+  EXPECT_EQ(py("7 / 7"), "1.0");
+  EXPECT_EQ(py("[3 // 2.0, 2.0 * 3, 1 + True, 1 < 1.5 < 2]"), "[1.0, 6.0, 2, True]");
+  EXPECT_EQ(run("x = True\nx += 1\nresult = repr(x)\n").as_str(), "2");
+  EXPECT_EQ(run("x = True\ny = x\nresult = repr([x, y, x + 0])\n").as_str(),
+            "[True, True, 1]");
+  EXPECT_EQ(outcome("def f(a):\n    return repr([a * 2 + 0.5, a // 2.0, 1 < a < 2.5])\n",
+                    "f", {Value(2)}),
+            "'[4.5, 1.0, True]'");
+  EXPECT_EQ(outcome("def f(a):\n    return ['ab' * (a + 1), (a - 1) * 'cd', 'x' * True]\n",
+                    "f", {Value(2)}),
+            "['ababab', 'cd', 'x']");
+  EXPECT_EQ(outcome("def f(a):\n    return a + 1 < 'x'\n", "f", {Value(2)}),
+            "TypeError: '<' not supported between int and str");
+  EXPECT_EQ(outcome("def f(a):\n    return a @ 1\n", "f", {Value(2)}),
+            "TypeError: unsupported operand type(s) for @: int and int");
+  EXPECT_EQ(outcome("def f(a):\n    return True @ a\n", "f", {Value(2)}),
+            "TypeError: unsupported operand type(s) for @: bool and int");
+}
+
+// A `for x in xs` walks the list as it was when the loop started, whatever
+// the body does to `xs`.
+TEST(Interp, ForOverAListIteratesItsSnapshot) {
+  EXPECT_EQ(outcome(R"(
+def f():
+    xs = [1, 2, 3]
+    seen = []
+    for x in xs:
+        xs.append(x * 10)
+        seen.append(x)
+    return [seen, xs]
+)"),
+            "[[1, 2, 3], [1, 2, 3, 10, 20, 30]]");
+  EXPECT_EQ(outcome(R"(
+def f():
+    xs = [1, 2, 3]
+    total = 0
+    for x in xs:
+        total = total * 10 + x
+        xs = [7]
+    return [total, xs]
+)"),
+            "[123, [7]]");
+  EXPECT_EQ(outcome(R"(
+def f():
+    xs = [1, 2, 3]
+    total = 0
+    for x in xs:
+        total = total * 10 + x
+        if x == 1:
+            del xs
+    try:
+        return [total, xs]
+    except NameError:
+        return [total, 'deleted']
+)"),
+            "[123, 'deleted']");
+  EXPECT_EQ(outcome(R"(
+def f():
+    xs = [1, 2, 3]
+    total = 0
+    for x in xs:
+        total = total * 10 + x
+        del xs[0]
+    return [total, xs]
+)"),
+            "[123, []]");
+  EXPECT_EQ(outcome(R"(
+xs = [1, 2, 3]
+
+def rebind():
+    global xs
+    xs = [9, 9]
+
+def f():
+    total = 0
+    for x in xs:
+        total = total * 10 + x
+        rebind()
+    return [total, xs]
+)"),
+            "[123, [9, 9]]");
+  EXPECT_EQ(outcome(R"(
+def f():
+    xs = [1, 2, 3]
+    total = 0
+    for x in xs:
+        total = total * 10 + x
+        xs[2] = 0
+        xs += [4]
+    return [total, xs]
+)"),
+            "[123, [1, 2, 0, 4, 4, 4]]");
+  // The loop variable may be the list's own name, or a subscript of it.
+  EXPECT_EQ(outcome("def f():\n    xs = [1, 2, 3]\n    for xs in xs:\n        pass\n"
+                    "    return xs\n"),
+            "3");
+  EXPECT_EQ(outcome("def f():\n    xs = [1, 2, 3]\n    for xs[0] in xs:\n        pass\n"
+                    "    return xs\n"),
+            "[3, 2, 3]");
+  // The loop target's index is evaluated every round, and may call a def
+  // that rebinds the global list.
+  EXPECT_EQ(run(R"(
+xs = [1, 2, 3]
+ys = [0, 0]
+
+def g():
+    global xs
+    xs = None
+    return 0
+
+for ys[g()] in xs:
+    pass
+result = [ys, xs]
+)").repr(),
+            "[[3, 0], None]");
+  EXPECT_EQ(run(R"(
+xs = [1, 2, 3]
+ys = [0, 0]
+seen = []
+
+def g():
+    global xs
+    xs = [7]
+    seen.append(ys[0])
+    return 0
+
+for ys[g()] in xs:
+    pass
+result = [ys, xs, seen]
+)").repr(),
+            "[[3, 0], [7], [0, 1, 2]]");
+  // A body that leaves `xs` alone, at module scope and nested.
+  EXPECT_EQ(run(R"(
+xs = [[1, 2], [3, 4]]
+total = 0
+for row in xs:
+    for x in row:
+        for y in row:
+            total = total + x * y + xs[0][0]
+result = [total, xs]
+)").repr(),
+            "[66, [[1, 2], [3, 4]]]");
+  EXPECT_EQ(run(R"(
+xs = 'ab'
+out = []
+for c in xs:
+    out.append(c)
+d = {'k': 1}
+for key in d:
+    out.append(key)
+result = out
+)").repr(),
+            "['a', 'b', 'k']");
+}
+
+// The three functions of the py-short workload take as many interpreter
+// steps as they did before ints were evaluated unboxed.
+TEST(Interp, PyShortFunctionsKeepTheirStepCounts) {
+  const auto module = parse_module_shared(kPyShortModule);
+  const auto steps = [&module](const std::string& function, ValueList args) {
+    Interpreter interp;
+    interp.exec(*module);
+    interp.call(function, std::move(args));
+    return interp.steps_executed();
+  };
+  ValueList xs;
+  for (const int64_t x : {5, -3, 17, 0, 900, -1000, 42, 8, -8, 13, 21, 34, -55, 89, 144, 2}) {
+    xs.push_back(Value(x));
+  }
+  EXPECT_EQ(steps("mix", {Value(123457), Value(98765), Value(400)}), 5220);
+  EXPECT_EQ(steps("stats", {Value(xs), Value(25)}), 4503);
+  EXPECT_EQ(steps("horner", {Value(ValueList{Value(3), Value(-1), Value(4), Value(1),
+                                             Value(-5), Value(9), Value(2)}),
+                             Value(-4), Value(57)}),
+            4691);
+}
+
+// A platform-independent random stream (splitmix64) for the corpus below.
+struct Gen {
+  uint64_t state;
+  uint64_t next() {
+    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
+  size_t below(size_t n) { return static_cast<size_t>(next() % n); }
+  template <size_t N>
+  std::string pick(const char* const (&options)[N]) {
+    return options[below(N)];
+  }
+};
+
+// A random int/bool/float expression over the corpus program's names.
+std::string gen_expr(Gen& g, int depth) {
+  static const char* const kNames[] = {"a", "b", "c", "x", "y", "z", "t", "i", "v"};
+  static const char* const kLiterals[] = {
+      "0", "1", "2", "3", "7", "-1", "31", "1000003", "3037000499", "3037000500",
+      "9223372036854775807", "True", "False", "0.5", "2.0", "-1.5", "1.5e10"};
+  static const char* const kBinOps[] = {"+", "-", "*", "/", "//", "%", "**", "<<",
+                                        ">>", "&", "|", "^", "+", "-", "*", "%"};
+  static const char* const kUnaryOps[] = {"-", "+", "~", "not "};
+  static const char* const kCmpOps[] = {"==", "!=", "<", "<=", ">", ">=", "is", "is not"};
+  if (depth == 0 || g.below(4) == 0) {
+    if (g.below(200) == 0) return "99999999999999999999";  // raises when evaluated
+    return g.below(2) == 0 ? g.pick(kNames) : g.pick(kLiterals);
+  }
+  const auto sub = [&g, depth] { return gen_expr(g, depth - 1); };
+  switch (g.below(9)) {
+    case 0:
+    case 1:
+    case 2: {
+      const std::string op = g.pick(kBinOps);
+      const bool small_rhs = (op == "**" || op == "<<" || op == ">>") && g.below(4) != 0;
+      const std::string lhs = sub();
+      return "(" + lhs + " " + op + " " + (small_rhs ? std::to_string(g.below(5)) : sub()) +
+             ")";
+    }
+    case 3:
+      return "(" + g.pick(kUnaryOps) + sub() + ")";
+    case 4: {
+      std::string out = "(" + sub() + " " + g.pick(kCmpOps) + " " + sub();
+      if (g.below(3) == 0) out += " " + g.pick(kCmpOps) + " " + sub();
+      return out + ")";
+    }
+    case 5:
+      return "(" + sub() + (g.below(2) == 0 ? " and " : " or ") + sub() + ")";
+    case 6:
+      return "(" + sub() + " if " + sub() + " else " + sub() + ")";
+    case 7: {
+      static const char* const kIndices[] = {"0", "1", "-1", "len(xs) - 1"};
+      return "xs[" + g.pick(kIndices) + "]";
+    }
+    default: {
+      static const char* const kCalls[] = {"abs", "int", "float", "bool"};
+      if (g.below(3) == 0) return "len(xs)";
+      return g.pick(kCalls) + "(" + sub() + ")";
+    }
+  }
+}
+
+void gen_block(Gen& g, int depth, const std::string& indent, std::string& out);
+
+void gen_statement(Gen& g, int depth, const std::string& indent, std::string& out) {
+  static const char* const kTargets[] = {"x", "y", "z", "t"};
+  static const char* const kAugOps[] = {"+=", "-=", "*=", "//=", "%=", "/=", "&=", "^="};
+  const std::string inner = indent + "    ";
+  switch (g.below(depth > 0 ? 10 : 6)) {
+    case 0:
+    case 1:
+    case 2:
+      out += indent + g.pick(kTargets) + " = " + gen_expr(g, 3) + "\n";
+      return;
+    case 3:
+    case 4:
+      out += indent + g.pick(kTargets) + " " + g.pick(kAugOps) + " " + gen_expr(g, 2) + "\n";
+      return;
+    case 5:
+      switch (g.below(6)) {
+        case 0: out += indent + "xs.append(" + gen_expr(g, 1) + ")\n"; return;
+        case 1: out += indent + "xs = [" + gen_expr(g, 1) + ", " + gen_expr(g, 1) + "]\n"; return;
+        case 2: out += indent + "xs[0] = " + gen_expr(g, 1) + "\n"; return;
+        case 3: out += indent + "xs += [" + gen_expr(g, 1) + "]\n"; return;
+        case 4: out += indent + "z = sum([" + gen_expr(g, 2) + " for v in xs])\n"; return;
+        default:
+          out += indent + "y = len([i for i in range(" + std::to_string(g.below(6)) +
+                 ") if " + gen_expr(g, 2) + "])\n";
+          return;
+      }
+    case 6:
+      out += indent + "if " + gen_expr(g, 2) + ":\n";
+      gen_block(g, depth - 1, inner, out);
+      out += indent + "else:\n";
+      gen_block(g, depth - 1, inner, out);
+      return;
+    case 7:
+      out += indent + "for i in range(" +
+             (g.below(4) == 0 ? gen_expr(g, 1) : std::to_string(g.below(7))) + "):\n";
+      gen_block(g, depth - 1, inner, out);
+      return;
+    default:
+      out += indent + "for v in xs:\n";
+      gen_block(g, depth - 1, inner, out);
+      return;
+  }
+}
+
+void gen_block(Gen& g, int depth, const std::string& indent, std::string& out) {
+  const size_t n = 1 + g.below(3);
+  for (size_t k = 0; k < n; ++k) gen_statement(g, depth, indent, out);
+}
+
+// A function of (a, b, c) whose statements each log the error they raise,
+// so one error does not end the program.
+std::string gen_program(Gen& g) {
+  std::string out =
+      "def f(a, b, c):\n"
+      "    x = 0\n    y = 1\n    z = 2\n    t = True\n    i = 0\n    v = 0\n"
+      "    errors = []\n"
+      "    xs = [" + gen_expr(g, 0) + ", " + gen_expr(g, 0) + ", " + gen_expr(g, 0) + "]\n";
+  const size_t n = 3 + g.below(5);
+  for (size_t k = 0; k < n; ++k) {
+    out += "    try:\n";
+    gen_statement(g, 2, "        ", out);
+    out += "    except Exception as e:\n        errors.append(e)\n";
+  }
+  out += "    return repr([x, y, z, t, i, v, errors, " + gen_expr(g, 3) + "])\n";
+  return out;
+}
+
+// 1,200 random programs over ints, bools and floats, each run with
+// arguments drawn from the int64 edges, bools and a float. The digest
+// covers every result or error text and every step count, and was
+// recorded when every value was boxed: the int path must not change any.
+TEST(Interp, RandomIntProgramsMatchTheBoxedDigest) {
+  static const Value kArgs[] = {Value(0), Value(1), Value(-3), Value(12),
+                                Value(int64_t{3037000500}), Value(-INT64_MAX),
+                                Value(true), Value(2.5)};
+  Gen g{20261017};
+  std::string log;
+  for (int p = 0; p < 1200; ++p) {
+    const std::string source = gen_program(g);
+    std::vector<Value> args;
+    for (int k = 0; k < 3; ++k) args.push_back(kArgs[g.below(std::size(kArgs))]);
+    InterpOptions options;
+    options.max_steps = 20000;
+    Interpreter interp(options);
+    interp.exec_source(source);
+    std::string line;
+    try {
+      line = interp.call("f", args).repr();
+    } catch (const std::exception& e) {
+      line = e.what();
+    }
+    log += line + " #" + std::to_string(interp.steps_executed()) + "\n";
+  }
+  EXPECT_EQ(hash64(log), uint64_t{222994907496348872}) << log.substr(0, 2000);
+}
 }  // namespace
 }  // namespace lfm::pysrc

@@ -14,6 +14,7 @@
 
 #include "monitor/lfm.h"
 #include "monitor/proc_reader.h"
+#include "obs/recorder.h"
 #include "serde/value.h"
 
 namespace lfm::monitor {
@@ -301,6 +302,28 @@ TEST(Lfm, MonitoredDecoratorBindsOptions) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.result.as_int(), 42);
   EXPECT_EQ(wrapped.options().limits.wall_time, 60.0);
+}
+
+// With the recorder on, each monitored call records the parent's time in
+// fork() and the child's minor faults once; with it off, neither.
+TEST(Lfm, TracedRunRecordsForkTimeAndChildFaults) {
+  obs::Recorder& r = obs::Recorder::global();
+  r.clear();
+  const TaskFn touch = [](const Value&) {
+    std::vector<char> pages(size_t{1} << 20, 1);  // faults in 256 pages
+    return Value(static_cast<int64_t>(pages.size()));
+  };
+  ASSERT_TRUE(run_monitored(touch, Value()).ok());
+  r.set_enabled(true);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(run_monitored(touch, Value()).ok());
+  r.set_enabled(false);
+  const LogHistogram fork_us = r.metrics().histogram("lfm.fork_us").snapshot();
+  const LogHistogram minflt = r.metrics().histogram("lfm.child_minflt").snapshot();
+  r.clear();
+  EXPECT_EQ(fork_us.count(), 3);
+  EXPECT_GT(fork_us.min_seen(), 0.0);
+  EXPECT_EQ(minflt.count(), 3);
+  EXPECT_GE(minflt.min_seen(), 256.0);
 }
 
 TEST(Lfm, StatusNames) {

@@ -439,6 +439,12 @@ def mix(a, b):
         << "payload differs for task " << results[i].task_id;
   }
   EXPECT_GE(stats.connections_accepted, 4);
+  // Every worker closed its link after the bye: none was lost.
+  EXPECT_EQ(stats.links_lost, 0);
+  EXPECT_EQ(stats.links_departed, stats.connections_accepted);
+  const serde::Value statusz = master.statusz_value();
+  EXPECT_EQ(statusz.at("workers_lost").as_int(), 0);
+  EXPECT_EQ(statusz.at("workers_departed").as_int(), stats.connections_accepted);
   for (const pid_t pid : workers) {
     int status = -1;
     ASSERT_EQ(waitpid(pid, &status, 0), pid);
@@ -1060,6 +1066,10 @@ def spin(n):
 
   EXPECT_TRUE(closed);
   EXPECT_LT(close_after, 0.5);
+  // A close before the bye is a lost worker.
+  EXPECT_EQ(master.stats().links_lost, 1);
+  EXPECT_EQ(master.stats().links_departed, 0);
+  EXPECT_EQ(master.statusz_value().at("workers_lost").as_int(), 1);
   // The kernel closes a dying child's fds before the child turns zombie,
   // so give an exit already under way a moment to finish.
   const double deadline = EventLoop::now() + 0.5;
