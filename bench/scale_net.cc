@@ -268,9 +268,11 @@ def mix(a, b):
   for (auto& [task, files] : specs) master.submit(task, files);
 
   std::map<uint64_t, int> seen;
+  std::map<uint64_t, wq::ResultMessage> results;
   int results_so_far = 0;
   master.set_on_result([&](const wq::ResultMessage& msg) {
     seen[msg.task_id] += 1;
+    results[msg.task_id] = msg;
     // One injected fault mid-run: sever a live worker connection. Deferred
     // via post so it lands after the post-result dispatch refill — the
     // severed connection then has a batch in flight to requeue, and the
@@ -301,9 +303,9 @@ def mix(a, b):
   for (const auto& [id, count] : seen) {
     if (count != 1) r.exactly_once = false;
   }
-  r.bit_identical = master.results().size() == n;
+  r.bit_identical = results.size() == n;
   for (size_t i = 0; i < n && r.bit_identical; ++i) {
-    const wq::ResultMessage& res = master.results()[i];
+    const wq::ResultMessage& res = results[1000 + i];
     if (res.exit_code != 0 || res.payload != expected[i]) r.bit_identical = false;
   }
   return r;

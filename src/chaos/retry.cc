@@ -33,13 +33,10 @@ double RetryPolicy::backoff_delay(uint64_t task_id, int failure_index) const {
 }
 
 RetryDecision RetryPolicy::decide(FailureKind kind, uint64_t task_id, int exhaustions,
-                                  int total_failures, int legacy_max_exhaustions) const {
+                                  int total_failures) const {
   RetryDecision d;
-  if (kind == FailureKind::kExhaustion) {
-    const int limit = max_exhaustions >= 0 ? max_exhaustions : legacy_max_exhaustions;
-    if (exhaustions > limit) {
-      return {false, 0.0, "exhaustion-limit"};
-    }
+  if (kind == FailureKind::kExhaustion && exhaustions > max_exhaustions) {
+    return {false, 0.0, "exhaustion-limit"};
   }
   if (retry_budget >= 0 && total_failures > retry_budget) {
     return {false, 0.0, "retry-budget"};

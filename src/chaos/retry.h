@@ -1,8 +1,8 @@
 // Retry/backoff policy for task attempts (chaos & recovery subsystem).
 //
 // The seed master hardcoded its retry behaviour: an exhausted attempt
-// requeues immediately and a task fails after MasterConfig::max_retries
-// exhaustions; crash-lost attempts requeue immediately and unconditionally.
+// requeues immediately and a task fails after 10 exhaustion retries;
+// crash-lost attempts requeue immediately and unconditionally.
 // Under fault injection that policy melts down — a crash storm turns into a
 // synchronized requeue thundering herd, and a worker that flaps forever can
 // pin a task in a retry loop for the whole run.
@@ -40,9 +40,8 @@ struct RetryDecision {
 };
 
 struct RetryPolicy {
-  // Exhaustion attempts before permanent failure. -1 defers to the caller's
-  // legacy limit (MasterConfig::max_retries), keeping seed behaviour.
-  int max_exhaustions = -1;
+  // Exhaustion retries before permanent failure (the seed's limit).
+  int max_exhaustions = 10;
   // Total failed attempts (any kind) before the task is abandoned.
   // -1 = unlimited (seed behaviour: crashes never exhaust a task).
   int retry_budget = -1;
@@ -65,9 +64,8 @@ struct RetryPolicy {
   // Decide the fate of a failed attempt. `exhaustions` counts exhaustion
   // failures so far (including this one when kind == kExhaustion);
   // `total_failures` counts all failed attempts including this one.
-  // `legacy_max_exhaustions` stands in when max_exhaustions is -1.
   RetryDecision decide(FailureKind kind, uint64_t task_id, int exhaustions,
-                       int total_failures, int legacy_max_exhaustions) const;
+                       int total_failures) const;
 
   // The (jittered) backoff delay for a task's Nth failure (0-based).
   double backoff_delay(uint64_t task_id, int failure_index) const;

@@ -4,14 +4,21 @@
 
 namespace lfm::fed {
 
+namespace {
+
+// Local results buffered before an upward flush is forced; a loop-deferred
+// flush also coalesces whatever completed in the same reactor iteration.
+constexpr size_t kResultBatchMax = 64;
+
+}  // namespace
+
 Foreman::Foreman(ForemanConfig c)
     : Uplink({"fed", "foreman", c.name, c.root_host, c.root_port, c.capacity,
-              c.reconnect, c.max_reconnect_attempts, c.telemetry_backpressure_bytes},
+              c.reconnect, c.max_reconnect_attempts},
              net::Count(c.metrics, "foreman.telemetry_dropped")),
       config_(std::move(c)),
       m_{config_.metrics},
-      service_(loop_, shard_config()),
-      cache_(config_.cache_capacity_bytes) {
+      service_(loop_, shard_config()) {
   service_.set_on_result(
       [this](const wq::ResultMessage& r) { on_local_result(r); });
 }
@@ -38,6 +45,10 @@ int64_t Foreman::run() {
 
 void Foreman::on_connected() {
   m_.connects.add();
+  // The uplink starts empty on every link, and so does the root's
+  // ship-once set for it.
+  unnamed_.clear();
+  dropped_.clear();
   // Results that completed while the link was down travel on the fresh
   // connection; the root's done flags absorb any duplicates.
   flush_results();
@@ -58,50 +69,66 @@ void Foreman::on_bye(net::Connection&) {
   service_.shutdown();
 }
 
-void Foreman::on_file(wq::FileMessage&& fm) {
-  const auto backing =
-      std::make_shared<const serde::Bytes>(std::move(fm.content));
-  // Second-tier cache fill: the payload is content-chunked into the shard
-  // store (dedup against every file already held) and remembered as a
-  // manifest; the bytes never cross the root link again while cached.
-  pkg::ChunkManifest manifest = pkg::chunk_into_store(backing, cache_);
+void Foreman::on_file(const std::string& name, size_t bytes) {
   m_.files_cached.add();
-  m_.file_bytes_in.add(manifest.total_bytes());
-  file_cache_[fm.name] = std::move(manifest);
+  m_.file_bytes_in.add(static_cast<int64_t>(bytes));
+  unnamed_.insert(name);
 }
 
-void Foreman::on_tasks(net::Connection&, const std::string& wire) {
+void Foreman::on_tasks(net::Connection& conn, const std::string& wire) {
   const std::vector<wq::TaskMessage> tasks = wq::decode_task_batch(wire);
-  received_ += static_cast<int64_t>(tasks.size());
-  m_.tasks_received.add(static_cast<int64_t>(tasks.size()));
-  // Reassemble each input named by this batch once from the shard cache,
-  // then fan the bytes out per task (the local MasterService ships each
-  // cacheable file once per worker connection regardless).
-  wq::FileSet staged;
   for (const wq::TaskMessage& t : tasks) {
     for (const wq::TaskMessage::FileStanza& stanza : t.infiles) {
-      if (staged.count(stanza.name)) continue;
-      auto it = file_cache_.find(stanza.name);
-      if (it == file_cache_.end()) continue;  // worker-local input
-      staged.emplace(stanza.name, pkg::reassemble(it->second, cache_));
-      m_.cache_reassemblies.add();
+      if (!dropped_.count(stanza.name)) continue;
+      // The root ships a cacheable file once per link, so a task naming
+      // one dropped past the bound starts the foreman over on a fresh link:
+      // the root requeues this link's groups, this batch's included, and
+      // re-stages their files there. The link was working: the close does
+      // not count against the reconnect budget.
+      m_.cache_resets.add();
+      reset_budget();
+      conn.close("dropped file named again");
+      return;
     }
   }
+  received_ += static_cast<int64_t>(tasks.size());
+  m_.tasks_received.add(static_cast<int64_t>(tasks.size()));
   for (const wq::TaskMessage& t : tasks) {
+    // Each task takes its own copy of the inputs the uplink holds (the
+    // rest are worker-local); the local MasterService ships each cacheable
+    // one once per worker connection.
     wq::FileSet files;
     for (const wq::TaskMessage::FileStanza& stanza : t.infiles) {
-      auto it = staged.find(stanza.name);
-      if (it != staged.end()) files.emplace(it->first, it->second);
+      unnamed_.erase(stanza.name);
+      auto it = files_.find(stanza.name);
+      if (it != files_.end()) files.emplace(it->first, it->second);
     }
     // The relay hop: the batch the root encoded is decoded here and the
     // local dispatcher re-batches and re-encodes it downward.
     service_.submit(t, std::move(files));
   }
+  // Only now: two tasks of one batch may name the same one-shot input.
+  for (const wq::TaskMessage& t : tasks) release_inputs(t);
+  if (held_bytes_ > static_cast<size_t>(config_.cache_capacity_bytes)) drop_idle_files();
+}
+
+void Foreman::drop_idle_files() {
+  // Keep what a task pending here names, and what no task has named yet
+  // (it arrived ahead of a batch still to come).
+  for (auto it = files_.begin(); it != files_.end();) {
+    if (unnamed_.count(it->first) || service_.stages(it->first)) {
+      ++it;
+      continue;
+    }
+    dropped_.insert(it->first);
+    m_.files_dropped.add();
+    it = drop_file(it);
+  }
 }
 
 void Foreman::on_local_result(const wq::ResultMessage& result) {
   pending_results_.push_back(result);
-  if (pending_results_.size() >= config_.result_batch_max) {
+  if (pending_results_.size() >= kResultBatchMax) {
     flush_results();
     return;
   }
@@ -137,9 +164,8 @@ void Foreman::send_stats() {
   const net::NetMasterStats ns = service_.stats();
   s.fanout_bytes = ns.bytes_sent;
   s.fanout_files = ns.files_sent;
-  const pkg::ChunkStore::Stats cs = cache_.stats();
-  s.cache_chunks = cs.chunks;
-  s.cache_bytes = cs.bytes;
+  s.cache_files = static_cast<int64_t>(files_.size());
+  s.cache_bytes = static_cast<int64_t>(held_bytes_);
   conn_->send(wq::encode(s));
   m_.stats_sent.add();
   // Telemetry piggybacks on the stats cadence: one timer, two frames.
@@ -148,7 +174,7 @@ void Foreman::send_stats() {
 
 void Foreman::relay_telemetry(wq::TelemetryMessage&& msg) {
   if (!conn_ || conn_->closed() ||
-      conn_->queued_bytes() > config_.telemetry_backpressure_bytes) {
+      conn_->queued_bytes() > net::kWriteBacklogBytes) {
     m_.telemetry_dropped_frames.add();
     return;
   }

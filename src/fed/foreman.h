@@ -13,21 +13,31 @@
 // completion: the run ends when the root says bye, which shuts the local
 // tier down.
 //
-// The foreman is also the second-tier file cache. Each file the root ships
-// is content-chunked into the shard's own pkg::ChunkStore and remembered as
-// a manifest; tasks reassemble their inputs from the store at submit time.
-// A cacheable file therefore crosses the root link once per foreman and
+// The foreman is also the second-tier file cache: the uplink holds each
+// file the root ships, whole, and each relayed task takes a copy of the
+// inputs it names into the local service, which holds it until the task
+// completes. A one-shot input is dropped once its batch is submitted. A
+// cacheable file therefore crosses the root link once per foreman link and
 // fans out to W workers from shard-local memory — the root's egress scales
 // with the number of shards, not the number of workers.
 //
+// When a relayed batch leaves the files held past cache_capacity_bytes,
+// the foreman drops every file that no task pending here names, except
+// those no relayed task has named yet (they arrived ahead of a batch still
+// to come); the files of the work in flight can exceed the bound. The root
+// ships a cacheable file once per link, so a batch that names a dropped
+// file resets the uplink: the root requeues the link's groups and
+// re-stages their files on the fresh link, which starts empty. A file no
+// task names again (a module named after its task) goes without a reset.
+//
 // Telemetry aggregates upward: a periodic kStats frame reports live worker
-// count, local queue depth, relayed completions, fan-out volume, and cache
-// occupancy, so the root observes the whole subtree through one link.
+// count, local queue depth, relayed completions, fan-out volume, and the
+// files held, so the root observes the whole subtree through one link.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "alloc/resources.h"
@@ -36,7 +46,6 @@
 #include "net/event_loop.h"
 #include "net/master_service.h"
 #include "net/uplink.h"
-#include "pkg/chunk.h"
 #include "wq/protocol.h"
 
 namespace lfm::fed {
@@ -56,17 +65,12 @@ struct ForemanConfig {
   // budget discipline net::WorkerClient applies).
   int max_reconnect_attempts = 30;
   double stats_interval = 1.0;  // kStats cadence (0 = off)
-  // Local results buffered before an upward flush is forced; a loop-deferred
-  // flush also coalesces whatever completed in the same reactor iteration.
-  size_t result_batch_max = 64;
+  // Bytes of shipped files held past which the idle ones are dropped.
   int64_t cache_capacity_bytes = 256LL << 20;
   // Metrics sink for the foreman's own counters; also becomes the local
   // MasterService's sink when service.metrics is unset. Null = process-wide
   // registry gated on obs::Recorder.
   obs::Metrics* metrics = nullptr;
-  // Don't queue more telemetry onto an upstream link whose unsent backlog
-  // exceeds this; dropped batches are counted (foreman.telemetry_dropped).
-  size_t telemetry_backpressure_bytes = 4u << 20;
 };
 
 class Foreman : private net::Uplink {
@@ -88,7 +92,6 @@ class Foreman : private net::Uplink {
 
   int64_t results_relayed() const { return relayed_; }
   int64_t tasks_received() const { return received_; }
-  const pkg::ChunkStore& cache() const { return cache_; }
   net::MasterService& service() { return service_; }
 
  private:
@@ -98,8 +101,9 @@ class Foreman : private net::Uplink {
     net::Count frames_in{sink, "foreman.frames_in"};
     net::Count files_cached{sink, "foreman.files_cached"};
     net::Count file_bytes_in{sink, "foreman.file_bytes_in"};
+    net::Count files_dropped{sink, "foreman.files_dropped"};
+    net::Count cache_resets{sink, "foreman.cache_resets"};
     net::Count tasks_received{sink, "foreman.tasks_received"};
-    net::Count cache_reassemblies{sink, "foreman.cache_reassemblies"};
     net::Count results_relayed{sink, "foreman.results_relayed"};
     net::Count stats_sent{sink, "foreman.stats_sent"};
     net::Count telemetry_dropped_frames{sink, "foreman.telemetry_dropped_frames"};
@@ -108,8 +112,9 @@ class Foreman : private net::Uplink {
 
   net::MasterServiceConfig shard_config();
   void on_message(net::Connection& conn, std::string&& wire) override;
-  void on_file(wq::FileMessage&& file) override;
+  void on_file(const std::string& name, size_t bytes) override;
   void on_tasks(net::Connection& conn, const std::string& wire) override;
+  void drop_idle_files();
   void on_bye(net::Connection& conn) override;
   void on_connected() override;
   // Abandon the run but land the local tier cleanly: workers get byes and
@@ -125,8 +130,10 @@ class Foreman : private net::Uplink {
   ForemanConfig config_;
   Metrics m_;
   net::MasterService service_;
-  pkg::ChunkStore cache_;
-  std::map<std::string, pkg::ChunkManifest> file_cache_;
+  // Both per link: files held that no relayed task has named yet, and the
+  // names of files dropped past the bound.
+  std::unordered_set<std::string> unnamed_;
+  std::unordered_set<std::string> dropped_;
   std::vector<wq::ResultMessage> pending_results_;
   bool flush_scheduled_ = false;
   int64_t relayed_ = 0;

@@ -42,7 +42,6 @@ RootMaster::RootMaster(net::EventLoop& loop, RootMasterConfig c)
                   .bind_addr = c.bind_addr,
                   .units_per_link = static_cast<size_t>(c.groups_per_foreman),
                   .max_batch = c.max_batch,
-                  .write_high_watermark = c.write_high_watermark,
                   .heartbeat_interval = c.heartbeat_interval,
                   .idle_timeout = c.idle_timeout,
                   .metrics = c.metrics,

@@ -62,8 +62,6 @@ struct RootMasterConfig {
   int groups_per_foreman = 4;
   // Task dispatches coalesced into one batch frame per send.
   size_t max_batch = 64;
-  // Stop assigning groups to a link whose unsent backlog exceeds this.
-  size_t write_high_watermark = 4u << 20;
   double heartbeat_interval = 2.0;  // ping every foreman this often
   double idle_timeout = 30.0;       // close after this much silence (0 = off)
   // Metrics sink: null records into the process-wide registry gated on
@@ -102,7 +100,6 @@ class RootMaster : private net::Dispatcher {
   RootMaster(net::EventLoop& loop, RootMasterConfig config = {});
 
   using Dispatcher::port;
-  using Dispatcher::results;
   using Dispatcher::set_on_result;
   using Dispatcher::statusz_value;
 

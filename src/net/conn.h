@@ -29,6 +29,11 @@
 
 namespace lfm::net {
 
+// The unsent bytes a link may queue before its owner stops adding to it: a
+// master assigns it no more work, and a dialing end drops trace events
+// instead of queueing them.
+constexpr size_t kWriteBacklogBytes = 4u << 20;
+
 class Connection : public std::enable_shared_from_this<Connection> {
  public:
   using MessageFn = std::function<void(Connection&, std::string&&)>;

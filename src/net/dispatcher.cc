@@ -66,13 +66,24 @@ void Dispatcher::mark(const char* name, const std::string& detail,
 void Dispatcher::open_unit(wq::FileSet files) {
   Unit u;
   u.files = std::move(files);
+  for (const auto& [name, bytes] : u.files) {
+    staged_bytes_ += bytes.size();
+    ++staged_names_[name];
+  }
   u.first = tasks_.size();
   units_.push_back(std::move(u));
 }
 
 void Dispatcher::add_task(wq::TaskMessage task, bool done) {
+  // A task still pending here is not added again: a relay tier gets a
+  // requeued group back while its first copy still runs, and that copy's
+  // result completes it. A second entry would never complete.
+  const auto [it, fresh] = index_by_task_id_.try_emplace(task.task_id, tasks_.size());
+  if (!fresh) {
+    if (!tasks_[it->second].done) return;
+    it->second = tasks_.size();
+  }
   Unit& u = units_.back();
-  index_by_task_id_[task.task_id] = tasks_.size();
   Task t;
   // Trace minting happens only where the task enters the tree: tasks
   // relayed down from a root already carry their id. The recorder gate
@@ -85,7 +96,6 @@ void Dispatcher::add_task(wq::TaskMessage task, bool done) {
   t.done = done;
   t.submitted_at = EventLoop::now();
   tasks_.push_back(std::move(t));
-  results_.emplace_back();
   ++u.count;
   if (!done) {
     ++u.remaining;
@@ -94,7 +104,10 @@ void Dispatcher::add_task(wq::TaskMessage task, bool done) {
 }
 
 bool Dispatcher::queue_unit() {
-  if (units_.back().remaining == 0) return false;
+  if (units_.back().remaining == 0) {
+    release_files(units_.back());
+    return false;
+  }
   queue_.push_back(units_.size() - 1);
   dispatch();
   return true;
@@ -189,8 +202,7 @@ void Dispatcher::handle_result(const wq::ResultMessage& msg) {
     m_.unknown_results.add();
     return;
   }
-  const size_t index = it->second;
-  Task& t = tasks_[index];
+  Task& t = tasks_[it->second];
   if (t.done) {
     // The task was re-dispatched after a drop and both attempts reported.
     ++totals_.duplicate_results;
@@ -198,7 +210,6 @@ void Dispatcher::handle_result(const wq::ResultMessage& msg) {
     return;
   }
   t.done = true;
-  results_[index] = msg;
   ++totals_.tasks_completed;
   --pending_;
   m_.results.add();
@@ -221,9 +232,10 @@ void Dispatcher::handle_result(const wq::ResultMessage& msg) {
     auto lit = links_.find(u.assigned);
     if (lit != links_.end()) lit->second.inflight.erase(t.unit);
     u.assigned = 0;
+    release_files(u);
     on_unit_done();
   }
-  if (on_result_) on_result_(results_[index]);
+  if (on_result_) on_result_(msg);
 }
 
 void Dispatcher::handle_close(uint64_t id, const std::string& reason) {
@@ -263,7 +275,7 @@ void Dispatcher::handle_close(uint64_t id, const std::string& reason) {
 bool Dispatcher::has_room(Link& l) {
   if (!l.open() || l.inflight.size() >= settings_.units_per_link) return false;
   const bool joins_frame = &l == batch_link_ && !batch_.empty();
-  if (!joins_frame && l.conn->queued_bytes() >= settings_.write_high_watermark) {
+  if (!joins_frame && l.conn->queued_bytes() >= kWriteBacklogBytes) {
     m_.backpressure_stalls.add();
     return false;
   }
@@ -336,6 +348,15 @@ void Dispatcher::ship_files(Link& l, const Unit& u) {
       if (s.cacheable) l.shipped_files.insert(s.name);
     }
   }
+}
+
+void Dispatcher::release_files(Unit& u) {
+  for (const auto& [name, bytes] : u.files) {
+    staged_bytes_ -= bytes.size();
+    const auto it = staged_names_.find(name);
+    if (--it->second == 0) staged_names_.erase(it);
+  }
+  u.files.clear();
 }
 
 void Dispatcher::flush() {
@@ -460,6 +481,7 @@ serde::Value Dispatcher::statusz_value() const {
   d["tasks_submitted"] = static_cast<int64_t>(tasks_.size());
   d["tasks_completed"] = s.tasks_completed;
   d["duplicate_results"] = s.duplicate_results;
+  d["staged_bytes"] = static_cast<int64_t>(staged_bytes_);
   d["bytes_sent"] = s.bytes_sent;
   d["bytes_received"] = s.bytes_received;
   d["telemetry_frames"] = s.telemetry_frames;

@@ -9,15 +9,16 @@
 //   * accept, hello, ping/pong with a per-link ClockOffsetEstimator, and the
 //     clock-offset accumulation on relayed kTelemetry frames; idle close
 //     for every link, including one that never says hello;
-//   * per-task done flags and the results store (exactly-once results,
-//     at-least-once attempts: a late result for a completed task is counted
-//     as a duplicate and discarded);
+//   * per-task done flags (exactly-once results, at-least-once attempts: a
+//     late result for a completed task is counted as a duplicate and
+//     discarded); a result goes to on_result and is not kept;
+//   * each unit's staged files, held until its last task completes;
 //   * per-link in-flight units, requeued to the front of the queue when the
 //     link closes; a link that closes before the bye is lost, one that
 //     closes after it has departed;
 //   * the ship-once file set per link, and batch coalescing behind the
-//     write watermark (a peer that stops reading stops receiving work, not
-//     the whole master);
+//     link's write backlog bound (a peer that stops reading stops receiving
+//     work, not the whole master);
 //   * the finish sequence, byte totals, common statusz fields, and metric
 //     handles resolved once per instance.
 //
@@ -103,7 +104,6 @@ class Dispatcher {
     std::string bind_addr;
     size_t units_per_link = 1;  // in-flight units per link
     size_t max_batch = 64;      // task dispatches per batch frame
-    size_t write_high_watermark = 0;
     double heartbeat_interval = 0.0;
     double idle_timeout = 0.0;
     obs::Metrics* metrics = nullptr;
@@ -116,7 +116,8 @@ class Dispatcher {
 
   uint16_t port() const { return listener_.port(); }
 
-  // Fires once per completed task, on the loop thread.
+  // Fires once per completed task, on the loop thread, with the message as
+  // decoded; the core keeps no copy.
   void set_on_result(std::function<void(const wq::ResultMessage&)> fn) {
     on_result_ = std::move(fn);
   }
@@ -126,11 +127,9 @@ class Dispatcher {
   void shutdown();
 
   // JSON snapshot for the /statusz endpoint: queue depth, completion
-  // counts, and per-link liveness / in-flight / backlog / clock offset.
+  // counts, staged bytes held, and per-link liveness / in-flight / backlog /
+  // clock offset.
   serde::Value statusz_value() const;
-
-  // Results in submission order (default-constructed where not completed).
-  const std::vector<wq::ResultMessage>& results() const { return results_; }
 
  protected:
   struct Link {
@@ -156,7 +155,7 @@ class Dispatcher {
   };
 
   struct Unit {
-    wq::FileSet files;  // staged inputs named by the unit's tasks
+    wq::FileSet files;  // staged inputs, released when the unit completes
     size_t first = 0;   // its tasks are tasks_[first, first + count)
     size_t count = 0;
     size_t remaining = 0;   // tasks not yet done
@@ -167,17 +166,19 @@ class Dispatcher {
   virtual ~Dispatcher();
 
   // Submission: open a unit, add its tasks (a task already done, e.g.
-  // recovered from a journal, is stored but never dispatched), then queue
-  // it. queue_unit() returns false when nothing in the unit remains to run.
+  // recovered from a journal, is stored but never dispatched; one already
+  // pending here is skipped), then queue it. queue_unit() returns false,
+  // and releases the unit's files, when nothing in the unit remains to
+  // run.
   void open_unit(wq::FileSet files);
   void add_task(wq::TaskMessage task, bool done);
   bool queue_unit();
 
   // The next unit's link, or nullptr to leave it queued.
   virtual Link* route(const Unit& unit) = 0;
-  // True when `link` can take another unit now. The write watermark gates
-  // each frame: a unit joining the batch frame open for `link` is not held
-  // back by the bytes queued ahead of that frame.
+  // True when `link` can take another unit now. The write backlog bound
+  // gates each frame: a unit joining the batch frame open for `link` is not
+  // held back by the bytes queued ahead of that frame.
   bool has_room(Link& link);
 
   // Policy hooks.
@@ -203,6 +204,8 @@ class Dispatcher {
   NetMasterStats totals() const;
   int connected() const;
   size_t pending() const { return pending_; }
+  // True while a unit not yet complete holds a staged file of this name.
+  bool stages(const std::string& name) const { return staged_names_.count(name) > 0; }
   size_t queue_depth() const { return queue_.size(); }
   bool finishing() const { return finishing_; }
   std::map<uint64_t, Link>& links() { return links_; }
@@ -246,6 +249,7 @@ class Dispatcher {
   void dispatch();
   void assign(Link& link, size_t unit);
   void ship_files(Link& link, const Unit& unit);
+  void release_files(Unit& unit);
   // Send the open batch frame to its link.
   void flush();
   void heartbeat();
@@ -260,8 +264,9 @@ class Dispatcher {
   std::map<uint64_t, Link> links_;  // accept order == key order
   uint64_t next_conn_id_ = 1;
   std::vector<Task> tasks_;
-  std::vector<wq::ResultMessage> results_;
   std::vector<Unit> units_;
+  size_t staged_bytes_ = 0;  // of the units' files still held
+  std::unordered_map<std::string, size_t> staged_names_;  // units holding each
   std::deque<size_t> queue_;  // unit indices
   std::unordered_map<uint64_t, size_t> index_by_task_id_;
   std::vector<wq::TaskMessage> batch_;  // the open batch frame,

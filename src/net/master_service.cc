@@ -32,7 +32,6 @@ MasterService::MasterService(EventLoop& loop, MasterServiceConfig c)
                   .bind_addr = c.bind_addr,
                   .units_per_link = static_cast<size_t>(c.tasks_per_worker),
                   .max_batch = c.max_batch,
-                  .write_high_watermark = c.write_high_watermark,
                   .heartbeat_interval = c.heartbeat_interval,
                   .idle_timeout = c.idle_timeout,
                   .metrics = c.metrics,

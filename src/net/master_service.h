@@ -5,7 +5,7 @@
 // telemetry) and holds the exactly-once bookkeeping. Each submitted task is
 // its own unit of work, and a unit goes to the first worker link, in accept
 // order, with room: fewer than tasks_per_worker tasks in flight and a write
-// queue under the high watermark. Consecutive dispatches to one worker
+// queue under kWriteBacklogBytes. Consecutive dispatches to one worker
 // coalesce into batch frames of up to max_batch tasks.
 //
 // A worker runs its tasks' LFMs from its event loop, so it answers pings
@@ -39,8 +39,6 @@ struct MasterServiceConfig {
   int tasks_per_worker = 8;
   // Dispatches coalesced into one batch frame per send.
   size_t max_batch = 64;
-  // Stop assigning work to a connection whose unsent backlog exceeds this.
-  size_t write_high_watermark = 4u << 20;
   double heartbeat_interval = 2.0;  // ping every connection this often
   double idle_timeout = 30.0;       // close after this much silence (0 = off)
   // Metrics sink. Null records into the process-wide registry gated on
@@ -61,13 +59,13 @@ class MasterService : private Dispatcher {
   MasterService(EventLoop& loop, MasterServiceConfig config = {});
 
   using Dispatcher::port;
-  using Dispatcher::results;
   using Dispatcher::set_on_result;
   using Dispatcher::shutdown;
   using Dispatcher::statusz_value;
 
-  // Queue a task (with its transferable input files) for dispatch. Safe
-  // before or during run_until_complete (loop thread only).
+  // Queue a task (with its transferable input files) for dispatch; one
+  // whose id is still pending here is ignored. Safe before or during
+  // run_until_complete (loop thread only).
   void submit(wq::TaskMessage task, wq::FileSet files = {});
 
   // Run the loop until every submitted task has a result, then send bye to
@@ -83,6 +81,7 @@ class MasterService : private Dispatcher {
   bool drop_connection(size_t k) { return drop_link(k); }
 
   using Dispatcher::pending;
+  using Dispatcher::stages;
   int connected_workers() const { return connected(); }
   NetMasterStats stats() const { return totals(); }
 

@@ -76,6 +76,8 @@ void Uplink::try_connect() {
   ever_connected_ = true;
   // Deliberately NOT resetting attempt_ here: a successful connect proves
   // only that something accepted (see the header).
+  files_.clear();
+  held_bytes_ = 0;
   conn_ = std::make_shared<Connection>(loop_, fd, next_conn_id_++);
   conn_->set_on_message(
       [this](Connection& c, std::string&& wire) { on_message(c, std::move(wire)); });
@@ -116,9 +118,15 @@ void Uplink::schedule_reconnect(const std::string& reason) {
 
 void Uplink::on_message(Connection& conn, std::string&& wire) {
   switch (wq::classify(wire)) {
-    case wq::MessageKind::kFile:
-      on_file(wq::decode_file(wire));
+    case wq::MessageKind::kFile: {
+      wq::FileMessage fm = wq::decode_file(wire);
+      const size_t bytes = fm.content.size();
+      serde::Bytes& held = files_[fm.name];
+      held_bytes_ = held_bytes_ - held.size() + bytes;
+      held = std::move(fm.content);
+      on_file(fm.name, bytes);
       return;
+    }
     case wq::MessageKind::kTask:
     case wq::MessageKind::kTaskBatch:
       on_tasks(conn, wire);
@@ -130,6 +138,20 @@ void Uplink::on_message(Connection& conn, std::string&& wire) {
       conn.close(std::string("unexpected message kind for a ") + dial_.role);
       return;
   }
+}
+
+void Uplink::release_inputs(const wq::TaskMessage& task) {
+  // The peer re-stages a one-shot input with every dispatch that names it.
+  for (const wq::TaskMessage::FileStanza& stanza : task.infiles) {
+    if (stanza.cacheable) continue;
+    const auto it = files_.find(stanza.name);
+    if (it != files_.end()) drop_file(it);
+  }
+}
+
+wq::FileSet::iterator Uplink::drop_file(wq::FileSet::iterator it) {
+  held_bytes_ -= it->second.size();
+  return files_.erase(it);
 }
 
 void Uplink::answer_control(Connection& conn, const std::string& wire) {
@@ -153,7 +175,7 @@ void Uplink::ship_telemetry() {
   if (!conn_ || conn_->closed()) return;
   obs::Recorder& r = obs::Recorder::global();
   if (r.event_count() == 0 && telemetry_dropped_ == 0) return;
-  if (conn_->queued_bytes() > dial_.telemetry_backpressure_bytes) {
+  if (conn_->queued_bytes() > kWriteBacklogBytes) {
     // Backpressure: the link is already choking on results/files. Trace
     // events are the one payload that may be discarded — drop the batch,
     // remember how much, and report it in the next frame that does ship.

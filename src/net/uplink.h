@@ -8,6 +8,12 @@
 // network fault: the uplink reconnects with chaos::RetryPolicy exponential
 // backoff (jitter included, deterministically seeded by the peer name).
 //
+// It also holds the files the peer ships, as the bytes that arrived, for
+// the current link only: every new link starts empty, since the peer ships
+// a cacheable file once per link and re-ships whatever a fresh link needs.
+// A one-shot (non-cacheable) input is dropped once the owner hands on the
+// task that names it (release_inputs).
+//
 // The reconnect budget (max_attempts) counts failures — failed connects
 // plus unexpected closes — since the owner last proved the link works and
 // called reset_budget(): a worker on each completed task, a foreman on each
@@ -31,6 +37,7 @@
 #include "net/event_loop.h"
 #include "net/instruments.h"
 #include "wq/protocol.h"
+#include "wq/worker.h"
 
 namespace lfm::net {
 
@@ -60,7 +67,6 @@ class Uplink {
     alloc::Resources capacity;
     chaos::RetryPolicy reconnect;
     int max_attempts;
-    size_t telemetry_backpressure_bytes;
   };
 
   // `telemetry_dropped` counts own trace events discarded under
@@ -68,11 +74,11 @@ class Uplink {
   Uplink(Dial dial, Count telemetry_dropped);
   virtual ~Uplink() = default;
 
-  // Every frame from the peer: files and task dispatches go to the hooks
-  // below, pings get a pong (carrying this side's clock on tracing runs),
-  // and anything else closes the link.
+  // Every frame from the peer: files are held in files_ (then on_file
+  // runs), task dispatches go to on_tasks, pings get a pong (carrying this
+  // side's clock on tracing runs), and anything else closes the link.
   virtual void on_message(Connection& conn, std::string&& wire);
-  virtual void on_file(wq::FileMessage&& file) = 0;
+  virtual void on_file(const std::string& /*name*/, size_t /*bytes*/) {}
   virtual void on_tasks(Connection& conn, const std::string& wire) = 0;
   // A bye arrived (the link stays open; the owner decides how to drain).
   virtual void on_bye(Connection& conn) = 0;
@@ -92,10 +98,16 @@ class Uplink {
   void serve();
   void ship_telemetry();
   void reset_budget() { attempt_ = 0; }
+  // Drop the one-shot inputs `task` names: it has been handed on.
+  void release_inputs(const wq::TaskMessage& task);
+  // Drop one held file; returns the next.
+  wq::FileSet::iterator drop_file(wq::FileSet::iterator it);
 
   const Dial dial_;
   EventLoop loop_;
   std::shared_ptr<Connection> conn_;
+  wq::FileSet files_;       // shipped on the current link
+  size_t held_bytes_ = 0;   // their total size
   double last_send_ = 0.0;  // EventLoop::now() of the last frame sent
   int attempt_ = 0;         // failures since the last reset_budget()
   int64_t reconnects_ = 0;

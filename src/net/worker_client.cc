@@ -13,6 +13,16 @@ namespace lfm::net {
 
 namespace {
 
+// Give up on a connection that never answers the hello this long after
+// connect. Tighter than idle_timeout: a live master replies to a hello
+// immediately, so a silent accept is a dead one — typically a connection
+// the kernel completed into the backlog of a listener whose owner already
+// stopped serving it. Counts against the reconnect budget like any other
+// drop.
+constexpr double kHandshakeTimeout = 5.0;
+// Seconds between telemetry shipments on tracing runs.
+constexpr double kTelemetryInterval = 0.5;
+
 // What a task holds of the capacity while it runs. A dimension the task
 // leaves unsized takes the whole of it, as in Work Queue.
 alloc::Resources footprint_of(const wq::TaskMessage& task,
@@ -27,7 +37,7 @@ alloc::Resources footprint_of(const wq::TaskMessage& task,
 
 WorkerClient::WorkerClient(WorkerClientOptions o)
     : Uplink({"net", "worker", o.name, o.host, o.port, o.capacity, o.reconnect,
-              o.max_reconnect_attempts, o.telemetry_backpressure_bytes},
+              o.max_reconnect_attempts},
              Count(nullptr, "obs.telemetry_dropped")),
       options_(std::move(o)),
       worker_(options_.worker) {}
@@ -42,9 +52,7 @@ int64_t WorkerClient::run() {
       }
     });
   }
-  if (options_.telemetry_interval > 0 && obs::Recorder::enabled()) {
-    every(options_.telemetry_interval, [this] { ship_telemetry(); });
-  }
+  if (obs::Recorder::enabled()) every(kTelemetryInterval, [this] { ship_telemetry(); });
   serve();
   // Whatever still runs is killed and reaped: each fd leaves the epoll set
   // before the invocation that owns it closes it.
@@ -64,21 +72,14 @@ int64_t WorkerClient::run() {
 void WorkerClient::on_connected() {
   // Whatever the previous link left queued or unsent is void: the master
   // requeued those tasks when that link closed, and re-stages their inputs.
-  for (const wq::TaskMessage& task : queue_) drop_one_shot_inputs(task);
   queue_.clear();
   outbox_.clear();
-  if (options_.handshake_timeout <= 0) return;
   std::weak_ptr<Connection> weak = conn_;
-  loop_.run_after(options_.handshake_timeout, [this, weak] {
+  loop_.run_after(kHandshakeTimeout, [this, weak] {
     const auto c = weak.lock();
     if (!c || c != conn_ || c->closed()) return;
     if (c->messages_in() == 0) c->close("handshake-timeout");
   });
-}
-
-void WorkerClient::on_file(wq::FileMessage&& fm) {
-  file_cacheable_[fm.name] = fm.cacheable;
-  files_[fm.name] = std::move(fm.content);
 }
 
 void WorkerClient::on_bye(Connection& conn) {
@@ -106,7 +107,7 @@ void WorkerClient::echo(const std::vector<wq::TaskMessage>& tasks) {
     r.trace_id = task.trace_id;
     r.payload = options_.echo_payload;
     ++executed_;
-    drop_one_shot_inputs(task);
+    release_inputs(task);
   }
   send_results();  // at once, not a loop turn later
 }
@@ -137,7 +138,7 @@ void WorkerClient::start(const wq::TaskMessage& task, const alloc::Resources& fo
   r.footprint = footprint;
   r.link = conn_ ? conn_->id() : 0;
   r.run = worker_.start(task, files_);
-  drop_one_shot_inputs(task);
+  release_inputs(task);
   const monitor::Invocation* inv = r.run->invocation();
   if (inv == nullptr || inv->done()) {
     finish(key);
@@ -217,18 +218,6 @@ void WorkerClient::send_results() {
   // flight — the master's collector sees a task's run span arrive with (or
   // just behind) its result rather than a telemetry interval later.
   ship_telemetry();
-}
-
-void WorkerClient::drop_one_shot_inputs(const wq::TaskMessage& task) {
-  // Non-cacheable inputs are one-shot: the master re-stages them with every
-  // dispatch that needs them.
-  for (const wq::TaskMessage::FileStanza& stanza : task.infiles) {
-    auto it = file_cacheable_.find(stanza.name);
-    if (it != file_cacheable_.end() && !it->second) {
-      files_.erase(stanza.name);
-      file_cacheable_.erase(it);
-    }
-  }
 }
 
 }  // namespace lfm::net

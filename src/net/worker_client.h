@@ -2,9 +2,9 @@
 // (DESIGN.md §13).
 //
 // An Uplink to a MasterService (connect, hello, pongs, reconnect with
-// backoff under a failure budget, telemetry shipping) that serves the
-// dispatch dialogue: staged files accumulate in an in-memory FileSet, and
-// task (and batch) frames queue for admission. A queued task starts
+// backoff under a failure budget, telemetry shipping, the staged files of
+// the current link) that serves the dispatch dialogue: task (and batch)
+// frames queue for admission. A queued task starts
 // through wq::LocalWorker — i.e. through a real forked monitor::LFM — as
 // soon as it fits beside the running ones: the allocations of the tasks
 // running must fit the capacity the hello announced, and a task larger
@@ -18,12 +18,14 @@
 // A result whose link closed while its task ran is dropped (the master
 // requeued the task), and tasks still queued from a closed link are
 // dropped on reconnect. Whatever still runs when run() returns is killed
-// and reaped. The cached FileSet survives reconnects; the master re-stages
-// whatever the fresh connection is missing. Each completed task restores
-// the full reconnect budget: the link is proven end to end (task in,
-// result out). The worker alone bounds how long it listens to silence:
-// idle_timeout on an established link, handshake_timeout on an unanswered
-// hello.
+// and reaped. A task's one-shot inputs are dropped once it starts; the
+// cacheable ones stay for the life of the link, and a fresh link starts
+// with none (the master re-stages them on it). Each completed task
+// restores the full reconnect budget: the link is proven end to end (task
+// in, result out). The worker alone bounds how long it listens to silence:
+// idle_timeout on an established link, 5 s on an unanswered hello.
+// Buffered trace events ship upward after each result send, every 0.5 s,
+// and before the bye-close (tracing runs only).
 #pragma once
 
 #include <cstdint>
@@ -61,21 +63,6 @@ struct WorkerClientOptions {
   // Reconnect if the master goes silent this long (0 = off). Generous by
   // default: an idle-but-alive master pings well inside this.
   double idle_timeout = 60.0;
-  // Give up on a connection that never answers the hello this long after
-  // connect (0 = off). Tighter than idle_timeout: a live master replies to
-  // a hello immediately, so a silent accept is a dead one — typically a
-  // connection the kernel completed into the backlog of a listener whose
-  // owner already stopped serving it. Counts against the reconnect budget
-  // like any other drop.
-  double handshake_timeout = 5.0;
-  // Telemetry shipping (tracing runs only; inert while the obs recorder is
-  // disabled). Buffered trace events drain upward in kTelemetry frames
-  // after each result send, every telemetry_interval seconds (0 = no
-  // timer), and before the bye-close. A backlogged link (queued bytes past
-  // telemetry_backpressure_bytes) drops the batch instead of queueing more;
-  // drops are counted and reported in the next frame that does ship.
-  double telemetry_interval = 0.5;
-  size_t telemetry_backpressure_bytes = 4u << 20;
 };
 
 class WorkerClient : private Uplink {
@@ -106,7 +93,6 @@ class WorkerClient : private Uplink {
     uint64_t timer = 0;          // next-sample timer
   };
 
-  void on_file(wq::FileMessage&& file) override;
   void on_tasks(Connection& conn, const std::string& wire) override;
   void on_bye(Connection& conn) override;
   void on_connected() override;
@@ -124,12 +110,9 @@ class WorkerClient : private Uplink {
   // Deregister, turn the run into its result, and queue that for sending.
   void finish(uint64_t key);
   void send_results();
-  void drop_one_shot_inputs(const wq::TaskMessage& task);
 
   WorkerClientOptions options_;
   wq::LocalWorker worker_;
-  wq::FileSet files_;
-  std::map<std::string, bool> file_cacheable_;
   std::deque<wq::TaskMessage> queue_;  // dispatched, waiting for room
   std::map<uint64_t, Running> running_;
   uint64_t next_key_ = 1;

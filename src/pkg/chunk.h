@@ -165,14 +165,14 @@ ChunkStore& global_chunk_store();
 
 // Concatenate the manifest's chunks from `store` into the original archive
 // bytes. Throws if a chunk was evicted or the reassembled stream's digest
-// disagrees with the manifest.
+// disagrees with the manifest. No code under src/ calls this or
+// chunk_into_store(); both stay only for perfbench's pkg.* layer rows and
+// tests/chunk_test.cc.
 Bytes reassemble(const ChunkManifest& manifest, const ChunkStore& store);
 
 // Chunk `backing` and register every chunk in `store` (spans into `backing`,
 // which the store's shared_ptr keeps alive — no payload copies). Returns the
-// manifest, stream digest included, ready for reassemble(). This is the
-// second-tier cache fill: a fed::Foreman chunks each file the root ships it
-// once, then fans identical bytes out to its workers from the store.
+// manifest, stream digest included, ready for reassemble().
 ChunkManifest chunk_into_store(const std::shared_ptr<const Bytes>& backing,
                                ChunkStore& store,
                                const ChunkParams& params = {});

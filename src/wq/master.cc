@@ -750,7 +750,7 @@ void Master::finish_attempt(size_t record_index, int worker_id,
     }
     const chaos::RetryDecision decision = config_.retry.decide(
         chaos::FailureKind::kExhaustion, rec.spec.id, rec.exhaustions,
-        rec.exhaustions + rec.requeues, config_.max_retries);
+        rec.exhaustions + rec.requeues);
     if (!decision.retry) {
       finalize_failed(record_index, decision.reason);
       return;
@@ -945,8 +945,7 @@ void Master::requeue_after(size_t record_index, double delay) {
 void Master::requeue_or_fail(size_t record_index, chaos::FailureKind kind) {
   TaskRecord& rec = records_[record_index];
   const chaos::RetryDecision decision = config_.retry.decide(
-      kind, rec.spec.id, rec.exhaustions, rec.exhaustions + rec.requeues,
-      config_.max_retries);
+      kind, rec.spec.id, rec.exhaustions, rec.exhaustions + rec.requeues);
   if (!decision.retry) {
     finalize_failed(record_index, decision.reason);
     return;

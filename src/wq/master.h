@@ -62,8 +62,6 @@ struct WorkerSpec {
 struct MasterConfig {
   // Dispatch overhead per task at the master (serialization, bookkeeping).
   double dispatch_overhead = 0.005;
-  // Abandon a task after this many exhaustion retries (safety valve).
-  int max_retries = 10;
   // Prefer workers holding more of the task's cached input bytes.
   bool cache_affinity = true;
   // Fraction of each worker's disk reserved for the file cache; cached
@@ -72,7 +70,8 @@ struct MasterConfig {
   // Retry/backoff policy for failed attempts (exhaustions, crash-lost and
   // spuriously killed attempts). The default replicates the pre-chaos
   // hardcoded behaviour bit-for-bit: immediate requeue, failure after
-  // max_retries exhaustions, crashes retried unconditionally.
+  // retry.max_exhaustions exhaustion retries, crashes retried
+  // unconditionally.
   chaos::RetryPolicy retry;
   // Content-addressed delta distribution (DESIGN.md §12): inputs carrying a
   // chunk manifest ship only the chunks missing from the worker's local
@@ -87,7 +86,7 @@ struct MasterConfig {
 struct MasterStats {
   double makespan = 0.0;
   int64_t tasks_completed = 0;
-  int64_t tasks_failed = 0;     // exceeded max_retries
+  int64_t tasks_failed = 0;     // exceeded retry.max_exhaustions
   int64_t tasks_cancelled = 0;  // cancelled by the user
   int64_t exhaustion_retries = 0;
   int64_t transfers = 0;

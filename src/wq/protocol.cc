@@ -133,7 +133,7 @@ size_t stats_body_size(const StatsMessage& msg) {
          serde::varint_size(serde::zigzag(msg.completed)) +
          serde::varint_size(serde::zigzag(msg.fanout_bytes)) +
          serde::varint_size(serde::zigzag(msg.fanout_files)) +
-         serde::varint_size(serde::zigzag(msg.cache_chunks)) +
+         serde::varint_size(serde::zigzag(msg.cache_files)) +
          serde::varint_size(serde::zigzag(msg.cache_bytes));
 }
 
@@ -274,7 +274,7 @@ void write_stats_body(const StatsMessage& msg, StringWriter& w) {
   w.svarint(msg.completed);
   w.svarint(msg.fanout_bytes);
   w.svarint(msg.fanout_files);
-  w.svarint(msg.cache_chunks);
+  w.svarint(msg.cache_files);
   w.svarint(msg.cache_bytes);
 }
 
@@ -427,7 +427,7 @@ StatsMessage read_stats_body(serde::Reader& r) {
   msg.completed = r.svarint();
   msg.fanout_bytes = r.svarint();
   msg.fanout_files = r.svarint();
-  msg.cache_chunks = r.svarint();
+  msg.cache_files = r.svarint();
   msg.cache_bytes = r.svarint();
   if (msg.source.empty()) throw Error("protocol: missing stats source");
   return msg;

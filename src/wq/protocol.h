@@ -126,8 +126,8 @@ struct StatsMessage {
   int64_t completed = 0;          // results relayed upward so far
   int64_t fanout_bytes = 0;       // bytes this shard sent to its workers
   int64_t fanout_files = 0;       // file stanzas staged to workers
-  int64_t cache_chunks = 0;       // live chunks in the shard's file cache
-  int64_t cache_bytes = 0;        // live bytes in the shard's file cache
+  int64_t cache_files = 0;        // files the foreman holds
+  int64_t cache_bytes = 0;        // their bytes
 };
 
 // Any process -> its upstream (worker -> foreman -> root): a batch of trace

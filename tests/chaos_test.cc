@@ -34,36 +34,38 @@ using alloc::Strategy;
 
 TEST(RetryPolicy, DefaultsReplicateSeedBehaviour) {
   const RetryPolicy policy;  // all defaults
-  // Exhaustions defer to the legacy MasterConfig::max_retries limit and
-  // requeue immediately (delay 0 takes the seed's direct-enqueue path).
+  // Exhaustions stop at the seed's limit of 10 retries and requeue
+  // immediately (delay 0 takes the seed's direct-enqueue path).
+  EXPECT_EQ(policy.max_exhaustions, 10);
   auto d = policy.decide(FailureKind::kExhaustion, 7, /*exhaustions=*/3,
-                         /*total_failures=*/3, /*legacy_max_exhaustions=*/10);
+                         /*total_failures=*/3);
   EXPECT_TRUE(d.retry);
   EXPECT_EQ(d.delay, 0.0);
-  d = policy.decide(FailureKind::kExhaustion, 7, 11, 11, 10);
+  EXPECT_TRUE(policy.decide(FailureKind::kExhaustion, 7, 10, 10).retry);
+  d = policy.decide(FailureKind::kExhaustion, 7, 11, 11);
   EXPECT_FALSE(d.retry);
   EXPECT_STREQ(d.reason, "exhaustion-limit");
   // Crash-lost and spuriously killed attempts retry unconditionally — the
   // seed never charged them against any limit.
   for (const auto kind : {FailureKind::kWorkerCrash, FailureKind::kSpuriousKill}) {
-    d = policy.decide(kind, 7, /*exhaustions=*/0, /*total_failures=*/500, 10);
+    d = policy.decide(kind, 7, /*exhaustions=*/0, /*total_failures=*/500);
     EXPECT_TRUE(d.retry);
     EXPECT_EQ(d.delay, 0.0);
   }
 }
 
-TEST(RetryPolicy, MaxExhaustionsOverridesLegacyLimit) {
+TEST(RetryPolicy, MaxExhaustionsSetsTheLimit) {
   RetryPolicy policy;
   policy.max_exhaustions = 2;
-  EXPECT_TRUE(policy.decide(FailureKind::kExhaustion, 1, 2, 2, 10).retry);
-  EXPECT_FALSE(policy.decide(FailureKind::kExhaustion, 1, 3, 3, 10).retry);
+  EXPECT_TRUE(policy.decide(FailureKind::kExhaustion, 1, 2, 2).retry);
+  EXPECT_FALSE(policy.decide(FailureKind::kExhaustion, 1, 3, 3).retry);
 }
 
 TEST(RetryPolicy, RetryBudgetCountsAllFailureKinds) {
   RetryPolicy policy;
   policy.retry_budget = 2;
-  EXPECT_TRUE(policy.decide(FailureKind::kWorkerCrash, 1, 0, 2, 10).retry);
-  const auto d = policy.decide(FailureKind::kWorkerCrash, 1, 0, 3, 10);
+  EXPECT_TRUE(policy.decide(FailureKind::kWorkerCrash, 1, 0, 2).retry);
+  const auto d = policy.decide(FailureKind::kWorkerCrash, 1, 0, 3);
   EXPECT_FALSE(d.retry);
   EXPECT_STREQ(d.reason, "retry-budget");
 }

@@ -207,8 +207,7 @@ TEST(ChunkStore, DetectsDigestCollision) {
 // --- serial vs parallel pack byte-identity ----------------------------------
 
 TEST(ChunkStore, ChunkIntoStoreReassemblesBitIdenticallyAndDedups) {
-  // chunk_into_store is the one-call ingest path the fed foreman uses on
-  // every inbound file frame: chunk, insert, manifest with stream digest.
+  // chunk_into_store: chunk, insert, manifest with stream digest.
   ChunkStore store(1 << 20);
   const auto backing = std::make_shared<const Bytes>(pattern_bytes(40000, 35));
   const ChunkManifest manifest = chunk_into_store(backing, store);

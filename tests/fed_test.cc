@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,6 +73,20 @@ void await_foremen(net::EventLoop& loop, RootMaster& root, int n) {
   ASSERT_GE(root.connected_foremen(), n) << "foremen never connected";
 }
 
+// Run `loop` until `done()` holds (checked every 5 ms) or `timeout` passes.
+bool run_until(net::EventLoop& loop, const std::function<bool()>& done,
+               double timeout) {
+  if (done()) return true;
+  const uint64_t poll = loop.run_every(0.005, [&] {
+    if (done()) loop.stop();
+  });
+  const uint64_t watchdog = loop.run_after(timeout, [&] { loop.stop(); });
+  loop.run();
+  loop.cancel_timer(poll);
+  loop.cancel_timer(watchdog);
+  return done();
+}
+
 TEST(Federation, TwoShardsCompleteAllGroupsWithNamespacedMetrics) {
   obs::Metrics root_m("root."), f1_m("f1."), f2_m("f2.");
   net::EventLoop loop;
@@ -118,7 +133,11 @@ TEST(Federation, TwoShardsCompleteAllGroupsWithNamespacedMetrics) {
   }
 
   std::map<uint64_t, int> events;
-  root.set_on_result([&](const wq::ResultMessage& r) { events[r.task_id]++; });
+  std::vector<wq::ResultMessage> results;
+  root.set_on_result([&](const wq::ResultMessage& r) {
+    events[r.task_id]++;
+    results.push_back(r);
+  });
   const RootStats stats = root.run_until_complete(60.0);
   ft1.join();
   ft2.join();
@@ -134,7 +153,7 @@ TEST(Federation, TwoShardsCompleteAllGroupsWithNamespacedMetrics) {
   ASSERT_EQ(events.size(), static_cast<size_t>(kTasks));
   for (const auto& [id, n] : events) EXPECT_EQ(n, 1) << "task " << id;
   const serde::Bytes pong{'p', 'o', 'n', 'g'};
-  for (const wq::ResultMessage& r : root.results()) {
+  for (const wq::ResultMessage& r : results) {
     EXPECT_EQ(r.exit_code, 0);
     EXPECT_EQ(r.payload, pong);
   }
@@ -143,10 +162,10 @@ TEST(Federation, TwoShardsCompleteAllGroupsWithNamespacedMetrics) {
   EXPECT_GT(f1.results_relayed(), 0);
   EXPECT_GT(f2.results_relayed(), 0);
   // Each group's cacheable file crossed the root link exactly once, was
-  // chunked into its shard's cache, and fanned out locally from there.
+  // held by its shard, and fanned out locally from there.
   EXPECT_EQ(stats.files_sent, kGroups);
-  EXPECT_GT(f1.cache().stats().chunks, 0);
-  EXPECT_GT(f2.cache().stats().chunks, 0);
+  EXPECT_GT(f1_m.counter("foreman.files_cached").value(), 0);
+  EXPECT_GT(f2_m.counter("foreman.files_cached").value(), 0);
 
   // Namespaced registries: each component's series lives under its own
   // prefix, none of them collide, and nothing leaked into the others.
@@ -254,6 +273,8 @@ TEST(Federation, JournalDoneFlagsSurviveRestartExactlyOnce) {
   g.name = "round2";
   for (uint64_t id = 1; id <= 4; ++id) g.tasks.push_back(echo_task(id));
   root.submit(std::move(g));
+  std::map<uint64_t, wq::ResultMessage> results;
+  root.set_on_result([&](const wq::ResultMessage& r) { results[r.task_id] = r; });
   ForemanConfig fc;
   fc.name = "fj2";
   fc.root_port = root.port();
@@ -267,8 +288,9 @@ TEST(Federation, JournalDoneFlagsSurviveRestartExactlyOnce) {
   EXPECT_EQ(stats.recovered_done, 3);
   EXPECT_EQ(stats.tasks_completed, 1);
   EXPECT_EQ(foreman.tasks_received(), 1) << "a recovered task was re-dispatched";
-  ASSERT_EQ(root.results().size(), 4u);
-  EXPECT_EQ(root.results()[3].payload, (serde::Bytes{'p', 'o', 'n', 'g'}));
+  // Only the new task delivers a result.
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results.at(4).payload, (serde::Bytes{'p', 'o', 'n', 'g'}));
 }
 
 // --- end-to-end: root <-> forked foreman processes <-> forked workers --------
@@ -396,9 +418,11 @@ def mul(a, b):
   const pid_t survivor = fork_foreman(root.port(), "fk1", 2);
 
   std::map<uint64_t, int> events;
+  std::map<uint64_t, wq::ResultMessage> results;
   bool killed = false;
   root.set_on_result([&](const wq::ResultMessage& r) {
     events[r.task_id]++;
+    results[r.task_id] = r;
     if (!killed) {
       // Kill only once the victim shard verifiably holds in-flight groups
       // (a group leaves the load set strictly before its last result), so
@@ -424,12 +448,11 @@ def mul(a, b):
   for (const auto& [id, n] : events) {
     EXPECT_EQ(n, 1) << "task " << id << " reported " << n << " times";
   }
-  const std::vector<wq::ResultMessage>& results = root.results();
   ASSERT_EQ(results.size(), static_cast<size_t>(kTasks));
   for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(results[i].exit_code, 0);
-    EXPECT_EQ(results[i].payload, expected[i])
-        << "payload differs for task " << results[i].task_id;
+    const wq::ResultMessage& r = results[500 + static_cast<uint64_t>(i)];
+    EXPECT_EQ(r.exit_code, 0);
+    EXPECT_EQ(r.payload, expected[i]) << "payload differs for task " << r.task_id;
   }
 
   int status = -1;
@@ -439,6 +462,86 @@ def mul(a, b):
   ASSERT_EQ(waitpid(survivor, &status, 0), survivor);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
       << "surviving foreman exited " << status;
+}
+
+TEST(FedEndToEnd, GroupSentBackToAResetForemanRunsOnceWhereItStillRuns) {
+  // One forked foreman that may hold 6 KiB runs a long group on file A
+  // while short groups name B, C, B, C, B, two groups in flight. Each C
+  // puts it past the bound once the group before it completed, so B is
+  // dropped; the next group naming B resets the link while the long group
+  // still runs there, and the root sends that group back to it on the new
+  // link. A task still pending at the foreman is not added to its service
+  // again: a second entry would never complete and would hold its files
+  // and a worker slot for good, so the foreman process also checks that
+  // its service ends holding no staged bytes.
+  const int kGroups = 6, kPerGroup = 2;
+  const int kTasks = kGroups * kPerGroup;
+  const char* const kFiles[] = {"a.bin", "b.bin", "c.bin"};
+  net::EventLoop loop;
+  RootMasterConfig rc;
+  rc.groups_per_foreman = 2;
+  RootMaster root(loop, rc);
+  uint64_t next_id = 1;
+  for (int g = 0; g < kGroups; ++g) {
+    TaskGroup group;
+    group.name = "g" + std::to_string(g);
+    const int file = g == 0 ? 0 : 2 - g % 2;
+    for (int i = 0; i < kPerGroup; ++i) {
+      wq::TaskMessage t = echo_task(next_id++);
+      if (g == 0) t.command_line = "sleep 2";
+      t.infiles.push_back({kFiles[file], 4096, true});
+      group.tasks.push_back(std::move(t));
+    }
+    group.files.emplace(kFiles[file],
+                        serde::Bytes(4096, static_cast<uint8_t>(0xa1 + file)));
+    root.submit(std::move(group));
+  }
+
+  const pid_t pid = fork();
+  if (pid == 0) {
+    net::close_inherited_fds();
+    int status = 1;
+    try {
+      ForemanConfig fc;
+      fc.name = "fr";
+      fc.root_port = root.port();
+      fc.cache_capacity_bytes = 6 << 10;
+      // The long group outlasts this whole budget many times over; the
+      // resets must not use it up.
+      fc.max_reconnect_attempts = 2;
+      // The worker leaves a master silent for 0.5 s; pings keep it through
+      // the long group.
+      fc.service.heartbeat_interval = 0.1;
+      Foreman foreman(fc);
+      const pid_t worker = fork_python_worker(foreman.worker_port(), "fr-w0");
+      foreman.run();
+      int s = -1;
+      const bool worker_ok =
+          waitpid(worker, &s, 0) == worker && WIFEXITED(s) && WEXITSTATUS(s) == 0;
+      const bool released =
+          foreman.service().statusz_value().at("staged_bytes").as_int() == 0;
+      status = worker_ok && released ? 0 : 1;
+    } catch (...) {
+    }
+    _exit(status);
+  }
+
+  std::map<uint64_t, int> events;
+  root.set_on_result([&](const wq::ResultMessage& r) { events[r.task_id]++; });
+  RootStats stats;
+  try {
+    stats = root.run_until_complete(30.0);
+  } catch (const Error& e) {
+    ADD_FAILURE() << e.what();
+    ::kill(pid, SIGKILL);
+  }
+  int status = -1;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(stats.tasks_completed, kTasks);
+  EXPECT_GE(stats.foremen_lost, 2) << "the foreman did not reset its link twice";
+  ASSERT_EQ(events.size(), static_cast<size_t>(kTasks));
+  for (const auto& [id, n] : events) EXPECT_EQ(n, 1) << "task " << id;
 }
 
 TEST(FedEndToEnd, TraceSpansOneTaskAcrossThreeProcessLanes) {
@@ -649,6 +752,259 @@ TEST(Federation, ListenersRefuseConnectsOnceTheRunReturns) {
     const int fd = net::connect_tcp("127.0.0.1", port);
     EXPECT_LT(fd, 0) << "port " << port << " still accepts after the run";
     if (fd >= 0) ::close(fd);
+  }
+}
+
+// --- the files a foreman holds ------------------------------------------------
+
+TEST(Federation, StatsCountTheCacheableBytesAForemanHolds) {
+  // kStats reports the files a foreman holds. A cacheable input stays for
+  // the life of the link; a one-shot input goes once its batch is
+  // submitted. With no worker yet, the tasks wait at the foreman, and every
+  // frame that counts them pending reads the cacheable bytes alone.
+  constexpr size_t kShared = 4096, kOneShot = 1024;
+  constexpr int kTasks = 3;
+  obs::Metrics m("held.");
+  net::EventLoop loop;
+  RootMasterConfig rc;
+  rc.metrics = &m;
+  RootMaster root(loop, rc);
+  ForemanConfig fc;
+  fc.name = "fh";
+  fc.root_port = root.port();
+  fc.metrics = &m;
+  fc.stats_interval = 0.01;
+  Foreman foreman(fc);
+  std::thread ft([&] { foreman.run(); });
+  await_foremen(loop, root, 1);
+
+  TaskGroup g;
+  g.name = "held";
+  for (int i = 0; i < kTasks; ++i) {
+    wq::TaskMessage t = echo_task(600 + static_cast<uint64_t>(i));
+    t.infiles.push_back({"shared.bin", static_cast<int64_t>(kShared), true});
+    const std::string own = "own-" + std::to_string(i) + ".bin";
+    t.infiles.push_back({own, static_cast<int64_t>(kOneShot), false});
+    g.files.emplace(own, serde::Bytes(kOneShot, static_cast<uint8_t>(i + 1)));
+    g.tasks.push_back(std::move(t));
+  }
+  g.files.emplace("shared.bin", serde::Bytes(kShared, 0x33));
+  root.submit(std::move(g));
+
+  auto shard = [&] {
+    const std::map<std::string, wq::StatsMessage> all = root.shard_stats();
+    const auto it = all.find("fh");
+    return it == all.end() ? wq::StatsMessage{} : it->second;
+  };
+  EXPECT_TRUE(run_until(loop, [&] { return shard().pending == kTasks; }, 10.0))
+      << "no kStats frame counted the batch";
+  const wq::StatsMessage held = shard();
+  EXPECT_EQ(held.cache_files, 1);
+  EXPECT_EQ(held.cache_bytes, static_cast<int64_t>(kShared));
+
+  EchoWorker w(foreman.worker_port(), "wh");
+  const RootStats stats = root.run_until_complete(30.0);
+  ft.join();
+  w.join();
+  EXPECT_EQ(stats.tasks_completed, kTasks);
+  EXPECT_EQ(m.counter("foreman.files_cached").value(), 1 + kTasks);
+  EXPECT_EQ(root.statusz_value().at("staged_bytes").as_int(), 0);
+  EXPECT_EQ(foreman.service().statusz_value().at("staged_bytes").as_int(), 0);
+}
+
+TEST(Federation, DroppedFileNamedAgainResetsTheLinkAndEveryTaskCompletesOnce) {
+  // Groups alternate two 4 KiB cacheable files through a foreman that may
+  // hold 6 KiB, one group in flight at a time. The second file puts it past
+  // the bound with the first group done, so it drops the first file; the
+  // third group names that file again, so the foreman resets its uplink
+  // before running any of the group's tasks. The root requeues the group
+  // and re-ships its file on the fresh link, which starts empty.
+  constexpr size_t kFile = 4096;
+  constexpr int kGroups = 6, kPerGroup = 3;
+  constexpr int kTasks = kGroups * kPerGroup;
+  obs::Metrics m("bound.");
+  net::EventLoop loop;
+  RootMasterConfig rc;
+  rc.metrics = &m;
+  rc.groups_per_foreman = 1;
+  RootMaster root(loop, rc);
+  ForemanConfig fc;
+  fc.name = "fb";
+  fc.root_port = root.port();
+  fc.metrics = &m;
+  fc.cache_capacity_bytes = 6 << 10;
+  Foreman foreman(fc);
+  std::thread ft([&] { foreman.run(); });
+  EchoWorker w(foreman.worker_port(), "wb");
+  await_foremen(loop, root, 1);
+
+  uint64_t next_id = 1;
+  for (int g = 0; g < kGroups; ++g) {
+    TaskGroup group;
+    group.name = "alt" + std::to_string(g);
+    const std::string name = g % 2 == 0 ? "a.bin" : "b.bin";
+    for (int i = 0; i < kPerGroup; ++i) {
+      wq::TaskMessage t = echo_task(next_id++);
+      t.infiles.push_back({name, static_cast<int64_t>(kFile), true});
+      group.tasks.push_back(std::move(t));
+    }
+    group.files.emplace(name, serde::Bytes(kFile, g % 2 == 0 ? 0xa1 : 0xb2));
+    root.submit(std::move(group));
+  }
+  std::map<uint64_t, int> events;
+  std::map<uint64_t, wq::ResultMessage> results;
+  root.set_on_result([&](const wq::ResultMessage& r) {
+    events[r.task_id]++;
+    results[r.task_id] = r;
+  });
+  const RootStats stats = root.run_until_complete(60.0);
+  ft.join();
+  w.join();
+
+  EXPECT_EQ(stats.tasks_completed, kTasks);
+  // Each reset closes the link before the bye: the root counts a loss.
+  EXPECT_GE(m.counter("foreman.files_dropped").value(), 1);
+  EXPECT_GE(m.counter("foreman.cache_resets").value(), 1);
+  EXPECT_EQ(stats.foremen_lost, m.counter("foreman.cache_resets").value());
+  EXPECT_GE(m.counter("foreman.connects").value(), 2);
+  EXPECT_GE(stats.requeued_groups, 1);
+  ASSERT_EQ(events.size(), static_cast<size_t>(kTasks));
+  for (const auto& [id, n] : events) EXPECT_EQ(n, 1) << "task " << id;
+  for (const auto& [id, r] : results) {
+    EXPECT_EQ(r.exit_code, 0);
+    EXPECT_EQ(r.payload, (serde::Bytes{'p', 'o', 'n', 'g'}));
+  }
+  EXPECT_EQ(foreman.service().statusz_value().at("staged_bytes").as_int(), 0);
+}
+
+TEST(Federation, FilesOfPendingTasksStayPastTheBoundWithoutAReset) {
+  // Three groups wait at a foreman with no worker yet: two name 4 KiB file
+  // A and one names B, which puts it past its 6 KiB bound. A file that a
+  // task pending there names is not dropped, so the third group finds A
+  // and the link stays up for as long as the tasks wait, here longer than
+  // the foreman's whole reconnect budget. A reset would requeue the groups
+  // and ship their files again, past the bound once more.
+  constexpr size_t kFile = 4096;
+  constexpr int kPerGroup = 2;
+  const char* const kNames[] = {"a.bin", "b.bin", "a.bin"};
+  constexpr int kTasks = 3 * kPerGroup;
+  obs::Metrics m("pending.");
+  net::EventLoop loop;
+  RootMasterConfig rc;
+  rc.metrics = &m;
+  rc.groups_per_foreman = 3;
+  RootMaster root(loop, rc);
+  ForemanConfig fc;
+  fc.name = "fp";
+  fc.root_port = root.port();
+  fc.metrics = &m;
+  fc.stats_interval = 0.01;
+  fc.cache_capacity_bytes = 6 << 10;
+  fc.max_reconnect_attempts = 2;
+  Foreman foreman(fc);
+  std::thread ft([&] { foreman.run(); });
+  await_foremen(loop, root, 1);
+
+  uint64_t next_id = 1;
+  for (const char* name : kNames) {
+    TaskGroup group;
+    group.name = std::string("pending-") + name;
+    for (int i = 0; i < kPerGroup; ++i) {
+      wq::TaskMessage t = echo_task(next_id++);
+      t.infiles.push_back({name, static_cast<int64_t>(kFile), true});
+      group.tasks.push_back(std::move(t));
+    }
+    group.files.emplace(name, serde::Bytes(kFile, static_cast<uint8_t>(name[0])));
+    root.submit(std::move(group));
+  }
+  auto shard = [&] {
+    const std::map<std::string, wq::StatsMessage> all = root.shard_stats();
+    const auto it = all.find("fp");
+    return it == all.end() ? wq::StatsMessage{} : it->second;
+  };
+  EXPECT_TRUE(run_until(loop, [&] { return shard().pending == kTasks; }, 10.0))
+      << "the groups never all reached the foreman";
+  // A budget of two attempts lasts about 0.1 s of back-to-back resets.
+  run_until(loop, [] { return false; }, 0.5);
+  EXPECT_EQ(m.counter("foreman.connects").value(), 1);
+  const wq::StatsMessage held = shard();
+  EXPECT_EQ(held.cache_files, 2);
+  EXPECT_EQ(held.cache_bytes, static_cast<int64_t>(2 * kFile));
+
+  EchoWorker w(foreman.worker_port(), "wp");
+  std::map<uint64_t, int> events;
+  root.set_on_result([&](const wq::ResultMessage& r) { events[r.task_id]++; });
+  const RootStats stats = root.run_until_complete(30.0);
+  ft.join();
+  w.join();
+  EXPECT_FALSE(foreman.gave_up());
+  EXPECT_EQ(stats.tasks_completed, kTasks);
+  EXPECT_EQ(stats.foremen_lost, 0);
+  EXPECT_EQ(m.counter("foreman.cache_resets").value(), 0);
+  ASSERT_EQ(events.size(), static_cast<size_t>(kTasks));
+  for (const auto& [id, n] : events) EXPECT_EQ(n, 1) << "task " << id;
+}
+
+TEST(Federation, FilesNoTaskNamesAgainAreDroppedWithoutAReset) {
+  // py-short's traffic: every task names its own cacheable module, which
+  // no later task names again. A foreman past its 6 KiB bound drops the
+  // modules of completed tasks and keeps its link. The root sends one task
+  // per batch frame, so a group's second module arrives ahead of the frame
+  // that names it and must survive the drop that follows the first frame.
+  constexpr size_t kModule = 4096;
+  constexpr int kGroups = 6, kPerGroup = 2;
+  constexpr int kTasks = kGroups * kPerGroup;
+  obs::Metrics m("unique.");
+  net::EventLoop loop;
+  RootMasterConfig rc;
+  rc.metrics = &m;
+  rc.groups_per_foreman = 1;
+  rc.max_batch = 1;
+  RootMaster root(loop, rc);
+  ForemanConfig fc;
+  fc.name = "fu";
+  fc.root_port = root.port();
+  fc.metrics = &m;
+  fc.cache_capacity_bytes = 6 << 10;
+  Foreman foreman(fc);
+  std::thread ft([&] { foreman.run(); });
+  EchoWorker w(foreman.worker_port(), "wu");
+  await_foremen(loop, root, 1);
+
+  uint64_t next_id = 1;
+  for (int g = 0; g < kGroups; ++g) {
+    TaskGroup group;
+    group.name = "unique" + std::to_string(g);
+    for (int i = 0; i < kPerGroup; ++i) {
+      wq::TaskMessage t = echo_task(next_id++);
+      const std::string module = "fn-" + std::to_string(t.task_id) + ".py";
+      t.infiles.push_back({module, static_cast<int64_t>(kModule), true});
+      group.files.emplace(module, serde::Bytes(kModule, static_cast<uint8_t>(t.task_id)));
+      group.tasks.push_back(std::move(t));
+    }
+    root.submit(std::move(group));
+  }
+  std::map<uint64_t, int> events;
+  std::map<uint64_t, wq::ResultMessage> results;
+  root.set_on_result([&](const wq::ResultMessage& r) {
+    events[r.task_id]++;
+    results[r.task_id] = r;
+  });
+  const RootStats stats = root.run_until_complete(30.0);
+  ft.join();
+  w.join();
+
+  EXPECT_EQ(stats.tasks_completed, kTasks);
+  EXPECT_EQ(stats.foremen_lost, 0);
+  EXPECT_EQ(m.counter("foreman.connects").value(), 1);
+  EXPECT_EQ(m.counter("foreman.cache_resets").value(), 0);
+  // Each group's first frame finds every earlier group done.
+  EXPECT_GE(m.counter("foreman.files_dropped").value(), kPerGroup * (kGroups - 1));
+  ASSERT_EQ(events.size(), static_cast<size_t>(kTasks));
+  for (const auto& [id, n] : events) EXPECT_EQ(n, 1) << "task " << id;
+  for (const auto& [id, r] : results) {
+    EXPECT_EQ(r.exit_code, 0);
+    EXPECT_EQ(r.payload, (serde::Bytes{'p', 'o', 'n', 'g'}));
   }
 }
 

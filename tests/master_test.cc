@@ -95,10 +95,11 @@ TEST(Master, ExhaustionRetriesAtWholeNode) {
 }
 
 TEST(Master, RepeatedExhaustionEventuallyFails) {
-  // A task that cannot fit even the whole node fails after max_retries.
+  // A task that cannot fit even the whole node fails after
+  // retry.max_exhaustions.
   LabelerConfig cfg = node_config(8, 8e9, 16e9);
   MasterConfig mc;
-  mc.max_retries = 2;
+  mc.retry.max_exhaustions = 2;
   std::vector<TaskSpec> tasks = {simple_task(1, 5.0, 100e9)};  // 100 GB need
   const auto result = run_scenario(Strategy::kGuess, cfg,
                                    {{Resources{8, 8e9, 16e9}, 0.0}}, tasks, {}, mc);

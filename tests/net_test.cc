@@ -18,10 +18,14 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "chaos/journal.h"
+#include "fed/root_master.h"
 #include "net/conn.h"
 #include "net/event_loop.h"
 #include "obs/collector.h"
@@ -421,8 +425,10 @@ def mix(a, b):
   }
 
   std::map<uint64_t, int> results_per_task;
+  std::map<uint64_t, wq::ResultMessage> results;
   master.set_on_result([&](const wq::ResultMessage& r) {
     results_per_task[r.task_id] += 1;
+    results[r.task_id] = r;
   });
   const NetMasterStats stats = master.run_until_complete(120.0);
 
@@ -431,12 +437,11 @@ def mix(a, b):
   for (const auto& [id, n] : results_per_task) {
     EXPECT_EQ(n, 1) << "task " << id << " reported " << n << " times";
   }
-  const std::vector<wq::ResultMessage>& results = master.results();
   ASSERT_EQ(results.size(), static_cast<size_t>(kTasks));
   for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(results[i].exit_code, 0);
-    EXPECT_EQ(results[i].payload, expected[i])
-        << "payload differs for task " << results[i].task_id;
+    const wq::ResultMessage& r = results[100 + static_cast<uint64_t>(i)];
+    EXPECT_EQ(r.exit_code, 0);
+    EXPECT_EQ(r.payload, expected[i]) << "payload differs for task " << r.task_id;
   }
   EXPECT_GE(stats.connections_accepted, 4);
   // Every worker closed its link after the bye: none was lost.
@@ -1188,6 +1193,215 @@ TEST(MasterService, NonFramePeerIsClosedAtOnce) {
   loop.run();
   ::close(fd);
   EXPECT_TRUE(closed) << "no EOF within 1 s";
+}
+
+// --- staged files live while their task is outstanding ----------------------
+
+TEST(MasterService, StagedBytesFollowTheTasksStillOutstanding) {
+  // Each task stages its own one-shot input. The dispatch core holds a
+  // unit's files until its task completes: statusz reads N x size after N
+  // submits, falls by one file per result, and reads 0 once the run ends.
+  constexpr int kTasks = 5;
+  constexpr size_t kSize = 3000;
+  EventLoop loop;
+  MasterService master(loop, {});
+  for (int i = 0; i < kTasks; ++i) {
+    wq::TaskMessage t = simple_task(300 + static_cast<uint64_t>(i));
+    const std::string name = "in-" + std::to_string(i) + ".bin";
+    t.infiles.push_back({name, static_cast<int64_t>(kSize), false});
+    master.submit(t, {{name, serde::Bytes(kSize, static_cast<uint8_t>(i))}});
+  }
+  auto staged = [&] { return master.statusz_value().at("staged_bytes").as_int(); };
+  EXPECT_EQ(staged(), static_cast<int64_t>(kTasks * kSize));
+
+  std::vector<int64_t> staged_after_result;
+  master.set_on_result(
+      [&](const wq::ResultMessage&) { staged_after_result.push_back(staged()); });
+  WorkerClientOptions o;
+  o.port = master.port();
+  o.name = "echo";
+  o.echo_results = true;
+  WorkerClient client(o);
+  std::thread worker([&] { client.run(); });
+  const NetMasterStats stats = master.run_until_complete(20.0);
+  worker.join();
+
+  EXPECT_EQ(stats.tasks_completed, kTasks);
+  ASSERT_EQ(staged_after_result.size(), static_cast<size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(staged_after_result[i], static_cast<int64_t>((kTasks - 1 - i) * kSize));
+  }
+  EXPECT_EQ(staged(), 0);
+}
+
+TEST(RootMaster, GroupRecoveredDoneHoldsNoStagedFiles) {
+  // A group whose every task the journal recovered as done is complete at
+  // submit, so its files are released there; a group with work left holds
+  // its files.
+  chaos::Journal journal;
+  for (uint64_t id = 1; id <= 3; ++id) journal.completed(id, {}, 0.0);
+  EventLoop loop;
+  fed::RootMaster root(loop, {});
+  root.recover(journal);
+  auto group = [](const std::string& name, uint64_t first) {
+    fed::TaskGroup g;
+    g.name = name;
+    for (uint64_t id = first; id < first + 3; ++id) {
+      wq::TaskMessage t = simple_task(id);
+      t.infiles.push_back({"env.tar", 4096, true});
+      g.tasks.push_back(std::move(t));
+    }
+    g.files.emplace("env.tar", serde::Bytes(4096, 0x5e));
+    return g;
+  };
+  auto staged = [&] { return root.statusz_value().at("staged_bytes").as_int(); };
+
+  root.submit(group("recovered", 1));
+  EXPECT_EQ(root.stats().groups_completed, 1);
+  EXPECT_EQ(staged(), 0);
+  root.submit(group("fresh", 4));
+  EXPECT_EQ(staged(), 4096);
+}
+
+// --- files a worker holds belong to one link ---------------------------------
+
+const char* const kIncModule = "def inc(x):\n    return x + 1\n";
+
+// An lfm-pyrun task on the shared cacheable module "inc.py" with its own
+// one-shot args.
+std::pair<wq::TaskMessage, wq::FileSet> inc_task(uint64_t id, int64_t x) {
+  serde::ValueList args;
+  args.push_back(serde::Value(x));
+  auto [task, files] = wq::make_python_task(id, "inc", kIncModule, "inc",
+                                            serde::Value(std::move(args)),
+                                            alloc::Resources{1.0, 512e6, 1e9});
+  const std::string own = task.infiles[0].name;  // fn-<id>.py
+  task.command_line.replace(task.command_line.find(own), own.size(), "inc.py");
+  task.infiles[0].name = "inc.py";
+  files["inc.py"] = files.at(own);
+  files.erase(own);
+  return {task, files};
+}
+
+serde::Bytes run_in_process(const wq::TaskMessage& task, const wq::FileSet& files) {
+  wq::LocalWorkerOptions wo;
+  wo.poll_interval = 0.01;
+  wq::LocalWorker direct(wo);
+  return direct.execute(task, files).payload;
+}
+
+TEST(WorkerClient, ReconnectedWorkerStartsWithNoFiles) {
+  // A fake master ships the cacheable module with task 1, then drops the
+  // link. On the worker's next link, task 2 names the module without
+  // shipping it and fails for want of it: the worker held it for the old
+  // link only. Task 3 ships it again and runs.
+  auto [t1, f1] = inc_task(1, 1);
+  auto [t2, f2] = inc_task(2, 2);
+  auto [t3, f3] = inc_task(3, 3);
+  const serde::Bytes expected3 = run_in_process(t3, f3);
+
+  EventLoop loop;
+  Listener listener(loop, 0);
+  std::vector<std::shared_ptr<Connection>> links;
+  std::vector<wq::ResultMessage> results;
+  auto send_task = [](Connection& c, const wq::TaskMessage& t,
+                      const wq::FileSet& files, bool with_module) {
+    for (const wq::TaskMessage::FileStanza& s : t.infiles) {
+      if (s.cacheable && !with_module) continue;
+      c.send(wq::encode(wq::FileMessage{s.name, s.cacheable, files.at(s.name)}));
+    }
+    c.send(wq::encode(t));
+  };
+  listener.set_on_accept([&](int fd) {
+    const size_t link = links.size() + 1;
+    auto c = std::make_shared<Connection>(loop, fd, link);
+    c->set_on_message([&, link](Connection& conn, std::string&& wire) {
+      const wq::MessageKind kind = wq::classify(wire);
+      if (kind == wq::MessageKind::kHello) {
+        if (link == 1) send_task(conn, t1, f1, true);
+        if (link == 2) send_task(conn, t2, f2, false);
+        return;
+      }
+      if (kind != wq::MessageKind::kResult && kind != wq::MessageKind::kResultBatch) {
+        return;
+      }
+      for (const wq::ResultMessage& r : wq::decode_result_batch(wire)) {
+        results.push_back(r);
+        if (r.task_id == 1) conn.close("injected drop");
+        if (r.task_id == 2) send_task(conn, t3, f3, true);
+        if (r.task_id == 3) {
+          conn.send(wq::encode(wq::ControlMessage{wq::ControlType::kBye, 0, 0.0}));
+        }
+      }
+    });
+    c->set_on_close([](Connection&, const std::string&) {});
+    links.push_back(c);
+    c->start();
+  });
+  listener.start();
+
+  const pid_t worker = fork_worker(listener.port(), "rejoin");
+  int status = -1;
+  bool exited = false;
+  run_until(
+      loop,
+      [&] {
+        exited = exited || waitpid(worker, &status, WNOHANG) == worker;
+        return exited;
+      },
+      30.0);
+  if (!exited) {
+    ::kill(worker, SIGKILL);
+    waitpid(worker, &status, 0);
+  }
+  ASSERT_TRUE(exited) << "the worker never finished";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(links.size(), 2u);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].exit_code, 0);
+  EXPECT_EQ(results[1].task_id, 2u);
+  EXPECT_EQ(results[1].exit_code, -1) << "task 2 found a file shipped on the old link";
+  EXPECT_EQ(results[2].exit_code, 0);
+  EXPECT_EQ(results[2].payload, expected3);
+}
+
+TEST(NetEndToEnd, MasterReshipsACacheableInputToAReconnectedWorker) {
+  // Task 1 ships the cacheable module; the link drops as its result
+  // arrives, before task 2 (same module) is dispatched. The reconnected
+  // worker starts with no files, so the master ships the module again on
+  // the new link, and task 2 runs.
+  auto [t1, f1] = inc_task(1, 1);
+  auto [t2, f2] = inc_task(2, 2);
+  const serde::Bytes expected2 = run_in_process(t2, f2);
+
+  EventLoop loop;
+  MasterServiceConfig config;
+  config.tasks_per_worker = 1;  // task 2 waits for task 1's result
+  MasterService master(loop, config);
+  master.submit(t1, f1);
+  master.submit(t2, f2);
+  std::map<uint64_t, wq::ResultMessage> results;
+  master.set_on_result([&](const wq::ResultMessage& r) {
+    results[r.task_id] = r;
+    if (r.task_id == 1) {
+      EXPECT_TRUE(master.drop_connection(0));
+    }
+  });
+  const pid_t worker = fork_worker(master.port(), "rejoin");
+  const NetMasterStats stats = master.run_until_complete(60.0);
+
+  EXPECT_EQ(stats.tasks_completed, 2);
+  EXPECT_EQ(stats.connections_accepted, 2);
+  // The module and task 1's args on the first link; the module again and
+  // task 2's args on the second.
+  EXPECT_EQ(stats.files_sent, 4);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[1].exit_code, 0);
+  EXPECT_EQ(results[2].exit_code, 0);
+  EXPECT_EQ(results[2].payload, expected2);
+  int status = -1;
+  ASSERT_EQ(waitpid(worker, &status, 0), worker);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 }  // namespace

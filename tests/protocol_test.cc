@@ -280,7 +280,7 @@ TEST(Protocol, StatsRoundtrip) {
   msg.completed = 678901;
   msg.fanout_bytes = 9876543210;
   msg.fanout_files = 4321;
-  msg.cache_chunks = 512;
+  msg.cache_files = 512;
   msg.cache_bytes = 1073741824;
   const std::string wire = encode(msg);
   EXPECT_EQ(classify(wire), MessageKind::kStats);
@@ -291,7 +291,7 @@ TEST(Protocol, StatsRoundtrip) {
   EXPECT_EQ(back.completed, 678901);
   EXPECT_EQ(back.fanout_bytes, 9876543210);
   EXPECT_EQ(back.fanout_files, 4321);
-  EXPECT_EQ(back.cache_chunks, 512);
+  EXPECT_EQ(back.cache_files, 512);
   EXPECT_EQ(back.cache_bytes, 1073741824);
 
   // Default-valued telemetry still names its source; an empty source is
