@@ -22,7 +22,7 @@
 //   chaos_soak                         # 50 schedules, base seed 1000
 //   chaos_soak --seeds N --seed S      # N schedules starting at seed S
 //   chaos_soak --replay-every K        # replay-check every Kth seed (default 5)
-//   chaos_soak --journal-dir DIR       # also write each seed's JSONL journal
+//   chaos_soak --journal-dir DIR       # also write each seed's journal file
 //   chaos_soak --trace PATH            # Chrome trace JSON of the last seed
 //   chaos_soak --overhead              # journal overhead on the dispatch hot
 //                                      # path (min-of-5 interleaved, no chaos)
@@ -190,9 +190,9 @@ void replay_check(uint64_t seed, const chaos::ChaosConfig& campaign,
   dying.sim.run_until(kill_time);
 
   // Phase 2: a fresh master rebuilds from the journal and finishes. The
-  // journal round-trips through JSONL first — recovery reads what a real
+  // journal is decoded from its bytes first — recovery reads what a real
   // restart would read off disk.
-  const chaos::Journal replayed = chaos::Journal::from_jsonl(journal.to_jsonl());
+  const chaos::Journal replayed = chaos::Journal::decode(journal.bytes());
   Universe recovered(seed);
   recovered.master.recover(replayed);
   const wq::MasterStats stats = recovered.master.run();
@@ -231,7 +231,7 @@ SeedReport run_seed(uint64_t seed, bool do_replay, const std::string& journal_di
   chaos::Journal journal =
       journal_dir.empty()
           ? chaos::Journal()
-          : chaos::Journal(journal_dir + "/soak_" + std::to_string(seed) + ".jsonl");
+          : chaos::Journal(journal_dir + "/soak_" + std::to_string(seed) + ".journal");
   u.master.set_journal(&journal);
   const chaos::Plan plan = chaos::compile_plan(seed, campaign, kWorkers, 1);
   chaos::Injector injector(u.sim, u.master, plan);

@@ -1,212 +1,146 @@
 #include "chaos/journal.h"
 
-#include <utility>
+#include <algorithm>
 
-#include "serde/json.h"
+#include "serde/pickle.h"
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace lfm::chaos {
+namespace {
 
-using serde::Value;
-using serde::ValueDict;
-using serde::ValueList;
+using RecordWriter = serde::Writer<serde::Bytes>;
 
-Value resources_to_value(const alloc::Resources& r) {
-  ValueDict d;
-  d.emplace("cores", Value(r.cores));
-  d.emplace("mem", Value(r.memory_bytes));
-  d.emplace("disk", Value(r.disk_bytes));
-  return Value(std::move(d));
+constexpr uint8_t kLastKind = static_cast<uint8_t>(EntryKind::kExhaustion);
+
+void write_resources(RecordWriter& w, const alloc::Resources& r) {
+  w.real(r.cores);
+  w.real(r.memory_bytes);
+  w.real(r.disk_bytes);
 }
 
-alloc::Resources resources_from_value(const Value& value) {
-  alloc::Resources r;
-  r.cores = value.at("cores").as_real();
-  r.memory_bytes = value.at("mem").as_real();
-  r.disk_bytes = value.at("disk").as_real();
-  return r;
+alloc::Resources read_resources(serde::Reader& r) {
+  alloc::Resources res;
+  res.cores = r.real();
+  res.memory_bytes = r.real();
+  res.disk_bytes = r.real();
+  return res;
 }
 
-Value task_spec_to_value(const wq::TaskSpec& spec) {
-  ValueDict d;
-  d.emplace("id", Value(static_cast<int64_t>(spec.id)));
-  d.emplace("category", Value(spec.category));
-  d.emplace("output_bytes", Value(spec.output_bytes));
-  d.emplace("exec_seconds", Value(spec.exec_seconds));
-  d.emplace("true_cores", Value(spec.true_cores));
-  d.emplace("true_peak", resources_to_value(spec.true_peak));
-  d.emplace("peak_fraction", Value(spec.peak_fraction));
-  ValueList inputs;
-  for (const auto& f : spec.inputs) {
-    ValueDict fd;
-    fd.emplace("name", Value(f.name));
-    fd.emplace("size", Value(f.size_bytes));
-    fd.emplace("cacheable", Value(f.cacheable));
-    fd.emplace("unpack", Value(f.unpack_seconds));
-    inputs.push_back(Value(std::move(fd)));
+uint8_t read_flag(serde::Reader& r) {
+  const uint8_t b = r.u8();
+  if (b > 1) throw Error("bad flag byte " + std::to_string(b));
+  return b;
+}
+
+void write_spec(RecordWriter& w, const wq::TaskSpec& spec) {
+  w.varint(spec.id);
+  w.str(spec.category);
+  w.varint(spec.inputs.size());
+  for (const wq::InputFile& f : spec.inputs) {
+    w.str(f.name);
+    w.svarint(f.size_bytes);
+    w.u8(f.cacheable ? 1 : 0);
+    w.real(f.unpack_seconds);
   }
-  d.emplace("inputs", Value(std::move(inputs)));
-  return Value(std::move(d));
+  w.svarint(spec.output_bytes);
+  w.real(spec.exec_seconds);
+  w.real(spec.true_cores);
+  write_resources(w, spec.true_peak);
+  w.real(spec.peak_fraction);
 }
 
-wq::TaskSpec task_spec_from_value(const Value& value) {
+wq::TaskSpec read_spec(serde::Reader& r) {
   wq::TaskSpec spec;
-  spec.id = static_cast<uint64_t>(value.at("id").as_int());
-  spec.category = value.at("category").as_str();
-  spec.output_bytes = value.at("output_bytes").as_int();
-  spec.exec_seconds = value.at("exec_seconds").as_real();
-  spec.true_cores = value.at("true_cores").as_real();
-  spec.true_peak = resources_from_value(value.at("true_peak"));
-  spec.peak_fraction = value.at("peak_fraction").as_real();
-  for (const auto& fv : value.at("inputs").as_list()) {
+  spec.id = r.varint();
+  spec.category = std::string(r.str());
+  const uint64_t n = r.varint();
+  spec.inputs.reserve(std::min<uint64_t>(n, r.remaining()));
+  for (uint64_t i = 0; i < n; ++i) {
     wq::InputFile f;
-    f.name = fv.at("name").as_str();
-    f.size_bytes = fv.at("size").as_int();
-    f.cacheable = fv.at("cacheable").as_bool();
-    f.unpack_seconds = fv.at("unpack").as_real();
+    f.name = std::string(r.str());
+    f.size_bytes = r.svarint();
+    f.cacheable = read_flag(r) == 1;
+    f.unpack_seconds = r.real();
     spec.inputs.push_back(std::move(f));
   }
+  spec.output_bytes = r.svarint();
+  spec.exec_seconds = r.real();
+  spec.true_cores = r.real();
+  spec.true_peak = read_resources(r);
+  spec.peak_fraction = r.real();
   return spec;
 }
 
-namespace {
-
-const char* kind_tag(EntryKind kind) {
-  switch (kind) {
-    case EntryKind::kWorkerAdded: return "worker";
-    case EntryKind::kWorkerLost: return "worker_lost";
-    case EntryKind::kSubmitted: return "submit";
-    case EntryKind::kDispatched: return "dispatch";
-    case EntryKind::kCompleted: return "done";
-    case EntryKind::kFailed: return "fail";
-    case EntryKind::kCancelled: return "cancel";
-    case EntryKind::kExhaustion: return "exh";
-  }
-  return "unknown";
-}
-
-EntryKind kind_from_tag(const std::string& tag) {
-  if (tag == "worker") return EntryKind::kWorkerAdded;
-  if (tag == "worker_lost") return EntryKind::kWorkerLost;
-  if (tag == "submit") return EntryKind::kSubmitted;
-  if (tag == "dispatch") return EntryKind::kDispatched;
-  if (tag == "done") return EntryKind::kCompleted;
-  if (tag == "fail") return EntryKind::kFailed;
-  if (tag == "cancel") return EntryKind::kCancelled;
-  if (tag == "exh") return EntryKind::kExhaustion;
-  throw Error("Journal: unknown record type '" + tag + "'");
-}
-
-}  // namespace
-
-Value entry_to_value(const JournalEntry& e) {
-  ValueDict d;
-  d.emplace("t", Value(kind_tag(e.kind)));
-  d.emplace("ts", Value(e.ts));
-  switch (e.kind) {
-    case EntryKind::kWorkerAdded:
-      d.emplace("worker", Value(e.worker));
-      d.emplace("capacity", resources_to_value(e.res));
-      d.emplace("ready_time", Value(e.ready_time));
-      break;
-    case EntryKind::kWorkerLost:
-      d.emplace("worker", Value(e.worker));
-      break;
-    case EntryKind::kSubmitted:
-      d.emplace("spec", task_spec_to_value(e.spec));
-      break;
-    case EntryKind::kDispatched:
-      d.emplace("task", Value(static_cast<int64_t>(e.task)));
-      d.emplace("worker", Value(e.worker));
-      d.emplace("attempt", Value(e.attempt));
-      d.emplace("alloc", resources_to_value(e.res));
-      break;
-    case EntryKind::kCompleted:
-      d.emplace("task", Value(static_cast<int64_t>(e.task)));
-      d.emplace("peak", resources_to_value(e.res));
-      break;
-    case EntryKind::kFailed:
-      d.emplace("task", Value(static_cast<int64_t>(e.task)));
-      d.emplace("reason", Value(e.text));
-      break;
-    case EntryKind::kCancelled:
-      d.emplace("task", Value(static_cast<int64_t>(e.task)));
-      break;
-    case EntryKind::kExhaustion:
-      d.emplace("task", Value(static_cast<int64_t>(e.task)));
-      d.emplace("category", Value(e.text));
-      d.emplace("alloc", resources_to_value(e.res));
-      d.emplace("resource", Value(e.text2));
-      break;
-  }
-  return Value(std::move(d));
-}
-
-JournalEntry entry_from_value(const Value& value) {
+JournalEntry read_entry(serde::Reader& r) {
   JournalEntry e;
-  e.kind = kind_from_tag(value.at("t").as_str());
-  e.ts = value.at("ts").as_real();
-  switch (e.kind) {
-    case EntryKind::kWorkerAdded:
-      e.worker = static_cast<int>(value.at("worker").as_int());
-      e.res = resources_from_value(value.at("capacity"));
-      e.ready_time = value.at("ready_time").as_real();
-      break;
-    case EntryKind::kWorkerLost:
-      e.worker = static_cast<int>(value.at("worker").as_int());
-      break;
-    case EntryKind::kSubmitted:
-      e.spec = task_spec_from_value(value.at("spec"));
-      e.task = e.spec.id;
-      break;
-    case EntryKind::kDispatched:
-      e.task = static_cast<uint64_t>(value.at("task").as_int());
-      e.worker = static_cast<int>(value.at("worker").as_int());
-      e.attempt = static_cast<int>(value.at("attempt").as_int());
-      e.res = resources_from_value(value.at("alloc"));
-      break;
-    case EntryKind::kCompleted:
-      e.task = static_cast<uint64_t>(value.at("task").as_int());
-      e.res = resources_from_value(value.at("peak"));
-      break;
-    case EntryKind::kFailed:
-      e.task = static_cast<uint64_t>(value.at("task").as_int());
-      e.text = value.at("reason").as_str();
-      break;
-    case EntryKind::kCancelled:
-      e.task = static_cast<uint64_t>(value.at("task").as_int());
-      break;
-    case EntryKind::kExhaustion:
-      e.task = static_cast<uint64_t>(value.at("task").as_int());
-      e.text = value.at("category").as_str();
-      e.res = resources_from_value(value.at("alloc"));
-      e.text2 = value.at("resource").as_str();
-      break;
-  }
+  const uint8_t kind = r.u8();
+  if (kind > kLastKind) throw Error("unknown kind " + std::to_string(kind));
+  e.kind = static_cast<EntryKind>(kind);
+  e.ts = r.real();
+  e.task = r.varint();
+  e.worker = static_cast<int>(r.svarint());
+  e.attempt = static_cast<int>(r.svarint());
+  e.ready_time = r.real();
+  e.res = read_resources(r);
+  e.text = std::string(r.str());
+  e.text2 = std::string(r.str());
+  if (e.kind == EntryKind::kSubmitted) e.spec = read_spec(r);
   return e;
 }
 
-Journal::Journal(const std::string& path) {
-  file_ = std::make_unique<std::ofstream>(path, std::ios::out | std::ios::trunc);
-  if (!*file_) throw Error("Journal: cannot open '" + path + "' for writing");
-}
-
-JournalEntry& Journal::next_slot(EntryKind kind, double ts) {
-  if (entries_.size() == entries_.capacity()) {
-    // Grow 4x: entries are ~200 bytes with non-trivial (string) members, so
-    // every reallocation move-constructs the whole log — keep those rare.
-    entries_.reserve(entries_.empty() ? 4096 : entries_.size() * 4);
-  }
-  JournalEntry& e = entries_.emplace_back();
+JournalEntry entry(EntryKind kind, double ts) {
+  JournalEntry e;
   e.kind = kind;
   e.ts = ts;
   return e;
 }
 
-void Journal::commit(const JournalEntry& entry) {
+// Calls fn with each record of `log`, decoded, in order.
+template <typename Fn>
+void read_records(const serde::Bytes& log, Fn&& fn) {
+  serde::Reader r(log);
+  for (size_t index = 0; r.remaining() > 0; ++index) {
+    try {
+      const uint64_t len = r.varint();
+      if (len > r.remaining()) throw Error("truncated record");
+      serde::Reader record(r.raw(len), len);
+      JournalEntry e = read_entry(record);
+      if (record.remaining() != 0) throw Error("record length mismatch");
+      fn(std::move(e));
+    } catch (const Error& e) {
+      throw Error("Journal: record " + std::to_string(index) + ": " + e.what());
+    }
+  }
+}
+
+}  // namespace
+
+Journal::Journal(const std::string& path) {
+  file_ = std::make_unique<std::ofstream>(
+      path, std::ios::out | std::ios::binary | std::ios::trunc);
+  if (!*file_) throw Error("Journal: cannot open '" + path + "' for writing");
+}
+
+void Journal::append(const JournalEntry& e) {
+  record_.clear();
+  RecordWriter w(record_);
+  w.u8(static_cast<uint8_t>(e.kind));
+  w.real(e.ts);
+  w.varint(e.task);
+  w.svarint(e.worker);
+  w.svarint(e.attempt);
+  w.real(e.ready_time);
+  write_resources(w, e.res);
+  w.str(e.text);
+  w.str(e.text2);
+  if (e.kind == EntryKind::kSubmitted) write_spec(w, e.spec);
+
+  const size_t at = log_.size();
+  RecordWriter(log_).bytes(record_);  // varint length + the record
+  ++records_;
   if (file_) {
-    *file_ << serde::to_json(entry_to_value(entry)) << '\n';
+    file_->write(reinterpret_cast<const char*>(log_.data() + at),
+                 static_cast<std::streamsize>(log_.size() - at));
     if (!*file_) throw Error("Journal: write failed");
   }
 }
@@ -217,96 +151,87 @@ void Journal::flush() {
 
 void Journal::worker_added(int worker_id, const alloc::Resources& capacity,
                            double ready_time, double ts) {
-  JournalEntry& e = next_slot(EntryKind::kWorkerAdded, ts);
+  JournalEntry e = entry(EntryKind::kWorkerAdded, ts);
   e.worker = worker_id;
   e.res = capacity;
   e.ready_time = ready_time;
-  commit(e);
+  append(e);
 }
 
 void Journal::worker_lost(int worker_id, double ts) {
-  JournalEntry& e = next_slot(EntryKind::kWorkerLost, ts);
+  JournalEntry e = entry(EntryKind::kWorkerLost, ts);
   e.worker = worker_id;
-  commit(e);
+  append(e);
 }
 
 void Journal::submitted(const wq::TaskSpec& spec, double ts) {
-  JournalEntry& e = next_slot(EntryKind::kSubmitted, ts);
+  JournalEntry e = entry(EntryKind::kSubmitted, ts);
   e.task = spec.id;
   e.spec = spec;
-  commit(e);
+  append(e);
 }
 
 void Journal::dispatched(uint64_t task_id, int worker_id, int attempt,
                          const alloc::Resources& alloc, double ts) {
-  JournalEntry& e = next_slot(EntryKind::kDispatched, ts);
+  JournalEntry e = entry(EntryKind::kDispatched, ts);
   e.task = task_id;
   e.worker = worker_id;
   e.attempt = attempt;
   e.res = alloc;
-  commit(e);
+  append(e);
 }
 
 void Journal::completed(uint64_t task_id, const alloc::Resources& observed_peak,
                         double ts) {
-  JournalEntry& e = next_slot(EntryKind::kCompleted, ts);
+  JournalEntry e = entry(EntryKind::kCompleted, ts);
   e.task = task_id;
   e.res = observed_peak;
-  commit(e);
+  append(e);
 }
 
 void Journal::failed(uint64_t task_id, const std::string& reason, double ts) {
-  JournalEntry& e = next_slot(EntryKind::kFailed, ts);
+  JournalEntry e = entry(EntryKind::kFailed, ts);
   e.task = task_id;
   e.text = reason;
-  commit(e);
+  append(e);
 }
 
 void Journal::cancelled(uint64_t task_id, double ts) {
-  JournalEntry& e = next_slot(EntryKind::kCancelled, ts);
+  JournalEntry e = entry(EntryKind::kCancelled, ts);
   e.task = task_id;
-  commit(e);
+  append(e);
 }
 
 void Journal::observed_exhaustion(uint64_t task_id, const std::string& category,
                                   const alloc::Resources& allocated,
                                   const std::string& resource, double ts) {
-  JournalEntry& e = next_slot(EntryKind::kExhaustion, ts);
+  JournalEntry e = entry(EntryKind::kExhaustion, ts);
   e.task = task_id;
   e.text = category;
   e.res = allocated;
   e.text2 = resource;
-  commit(e);
+  append(e);
+}
+
+std::vector<JournalEntry> Journal::entries() const {
+  std::vector<JournalEntry> out;
+  out.reserve(records_);
+  read_records(log_, [&out](JournalEntry&& e) { out.push_back(std::move(e)); });
+  return out;
 }
 
 std::unordered_set<uint64_t> Journal::completed_task_ids() const {
   std::unordered_set<uint64_t> done;
-  for (const JournalEntry& e : entries_) {
+  read_records(log_, [&done](JournalEntry&& e) {
     if (e.kind == EntryKind::kCompleted) done.insert(e.task);
-  }
+  });
   return done;
 }
 
-std::string Journal::to_jsonl() const {
-  std::string out;
-  for (const auto& entry : entries_) {
-    out += serde::to_json(entry_to_value(entry));
-    out += '\n';
-  }
-  return out;
-}
-
-Journal Journal::from_jsonl(const std::string& text) {
+Journal Journal::decode(const serde::Bytes& bytes) {
   Journal journal;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    start = end + 1;
-    if (trim(line).empty()) continue;
-    journal.entries_.push_back(entry_from_value(serde::from_json(line)));
-  }
+  read_records(bytes, [&journal](JournalEntry&&) { ++journal.records_; });
+  journal.log_ = bytes;
   return journal;
 }
 

@@ -9,13 +9,14 @@
 // workload with every task completed exactly once (in-flight attempts at
 // crash time were never journaled terminal and simply re-run).
 //
-// Appends are on the dispatch hot path, so records live in memory as compact
-// typed structs; serde::Values are materialized only on the cold paths
-// (JSONL export, the optional file sink, recovery parse). The file sink
-// mirrors each record as one to_json line as it is appended — the
-// write-ahead discipline: the line is written before the state change's
-// downstream effects (completion callbacks, requeues) run. to_jsonl /
-// from_jsonl round-trip the full journal through the serde layer.
+// Each record is written once, as bytes: a varint length, then the
+// JournalEntry's fields in declaration order through serde::Writer (the
+// task spec only on submit records). The journal keeps its log as those
+// bytes and, with a file attached, appends the same bytes to the file
+// before the appender returns — the write-ahead discipline: the record is
+// written before the state change's downstream effects (completion
+// callbacks, requeues) run. Records are decoded only when they are read
+// (entries(), completed_task_ids(), Journal::decode).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,9 @@
 
 namespace lfm::chaos {
 
-enum class EntryKind {
+// The record's kind byte. The values are written to journal files: add a
+// kind only at the end.
+enum class EntryKind : uint8_t {
   kWorkerAdded,  // worker joined the pool
   kWorkerLost,   // worker crashed or retired
   kSubmitted,    // task entered the system
@@ -60,8 +63,9 @@ struct JournalEntry {
 class Journal {
  public:
   Journal() = default;  // in-memory only
-  // Also mirror every record to `path` as JSONL while appending. The stream
-  // is OS-buffered; call flush() at checkpoints if the file must be current.
+  // Also append every record to `path` (opened in binary mode, truncated).
+  // The stream is OS-buffered; call flush() at checkpoints if the file must
+  // be current.
   explicit Journal(const std::string& path);
 
   Journal(Journal&&) = default;
@@ -88,8 +92,9 @@ class Journal {
                            const alloc::Resources& allocated,
                            const std::string& resource, double ts);
 
-  const std::vector<JournalEntry>& entries() const { return entries_; }
-  size_t size() const { return entries_.size(); }
+  // The records, decoded, in append order.
+  std::vector<JournalEntry> entries() const;
+  size_t size() const { return records_; }
   void flush();
 
   // The done flags: ids of every task with a kCompleted record. This is the
@@ -97,28 +102,22 @@ class Journal {
   // resubmitting a task whose id appears here must not run it again.
   std::unordered_set<uint64_t> completed_task_ids() const;
 
-  std::string to_jsonl() const;
-  // Parse a JSONL journal dump (ignoring blank lines); throws lfm::Error on
-  // malformed lines. The result is in-memory only (no file sink).
-  static Journal from_jsonl(const std::string& text);
+  // The log as written, which is also what a file-backed journal's file
+  // holds.
+  const serde::Bytes& bytes() const { return log_; }
+  // Parse a log (bytes() or a journal file's contents). Each record is read
+  // within its exact length; a truncated record, a length mismatch, an
+  // unknown kind or a bad flag byte throws lfm::Error naming the record's
+  // index. The result is in-memory only (no file sink).
+  static Journal decode(const serde::Bytes& bytes);
 
  private:
-  // Appenders fill a slot emplaced directly in entries_ (no intermediate
-  // copy — the struct is ~200 bytes and this is the dispatch hot path),
-  // then commit() mirrors it to the file sink if one is attached.
-  JournalEntry& next_slot(EntryKind kind, double ts);
-  void commit(const JournalEntry& entry);
+  void append(const JournalEntry& entry);
 
-  std::vector<JournalEntry> entries_;
+  serde::Bytes log_;
+  size_t records_ = 0;
+  serde::Bytes record_;  // scratch: the record being appended
   std::unique_ptr<std::ofstream> file_;
 };
-
-// JournalEntry / TaskSpec / Resources <-> serde::Value (JSONL and tests).
-serde::Value entry_to_value(const JournalEntry& entry);
-JournalEntry entry_from_value(const serde::Value& value);
-serde::Value task_spec_to_value(const wq::TaskSpec& spec);
-wq::TaskSpec task_spec_from_value(const serde::Value& value);
-serde::Value resources_to_value(const alloc::Resources& r);
-alloc::Resources resources_from_value(const serde::Value& value);
 
 }  // namespace lfm::chaos

@@ -1,6 +1,5 @@
 #include "faas/funcx.h"
 
-#include "flow/analysis.h"
 #include "flow/pyapp.h"
 #include "obs/recorder.h"
 #include "pysrc/imports.h"
@@ -59,28 +58,6 @@ FunctionId FunctionRegistry::register_python_function(
   flow::App app = flow::python_app(module_source, function_name, options);
   return register_function(function_name, std::move(app.fn),
                            std::move(dependencies), limits);
-}
-
-std::vector<FunctionId> FunctionRegistry::register_python_functions(
-    const std::vector<std::pair<std::string, std::string>>& functions,
-    monitor::ResourceLimits limits) {
-  // Warm the parse/scan caches for the whole corpus in parallel, then run
-  // the (now cache-hit) sequential registration path so per-function
-  // behaviour — dependency derivation, id assignment order — is identical
-  // to calling register_python_function in a loop.
-  std::vector<flow::AnalysisRequest> requests;
-  requests.reserve(functions.size());
-  for (const auto& [source, name] : functions) {
-    requests.push_back({source, name});
-  }
-  flow::analyze_all(requests, pkg::standard_index());
-
-  std::vector<FunctionId> ids;
-  ids.reserve(functions.size());
-  for (const auto& [source, name] : functions) {
-    ids.push_back(register_python_function(source, name, limits));
-  }
-  return ids;
 }
 
 const RegisteredFunction& FunctionRegistry::get(const FunctionId& id) const {

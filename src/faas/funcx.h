@@ -47,14 +47,6 @@ class FunctionRegistry {
                                       const std::string& function_name,
                                       monitor::ResourceLimits limits = {});
 
-  // Bulk registration: analyze every (module, function) pair on a worker
-  // pool (flow::analyze_all) before registering, so registering a large
-  // function corpus costs one parse per distinct module and scales across
-  // cores. Returns ids positionally aligned with `functions`.
-  std::vector<FunctionId> register_python_functions(
-      const std::vector<std::pair<std::string, std::string>>& functions,
-      monitor::ResourceLimits limits = {});
-
   const RegisteredFunction& get(const FunctionId& id) const;
   bool contains(const FunctionId& id) const;
   size_t size() const { return functions_.size(); }

@@ -1,72 +1,59 @@
 #include "monitor/report.h"
 
-#include "util/strings.h"
+#include "serde/json.h"
 
 namespace lfm::monitor {
+namespace {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strformat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+serde::Value usage_value(const ResourceUsage& usage) {
+  serde::ValueDict d;
+  d["wall_time"] = usage.wall_time;
+  d["cpu_time"] = usage.cpu_time;
+  d["cores"] = usage.cores;
+  d["rss_bytes"] = usage.rss_bytes;
+  d["max_rss_bytes"] = usage.max_rss_bytes;
+  d["disk_read_bytes"] = usage.disk_read_bytes;
+  d["disk_write_bytes"] = usage.disk_write_bytes;
+  d["processes"] = usage.processes;
+  d["max_processes"] = usage.max_processes;
+  return serde::Value(std::move(d));
 }
 
+serde::Value timeline_value(const UsageTimeline& timeline) {
+  serde::ValueList samples;
+  samples.reserve(timeline.size());
+  for (const UsageSample& s : timeline.samples()) {
+    serde::ValueDict d;
+    d["t"] = s.wall_time;
+    d["cpu"] = s.cpu_time;
+    d["rss"] = s.rss_bytes;
+    d["io_w"] = s.disk_write_bytes;
+    d["procs"] = s.processes;
+    samples.push_back(serde::Value(std::move(d)));
+  }
+  return serde::Value(std::move(samples));
+}
+
+}  // namespace
+
 std::string to_json(const ResourceUsage& usage) {
-  return strformat(
-      "{\"wall_time\":%.6f,\"cpu_time\":%.6f,\"cores\":%.3f,"
-      "\"rss_bytes\":%lld,\"max_rss_bytes\":%lld,"
-      "\"disk_read_bytes\":%lld,\"disk_write_bytes\":%lld,"
-      "\"processes\":%d,\"max_processes\":%d}",
-      usage.wall_time, usage.cpu_time, usage.cores,
-      static_cast<long long>(usage.rss_bytes),
-      static_cast<long long>(usage.max_rss_bytes),
-      static_cast<long long>(usage.disk_read_bytes),
-      static_cast<long long>(usage.disk_write_bytes), usage.processes,
-      usage.max_processes);
+  return serde::to_json(usage_value(usage));
 }
 
 std::string to_json(const UsageTimeline& timeline) {
-  std::string out = "[";
-  bool first = true;
-  for (const auto& s : timeline.samples()) {
-    if (!first) out += ",";
-    first = false;
-    out += strformat(
-        "{\"t\":%.6f,\"cpu\":%.6f,\"rss\":%lld,\"io_w\":%lld,\"procs\":%d}",
-        s.wall_time, s.cpu_time, static_cast<long long>(s.rss_bytes),
-        static_cast<long long>(s.disk_write_bytes), s.processes);
-  }
-  return out + "]";
+  return serde::to_json(timeline_value(timeline));
 }
 
 std::string to_json(const TaskOutcome& outcome) {
-  std::string out = "{";
-  out += strformat("\"status\":\"%s\"", task_status_name(outcome.status));
-  if (!outcome.error.empty()) {
-    out += ",\"error\":\"" + json_escape(outcome.error) + "\"";
-  }
+  serde::ValueDict d;
+  d["status"] = task_status_name(outcome.status);
+  if (!outcome.error.empty()) d["error"] = outcome.error;
   if (!outcome.violated_resource.empty()) {
-    out += ",\"violated_resource\":\"" + json_escape(outcome.violated_resource) + "\"";
+    d["violated_resource"] = outcome.violated_resource;
   }
-  out += ",\"usage\":" + to_json(outcome.usage);
-  if (!outcome.timeline.empty()) {
-    out += ",\"timeline\":" + to_json(outcome.timeline);
-  }
-  return out + "}";
+  d["usage"] = usage_value(outcome.usage);
+  if (!outcome.timeline.empty()) d["timeline"] = timeline_value(outcome.timeline);
+  return serde::to_json(serde::Value(std::move(d)));
 }
 
 }  // namespace lfm::monitor

@@ -1,5 +1,7 @@
 // JSON rendering of task outcomes — the monitor's "report resource
 // consumption" path, in a form schedulers and log collectors can ingest.
+// Each report is built as a serde::Value and written by serde::to_json, so
+// keys come out in sorted order and reals at full precision.
 #pragma once
 
 #include <string>
@@ -9,16 +11,15 @@
 
 namespace lfm::monitor {
 
-// {"status": "...", "error": "...", "usage": {...}} — stable key order.
+// {"error": "...", "status": "...", "timeline": [...], "usage": {...},
+//  "violated_resource": "..."}; error, timeline and violated_resource only
+// when present.
 std::string to_json(const TaskOutcome& outcome);
 
-// {"wall_time": ..., "cpu_time": ..., ...}
+// {"cores": ..., "cpu_time": ..., "wall_time": ..., ...}
 std::string to_json(const ResourceUsage& usage);
 
-// [{"t": ..., "rss": ..., ...}, ...]
+// [{"cpu": ..., "io_w": ..., "procs": ..., "rss": ..., "t": ...}, ...]
 std::string to_json(const UsageTimeline& timeline);
-
-// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& text);
 
 }  // namespace lfm::monitor

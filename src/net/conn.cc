@@ -75,7 +75,20 @@ void Connection::flush_writes() {
         static_cast<double>(queued_bytes_));
   }
   if (outbound_.empty() && close_after_flush_) {
-    close("flushed");
+    shutdown_write();
+    return;
+  }
+  update_interest();
+}
+
+void Connection::shutdown_write() {
+  // Half-close: the peer reads everything queued, then EOF. Closing here
+  // instead would, with unread bytes in our receive queue, send a reset
+  // that discards what the peer has not read yet (the bye among it). The
+  // link closes when the peer's EOF arrives, or by the owner's idle
+  // timeout.
+  if (::shutdown(fd_, SHUT_WR) != 0) {
+    close(std::string("shutdown: ") + std::strerror(errno));
     return;
   }
   update_interest();
@@ -145,12 +158,9 @@ void Connection::close(const std::string& reason) {
 }
 
 void Connection::close_after_flush() {
-  if (closed_) return;
-  if (outbound_.empty()) {
-    close("flushed");
-  } else {
-    close_after_flush_ = true;
-  }
+  if (closed_ || close_after_flush_) return;
+  close_after_flush_ = true;
+  if (outbound_.empty()) shutdown_write();
 }
 
 Listener::Listener(EventLoop& loop, uint16_t port, const std::string& bind_addr)

@@ -59,7 +59,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   // Deregister, close the fd, fire on_close (once).
   void close(const std::string& reason);
-  // Close as soon as the write queue drains (immediately if it is empty).
+  // Send nothing more; once the write queue drains, shut down the write
+  // side and keep reading until the peer's EOF closes the link.
   void close_after_flush();
 
   bool closed() const { return closed_; }
@@ -80,6 +81,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // Write queued data until empty or EAGAIN; manages EPOLLOUT interest.
   void flush_writes();
   void update_interest();
+  void shutdown_write();
 
   EventLoop& loop_;
   int fd_;

@@ -1,5 +1,8 @@
 #include "net/framing.h"
 
+#include <algorithm>
+
+#include "serde/pickle.h"
 #include "util/error.h"
 #include "wq/protocol.h"
 
@@ -31,29 +34,25 @@ size_t FrameSplitter::probe() const {
       throw Error("net: bad frame header byte " + std::to_string(i));
     }
   }
-  // Then the type byte, then the body-length varint, parsed incrementally.
+  // Then the type byte, then the body-length varint, complete once a byte
+  // without the continuation bit has arrived.
   if (available < wq::kFrameFixedHeader + 1) return 0;
-  uint64_t body_len = 0;
-  int shift = 0;
-  size_t i = wq::kFrameFixedHeader;
-  while (true) {
-    if (i >= available) return 0;  // varint still incomplete
-    if (i - wq::kFrameFixedHeader >= kMaxVarintBytes || shift > 63) {
-      throw Error("net: corrupt frame length varint");
-    }
-    const uint8_t b = static_cast<uint8_t>(base[i]);
-    body_len |= static_cast<uint64_t>(b & 0x7f) << shift;
-    ++i;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
+  const auto* len = reinterpret_cast<const uint8_t*>(base) + wq::kFrameFixedHeader;
+  const size_t scan = std::min(available - wq::kFrameFixedHeader, kMaxVarintBytes);
+  const size_t last = static_cast<size_t>(
+      std::find_if(len, len + scan, [](uint8_t b) { return b < 0x80; }) - len);
+  if (last == scan) {
+    if (scan == kMaxVarintBytes) throw Error("net: corrupt frame length varint");
+    return 0;  // varint still incomplete
   }
+  const uint64_t body_len = serde::Reader(len, last + 1).varint();
   // Reject a hostile length prefix NOW, from the handful of header bytes,
   // before waiting for (or buffering) the body.
   if (body_len > wq::max_frame_body_bytes()) {
     throw Error("net: frame body length " + std::to_string(body_len) +
                 " exceeds limit " + std::to_string(wq::max_frame_body_bytes()));
   }
-  const size_t total = i + static_cast<size_t>(body_len);
+  const size_t total = wq::kFrameFixedHeader + last + 1 + static_cast<size_t>(body_len);
   return available >= total ? total : 0;
 }
 

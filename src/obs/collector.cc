@@ -2,16 +2,8 @@
 
 #include "obs/export.h"
 #include "serde/json.h"
-#include "util/strings.h"
 
 namespace lfm::obs {
-namespace {
-
-constexpr double kSecondsToMicros = 1e6;
-
-std::string hex_trace_id(uint64_t id) { return strformat("0x%016llx", static_cast<unsigned long long>(id)); }
-
-}  // namespace
 
 TelemetryEvent to_telemetry(const TraceEvent& ev) {
   TelemetryEvent out;
@@ -97,40 +89,7 @@ std::vector<TelemetryEvent> Collector::events() const {
 
 serde::Value Collector::trace_value() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  serde::ValueList list;
-  list.reserve(events_.size() + lane_labels_.size());
-  for (size_t i = 0; i < lane_labels_.size(); ++i) {
-    serde::ValueDict meta;
-    meta["ph"] = std::string("M");
-    meta["name"] = std::string("process_name");
-    meta["pid"] = static_cast<int64_t>(i + 1);
-    serde::ValueDict margs;
-    margs["name"] = lane_labels_[i];
-    meta["args"] = std::move(margs);
-    list.push_back(serde::Value(std::move(meta)));
-  }
-  for (const TelemetryEvent& ev : events_) {
-    serde::ValueDict d;
-    d["ph"] = std::string(1, ev.ph);
-    d["ts"] = ev.ts * kSecondsToMicros;
-    d["pid"] = static_cast<int64_t>(ev.pid);
-    d["tid"] = static_cast<int64_t>(ev.tid);
-    if (!ev.name.empty()) d["name"] = ev.name;
-    if (!ev.cat.empty()) d["cat"] = ev.cat;
-    if (ev.ph == 'X') d["dur"] = ev.dur * kSecondsToMicros;
-    if (ev.ph == 'i') d["s"] = std::string("t");
-    serde::ValueDict args;
-    if (ev.trace_id != 0) args["trace_id"] = hex_trace_id(ev.trace_id);
-    if (!ev.akey0.empty()) args[ev.akey0] = ev.aval0;
-    if (!ev.akey1.empty()) args[ev.akey1] = ev.aval1;
-    if (!ev.skey.empty()) args[ev.skey] = ev.sval;
-    if (!args.empty()) d["args"] = std::move(args);
-    list.push_back(serde::Value(std::move(d)));
-  }
-  serde::ValueDict doc;
-  doc["traceEvents"] = std::move(list);
-  doc["displayTimeUnit"] = std::string("ms");
-  return serde::Value(std::move(doc));
+  return trace_document(lane_labels_, events_);
 }
 
 std::string Collector::trace_json() const { return serde::to_json(trace_value()); }

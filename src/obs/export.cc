@@ -15,29 +15,34 @@ namespace {
 
 constexpr double kSecondsToMicros = 1e6;
 
-serde::Value event_value(const TraceEvent& ev) {
+std::string hex_trace_id(uint64_t id) {
+  return strformat("0x%016llx", static_cast<unsigned long long>(id));
+}
+
+serde::Value event_value(const TelemetryEvent& ev) {
   serde::ValueDict d;
-  d["ph"] = std::string(1, static_cast<char>(ev.ph));
+  d["ph"] = std::string(1, ev.ph);
   d["ts"] = ev.ts * kSecondsToMicros;
   d["pid"] = static_cast<int64_t>(ev.pid);
   d["tid"] = static_cast<int64_t>(ev.tid);
-  if (ev.name) d["name"] = std::string(ev.name);
-  if (ev.cat) d["cat"] = std::string(ev.cat);
-  if (ev.ph == Phase::kComplete) d["dur"] = ev.dur * kSecondsToMicros;
-  if (ev.ph == Phase::kInstant) d["s"] = std::string("t");  // thread-scoped
+  if (!ev.name.empty()) d["name"] = ev.name;
+  if (!ev.cat.empty()) d["cat"] = ev.cat;
+  if (ev.ph == static_cast<char>(Phase::kComplete)) d["dur"] = ev.dur * kSecondsToMicros;
+  if (ev.ph == static_cast<char>(Phase::kInstant)) d["s"] = std::string("t");  // thread-scoped
   serde::ValueDict args;
-  if (ev.akey0) args[ev.akey0] = ev.aval0;
-  if (ev.akey1) args[ev.akey1] = ev.aval1;
-  if (ev.skey) args[ev.skey] = serde::Value(std::string(ev.sval));
+  if (ev.trace_id != 0) args["trace_id"] = hex_trace_id(ev.trace_id);
+  if (!ev.akey0.empty()) args[ev.akey0] = ev.aval0;
+  if (!ev.akey1.empty()) args[ev.akey1] = ev.aval1;
+  if (!ev.skey.empty()) args[ev.skey] = ev.sval;
   if (!args.empty()) d["args"] = std::move(args);
   return serde::Value(std::move(d));
 }
 
-serde::Value process_name_metadata(uint32_t pid, const std::string& label) {
+serde::Value process_name_value(size_t lane, const std::string& label) {
   serde::ValueDict d;
   d["ph"] = std::string("M");
   d["name"] = std::string("process_name");
-  d["pid"] = static_cast<int64_t>(pid);
+  d["pid"] = static_cast<int64_t>(lane);
   serde::ValueDict args;
   args["name"] = label;
   d["args"] = std::move(args);
@@ -58,17 +63,26 @@ std::string prom_number(double v) { return strformat("%.17g", v); }
 
 }  // namespace
 
-serde::Value chrome_trace_value(const std::vector<TraceEvent>& events) {
+serde::Value trace_document(const std::vector<std::string>& lane_labels,
+                            const std::vector<TelemetryEvent>& events) {
   serde::ValueList list;
-  list.reserve(events.size() + 3);
-  list.push_back(process_name_metadata(kPidSim, "sim (virtual clock)"));
-  list.push_back(process_name_metadata(kPidHost, "host (wall clock)"));
-  list.push_back(process_name_metadata(kPidChaos, "chaos (injected faults)"));
-  for (const TraceEvent& ev : events) list.push_back(event_value(ev));
+  list.reserve(lane_labels.size() + events.size());
+  for (size_t i = 0; i < lane_labels.size(); ++i) {
+    list.push_back(process_name_value(i + 1, lane_labels[i]));
+  }
+  for (const TelemetryEvent& ev : events) list.push_back(event_value(ev));
   serde::ValueDict doc;
   doc["traceEvents"] = std::move(list);
   doc["displayTimeUnit"] = std::string("ms");
   return serde::Value(std::move(doc));
+}
+
+serde::Value chrome_trace_value(const std::vector<TraceEvent>& events) {
+  static_assert(kPidSim == 1 && kPidHost == 2 && kPidChaos == 3,
+                "the pid domains are lanes 1-3");
+  return trace_document(
+      {"sim (virtual clock)", "host (wall clock)", "chaos (injected faults)"},
+      to_telemetry(events));
 }
 
 std::string chrome_trace_json(const std::vector<TraceEvent>& events) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/collector.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
@@ -26,8 +27,15 @@ namespace lfm::obs {
 inline constexpr const char* kDefaultOutputDir = "obs_out";
 
 // {"traceEvents": [...], "displayTimeUnit": "ms"}; timestamps in
-// microseconds as the format requires. Includes process_name metadata
-// events labelling the pid domains.
+// microseconds as the format requires. The events follow one process_name
+// metadata record per lane, labelling lane pid i + 1 with lane_labels[i].
+// An event that carries a trace id gets it as a hex `trace_id` argument
+// (64-bit ids do not survive a double). Both the local trace below and the
+// collector's merged trace are written through it.
+serde::Value trace_document(const std::vector<std::string>& lane_labels,
+                            const std::vector<TelemetryEvent>& events);
+
+// The local recorder's trace: one lane per pid domain.
 serde::Value chrome_trace_value(const std::vector<TraceEvent>& events);
 std::string chrome_trace_json(const std::vector<TraceEvent>& events);
 

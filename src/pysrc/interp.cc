@@ -2281,11 +2281,6 @@ void Interpreter::set_global(const std::string& name, serde::Value value) {
   global.bound = true;
 }
 
-bool Interpreter::has_function(const std::string& name) const {
-  const uint32_t id = impl_->find_id(name);
-  return id != impl_->names.size() && impl_->globals[id].def != nullptr;
-}
-
 const std::string& Interpreter::output() const { return impl_->captured_output; }
 
 void Interpreter::clear_output() { impl_->captured_output.clear(); }

@@ -105,7 +105,6 @@ class Interpreter {
   // Read or set a global variable.
   serde::Value global(const std::string& name) const;
   void set_global(const std::string& name, serde::Value value);
-  bool has_function(const std::string& name) const;
 
   // Captured print() output (when capture_print).
   const std::string& output() const;

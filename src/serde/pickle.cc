@@ -8,52 +8,38 @@ namespace {
 constexpr uint8_t kMagic[4] = {'L', 'F', 'M', 'P'};
 constexpr uint8_t kVersion = 1;
 
-void encode(const Value& v, Bytes& out);
-
-void encode_string(std::string_view s, Bytes& out) {
-  put_varint(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void encode(const Value& v, Bytes& out) {
-  out.push_back(static_cast<uint8_t>(v.kind()));
+void encode(const Value& v, Writer<Bytes>& w) {
+  w.u8(static_cast<uint8_t>(v.kind()));
   switch (v.kind()) {
     case ValueKind::kNone:
       break;
     case ValueKind::kBool:
-      out.push_back(v.as_bool() ? 1 : 0);
+      w.u8(v.as_bool() ? 1 : 0);
       break;
     case ValueKind::kInt:
-      put_varint(out, zigzag(v.as_int()));
+      w.svarint(v.as_int());
       break;
-    case ValueKind::kReal: {
-      const double d = v.as_real();
-      const size_t at = out.size();
-      out.resize(at + 8);
-      std::memcpy(out.data() + at, &d, 8);
+    case ValueKind::kReal:
+      w.real(v.as_real());
       break;
-    }
     case ValueKind::kStr:
-      encode_string(v.str_view(), out);
+      w.str(v.str_view());
       break;
-    case ValueKind::kBytes: {
-      const BytesView b = v.bytes_view();
-      put_varint(out, b.size);
-      out.insert(out.end(), b.begin(), b.end());
+    case ValueKind::kBytes:
+      w.bytes(v.bytes_view());
       break;
-    }
     case ValueKind::kList: {
       const auto& l = v.as_list();
-      put_varint(out, l.size());
-      for (const auto& item : l) encode(item, out);
+      w.varint(l.size());
+      for (const auto& item : l) encode(item, w);
       break;
     }
     case ValueKind::kDict: {
       const auto& d = v.as_dict();
-      put_varint(out, d.size());
+      w.varint(d.size());
       for (const auto& [k, val] : d) {
-        encode_string(k, out);
-        encode(val, out);
+        w.str(k);
+        encode(val, w);
       }
       break;
     }
@@ -158,14 +144,6 @@ Value loads_frame(const uint8_t* data, size_t size, bool borrow) {
 
 }  // namespace
 
-void put_varint(Bytes& out, uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(v));
-}
-
 size_t varint_size(uint64_t v) {
   size_t n = 1;
   while (v >= 0x80) {
@@ -173,20 +151,6 @@ size_t varint_size(uint64_t v) {
     v >>= 7;
   }
   return n;
-}
-
-uint64_t zigzag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-
-int64_t unzigzag(uint64_t v) {
-  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-void Writer::real(double d) {
-  const size_t at = out_.size();
-  out_.resize(at + 8);
-  std::memcpy(out_.data() + at, &d, 8);
 }
 
 double Reader::real() {
@@ -206,9 +170,10 @@ Bytes dumps(const Value& value) {
 size_t dumps_into(const Value& value, Bytes& out) {
   out.clear();
   out.reserve(encoded_size(value));
-  out.insert(out.end(), kMagic, kMagic + 4);
-  out.push_back(kVersion);
-  encode(value, out);
+  Writer w(out);
+  w.raw(kMagic, 4);
+  w.u8(kVersion);
+  encode(value, w);
   return out.size();
 }
 

@@ -18,13 +18,16 @@
 //     buffer (see value.h for borrowed-leaf semantics) — the worker's
 //     read-decode-execute path never copies payload bytes it doesn't touch.
 //
-// The Writer/Reader pair below is the shared primitive layer: the wq
-// binary wire protocol (wq/protocol.h) frames its messages with the same
-// varints and bounds-checked cursor.
+// The Writer/Reader pair below is the one varint codec: the wq wire
+// protocol (wq/protocol.h), the chunk manifest (pkg/chunk.h) and the
+// chaos journal (chaos/journal.h) write and read through it too.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "serde/value.h"
@@ -33,39 +36,61 @@ namespace lfm::serde {
 
 // --- primitive wire layer ---------------------------------------------------
 
-// LEB128 varint append / size (shared by pickle and the wq protocol).
-void put_varint(Bytes& out, uint64_t v);
+// Size of a LEB128 varint, for the exact-size reservations encoders make.
 size_t varint_size(uint64_t v);
 
 // Zigzag mapping for signed varints.
-uint64_t zigzag(int64_t v);
-int64_t unzigzag(uint64_t v);
+inline uint64_t zigzag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+inline int64_t unzigzag(uint64_t v) {
+  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
 
-// Appends primitives into a caller-owned, reusable buffer.
+// Appends primitives to a caller-owned, reusable buffer: a Bytes (pickles,
+// chunk manifests, journal records) or the std::string a wire frame is
+// returned in, so a frame is written once, straight into its final buffer.
+template <typename Out>
 class Writer {
  public:
-  explicit Writer(Bytes& out) : out_(out) {}
+  explicit Writer(Out& out) : out_(out) {}
 
-  void u8(uint8_t b) { out_.push_back(b); }
-  void varint(uint64_t v) { put_varint(out_, v); }
-  void svarint(int64_t v) { put_varint(out_, zigzag(v)); }
-  void real(double d);
-  void raw(const uint8_t* data, size_t n) { out_.insert(out_.end(), data, data + n); }
+  void u8(uint8_t b) { out_.push_back(static_cast<typename Out::value_type>(b)); }
+  // LEB128.
+  void varint(uint64_t v) {
+    while (v >= 0x80) {
+      u8(static_cast<uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    u8(static_cast<uint8_t>(v));
+  }
+  void svarint(int64_t v) { varint(zigzag(v)); }
+  // 8 raw bytes (IEEE double).
+  void real(double d) {
+    uint8_t raw8[8];
+    std::memcpy(raw8, &d, 8);
+    raw(raw8, 8);
+  }
+  void raw(const void* data, size_t n) {
+    const auto* p = static_cast<const typename Out::value_type*>(data);
+    if constexpr (std::is_same_v<Out, std::string>) {
+      out_.append(p, n);  // a string's range insert runs its slower replace()
+    } else {
+      out_.insert(out_.end(), p, p + n);
+    }
+  }
   // varint length prefix + raw bytes.
   void str(std::string_view s) {
     varint(s.size());
-    raw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+    raw(s.data(), s.size());
   }
   void bytes(BytesView b) {
     varint(b.size);
     raw(b.data, b.size);
   }
 
-  Bytes& buffer() { return out_; }
-  size_t size() const { return out_.size(); }
-
  private:
-  Bytes& out_;
+  Out& out_;
 };
 
 // Bounds-checked cursor over a byte buffer; every read throws lfm::Error on

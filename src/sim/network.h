@@ -38,7 +38,6 @@ class Network {
   // scale is restored. In-flight progress is drained at the old rate first,
   // so overlapping scale changes compose correctly.
   void set_bandwidth_scale(double scale);
-  double bandwidth_scale() const { return scale_; }
 
   // Closed-form seconds for a transfer when `concurrent` flows share the
   // link for its whole duration (used by analytic benches).

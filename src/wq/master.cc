@@ -8,7 +8,6 @@
 #include "obs/recorder.h"
 #include "util/log.h"
 #include "util/strings.h"
-#include "wq/protocol.h"
 
 namespace lfm::wq {
 
@@ -50,9 +49,8 @@ struct MasterMetrics {
   }
 };
 
-// Simulated data-plane traffic, accounted in wire-frame bytes: batched
-// task frames out (one frame per worker per dispatch event), single result
-// frames back.
+// Environment delivery under delta distribution: full and delta transfers,
+// bytes shipped and saved, chunk-cache evictions.
 struct DistMetrics {
   obs::Counter& delta_transfers;
   obs::Counter& full_transfers;
@@ -69,25 +67,6 @@ struct DistMetrics {
         obs::Recorder::global().metrics().counter("dist.bytes_saved"),
         obs::Recorder::global().metrics().counter("dist.chunk_evictions"),
         obs::Recorder::global().metrics().histogram("dist.miss_fraction", 1e-6, 1.0, 48),
-    };
-    return m;
-  }
-};
-
-struct WireSimMetrics {
-  obs::Counter& frames;
-  obs::Counter& bytes;
-  obs::Counter& result_frames;
-  obs::Counter& result_bytes;
-  obs::HistogramMetric& batch_size;
-
-  static WireSimMetrics& get() {
-    static WireSimMetrics m{
-        obs::Recorder::global().metrics().counter("wire.frames"),
-        obs::Recorder::global().metrics().counter("wire.bytes"),
-        obs::Recorder::global().metrics().counter("wire.result_frames"),
-        obs::Recorder::global().metrics().counter("wire.result_bytes"),
-        obs::Recorder::global().metrics().histogram("wire.batch_size", 1.0, 1e5, 48),
     };
     return m;
   }
@@ -125,47 +104,6 @@ void Master::trace_task_end(size_t record_index, const char* outcome) {
   const TaskRecord& rec = records_[record_index];
   obs::Recorder::global().end(obs::kPidSim, rec.spec.id, sim_.now(), "outcome",
                               outcome, "attempt", static_cast<double>(rec.attempt));
-}
-
-void Master::wire_account_dispatch(const TaskRecord& rec,
-                                   const alloc::Resources& alloc, int worker_id) {
-  // Mirrors the TaskMessage the master would put on the wire: simulated
-  // dispatches carry no command line and name no outfiles.
-  static const std::string kNoCommand;
-  const size_t body = task_body_size_v2(rec.spec.id, rec.spec.category, kNoCommand,
-                                        alloc, rec.spec.inputs, 0);
-  auto& pending = wire_pending_[worker_id];
-  pending.first += 1;
-  pending.second += batch_entry_size(body);
-}
-
-void Master::wire_flush_batches() {
-  if (wire_pending_.empty()) return;
-  WireSimMetrics& m = WireSimMetrics::get();
-  for (const auto& [worker_id, pending] : wire_pending_) {
-    m.frames.add();
-    m.bytes.add(static_cast<int64_t>(
-        batch_frame_size(pending.first, pending.second)));
-    m.batch_size.observe(static_cast<double>(pending.first));
-  }
-  wire_pending_.clear();
-}
-
-void Master::wire_account_result(const TaskRecord& rec, bool exhausted,
-                                 const std::string& exhausted_resource,
-                                 double runtime) {
-  ResultMessage msg;
-  msg.task_id = rec.spec.id;
-  msg.exit_code = exhausted ? 1 : 0;
-  msg.exhausted = exhausted;
-  msg.exhausted_resource = exhausted_resource;
-  msg.cores_used = rec.spec.true_peak.cores;
-  msg.memory_peak_bytes = static_cast<int64_t>(rec.spec.true_peak.memory_bytes);
-  msg.disk_peak_bytes = static_cast<int64_t>(rec.spec.true_peak.disk_bytes);
-  msg.wall_seconds = runtime;
-  WireSimMetrics& m = WireSimMetrics::get();
-  m.result_frames.add();
-  m.result_bytes.add(static_cast<int64_t>(encoded_size(msg)));
 }
 
 void Master::avail_erase(const Worker& worker) {
@@ -413,10 +351,6 @@ void Master::run_dispatch_passes() {
     advance_head(it->second);
     it = it->second.fifo.empty() ? groups_.erase(it) : std::next(it);
   }
-  // All task frames queued per worker during this dispatch event go out as
-  // one batch frame each. Accumulation happens only under the recorder, so
-  // this is a no-op when tracing is off.
-  wire_flush_batches();
 }
 
 void Master::advance_head(Group& group) {
@@ -572,7 +506,6 @@ void Master::dispatch(size_t record_index, int worker_id,
     obs::Recorder::global().instant(obs::kPidSim, rec.spec.id, sim_.now(),
                                     rec.attempt == 0 ? "label" : "label-retry",
                                     "alloc", nullptr, {}, "cores", alloc.cores);
-    wire_account_dispatch(rec, alloc, worker_id);
   }
   if (rec.start_time < 0.0) rec.start_time = sim_.now();
   trace_phase_begin(record_index, TracePhase::kTransfer, "transfer");
@@ -719,9 +652,6 @@ void Master::finish_attempt(size_t record_index, int worker_id,
   TaskRecord& rec = records_[record_index];
   stats_.total_busy_core_seconds += alloc.cores * runtime;
   trace_phase_close(record_index);  // run
-  if (obs::Recorder::enabled()) {
-    wire_account_result(rec, exhausted, exhausted_resource, runtime);
-  }
 
   if (exhausted) {
     ++rec.exhaustions;

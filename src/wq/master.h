@@ -296,20 +296,6 @@ class Master : public chaos::FaultSink {
   // ("completed", "failed", "cancelled") and attempt as end-event args.
   void trace_task_end(size_t record_index, const char* outcome);
 
-  // --- wire accounting (obs-only; never feeds scheduling) -------------------
-  // The simulated data plane speaks the wire frames with batching: within one
-  // dispatch event the master drains its ready queue per worker, and every
-  // TaskMessage bound for the same worker is accounted as one batch frame
-  // (wire.frames / wire.bytes / wire.batch_size). Result returns arrive
-  // singly as attempts finish (wire.result_frames / wire.result_bytes).
-  // Tracked only while the obs recorder is enabled; pure counters — the
-  // event schedule (and thus every fig/table output) is untouched.
-  void wire_account_dispatch(const TaskRecord& rec, const alloc::Resources& alloc,
-                             int worker_id);
-  void wire_flush_batches();
-  void wire_account_result(const TaskRecord& rec, bool exhausted,
-                           const std::string& exhausted_resource, double runtime);
-
   // Bytes of `task`'s inputs NOT cached on `worker`.
   int64_t missing_bytes(const Worker& worker, const TaskSpec& task) const;
   double cached_bytes(const Worker& worker, const TaskSpec& task) const;
@@ -400,9 +386,6 @@ class Master : public chaos::FaultSink {
   // their signature files lands in a cache mid-pass.
   std::vector<std::string> newly_cached_names_;
   std::unordered_map<std::string, std::vector<Group*>> blocked_by_file_;
-  // Per-worker batch under assembly this dispatch event:
-  // worker id -> (message count, Σ length-prefixed body bytes).
-  std::unordered_map<int, std::pair<size_t, size_t>> wire_pending_;
 };
 
 // Convenience: run one workload under one strategy and report stats.

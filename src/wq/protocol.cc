@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cctype>
-#include <cstring>
 #include <limits>
 
 #include "obs/recorder.h"
@@ -92,7 +91,7 @@ size_t task_body_size(const TaskMessage& msg) {
   n += serde::varint_size(msg.outfiles.size());
   for (const auto& name : msg.outfiles) n += str_field_size(name.size());
   // Trace context extension: present only when traced, so untraced frames
-  // (and the sim's task_body_size_v2 accounting) stay byte-identical.
+  // stay byte-identical.
   if (msg.trace_id != 0) {
     n += serde::varint_size(msg.trace_id) + serde::varint_size(msg.parent_span);
   }
@@ -165,46 +164,12 @@ size_t telemetry_body_size(const TelemetryMessage& msg) {
   return n;
 }
 
-// Appends the same bytes serde::Writer would produce, but directly into the
-// std::string the encode paths return. The previous scheme built each frame
-// in a scratch serde::Bytes and copied it into the string afterwards; for
-// batch frames (~145 KB at batch=128) that doubled the memory traffic on a
-// buffer too large for L1 and churned two short-lived large allocations per
-// frame, capping result/v2+batch encode at ~1.4M msgs/s while the single
-// path ran at ~3.2M (see BENCH_wire.json). Writing once into the reserved
-// return string removes the copy and the extra allocation.
-class StringWriter {
- public:
-  explicit StringWriter(std::string& out) : out_(out) {}
+// Frames are written straight into the std::string the encoders return:
+// building a batch frame (~145 KB at batch=128) in a scratch buffer and
+// copying it out doubled the memory traffic (see BENCH_wire.json).
+using FrameWriter = serde::Writer<std::string>;
 
-  void u8(uint8_t b) { out_.push_back(static_cast<char>(b)); }
-  void varint(uint64_t v) {
-    while (v >= 0x80) {
-      out_.push_back(static_cast<char>(static_cast<uint8_t>(v) | 0x80));
-      v >>= 7;
-    }
-    out_.push_back(static_cast<char>(static_cast<uint8_t>(v)));
-  }
-  void svarint(int64_t v) { varint(serde::zigzag(v)); }
-  void real(double d) {
-    char raw[8];
-    std::memcpy(raw, &d, 8);
-    out_.append(raw, 8);
-  }
-  void str(std::string_view s) {
-    varint(s.size());
-    out_.append(s.data(), s.size());
-  }
-  void bytes(serde::BytesView b) {
-    varint(b.size);
-    out_.append(reinterpret_cast<const char*>(b.data), b.size);
-  }
-
- private:
-  std::string& out_;
-};
-
-void write_task_body(const TaskMessage& msg, StringWriter& w) {
+void write_task_body(const TaskMessage& msg, FrameWriter& w) {
   w.varint(msg.task_id);
   w.str(msg.category);
   w.str(msg.command_line);
@@ -225,7 +190,7 @@ void write_task_body(const TaskMessage& msg, StringWriter& w) {
   }
 }
 
-void write_result_body(const ResultMessage& msg, StringWriter& w) {
+void write_result_body(const ResultMessage& msg, FrameWriter& w) {
   w.varint(msg.task_id);
   w.svarint(msg.exit_code);
   uint8_t flags = 0;
@@ -246,7 +211,7 @@ void write_result_body(const ResultMessage& msg, StringWriter& w) {
   if (msg.trace_id != 0) w.varint(msg.trace_id);
 }
 
-void write_hello_body(const HelloMessage& msg, StringWriter& w) {
+void write_hello_body(const HelloMessage& msg, FrameWriter& w) {
   w.str(msg.worker_name);
   w.u8(kFrameVersion);
   w.real(msg.capacity.cores);
@@ -254,20 +219,20 @@ void write_hello_body(const HelloMessage& msg, StringWriter& w) {
   w.real(msg.capacity.disk_bytes);
 }
 
-void write_file_body(const FileMessage& msg, StringWriter& w) {
+void write_file_body(const FileMessage& msg, FrameWriter& w) {
   w.str(msg.name);
   w.u8(msg.cacheable ? 1 : 0);
   w.bytes(serde::BytesView(msg.content));
 }
 
-void write_control_body(const ControlMessage& msg, StringWriter& w) {
+void write_control_body(const ControlMessage& msg, FrameWriter& w) {
   w.u8(static_cast<uint8_t>(msg.type));
   w.varint(msg.nonce);
   w.real(msg.timestamp);
   if (msg.peer_time != 0.0) w.real(msg.peer_time);
 }
 
-void write_stats_body(const StatsMessage& msg, StringWriter& w) {
+void write_stats_body(const StatsMessage& msg, FrameWriter& w) {
   w.str(msg.source);
   w.svarint(msg.workers);
   w.svarint(msg.pending);
@@ -278,7 +243,7 @@ void write_stats_body(const StatsMessage& msg, StringWriter& w) {
   w.svarint(msg.cache_bytes);
 }
 
-void write_telemetry_body(const TelemetryMessage& msg, StringWriter& w) {
+void write_telemetry_body(const TelemetryMessage& msg, FrameWriter& w) {
   w.str(msg.source);
   w.varint(msg.process_id);
   w.real(msg.clock_offset);
@@ -312,7 +277,7 @@ void write_telemetry_body(const TelemetryMessage& msg, StringWriter& w) {
   }
 }
 
-void write_frame_header(StringWriter& w, uint8_t type, size_t body_len) {
+void write_frame_header(FrameWriter& w, uint8_t type, size_t body_len) {
   w.u8(kFrameMagic0);
   w.u8(kFrameMagic1);
   w.u8(kFrameVersion);
@@ -531,10 +496,10 @@ auto protocol_guard(Fn&& fn) {
 
 template <typename Message>
 std::string encode_frame(const Message& msg, uint8_t type, size_t body_len,
-                         void (*write_body)(const Message&, StringWriter&)) {
+                         void (*write_body)(const Message&, FrameWriter&)) {
   std::string out;
   out.reserve(frame_size(body_len));
-  StringWriter w(out);
+  FrameWriter w(out);
   write_frame_header(w, type, body_len);
   write_body(msg, w);
   count_encoded(out.size(), 1);
@@ -544,7 +509,7 @@ std::string encode_frame(const Message& msg, uint8_t type, size_t body_len,
 template <typename Message>
 std::string encode_batch_frame(const std::vector<Message>& msgs, uint8_t type,
                                size_t (*body_size)(const Message&),
-                               void (*write_body)(const Message&, StringWriter&)) {
+                               void (*write_body)(const Message&, FrameWriter&)) {
   std::vector<size_t> sizes;
   sizes.reserve(msgs.size());
   size_t body_len = serde::varint_size(msgs.size());
@@ -554,7 +519,7 @@ std::string encode_batch_frame(const std::vector<Message>& msgs, uint8_t type,
   }
   std::string out;
   out.reserve(frame_size(body_len));
-  StringWriter w(out);
+  FrameWriter w(out);
   write_frame_header(w, type, body_len);
   w.varint(msgs.size());
   for (size_t i = 0; i < msgs.size(); ++i) {
@@ -744,40 +709,6 @@ size_t max_frame_body_bytes() {
 void set_max_frame_body_bytes(size_t limit) {
   g_max_frame_body_bytes.store(limit == 0 ? kDefaultMaxFrameBodyBytes : limit,
                                std::memory_order_relaxed);
-}
-
-size_t encoded_size(const TaskMessage& msg) { return frame_size(task_body_size(msg)); }
-
-size_t encoded_size(const ResultMessage& msg) {
-  return frame_size(result_body_size(msg));
-}
-
-size_t task_body_size_v2(uint64_t task_id, const std::string& category,
-                         const std::string& command, const alloc::Resources& alloc,
-                         const std::vector<InputFile>& inputs, size_t outfile_count) {
-  (void)alloc;  // three fixed-width doubles, size-independent
-  size_t n = serde::varint_size(task_id);
-  n += str_field_size(category.size());
-  n += str_field_size(command.size());
-  n += 24;  // alloc
-  n += serde::varint_size(inputs.size());
-  for (const auto& f : inputs) {
-    n += str_field_size(f.name.size());
-    n += serde::varint_size(serde::zigzag(f.size_bytes));
-    n += 1;  // cacheable
-  }
-  n += serde::varint_size(outfile_count);
-  // Simulated tasks carry no outfile names; each would add its own
-  // str_field_size. outfile_count is zero on the master's data plane today.
-  return n;
-}
-
-size_t batch_entry_size(size_t body_size) {
-  return serde::varint_size(body_size) + body_size;
-}
-
-size_t batch_frame_size(size_t count, size_t prefixed_body_bytes) {
-  return frame_size(serde::varint_size(count) + prefixed_body_bytes);
 }
 
 }  // namespace lfm::wq

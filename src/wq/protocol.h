@@ -19,7 +19,6 @@
 #include "obs/collector.h"
 #include "serde/value.h"
 #include "util/error.h"
-#include "wq/task.h"
 
 namespace lfm::wq {
 
@@ -187,24 +186,6 @@ TelemetryMessage decode_telemetry(const std::string& wire);
 // Parse a batch frame. A single-message frame decodes as a batch of one.
 std::vector<TaskMessage> decode_task_batch(const std::string& wire);
 std::vector<ResultMessage> decode_result_batch(const std::string& wire);
-
-// Exact size in bytes that encode(msg) would produce, by pure arithmetic
-// (no allocation) — the master's wire accounting uses it on the dispatch
-// hot path.
-size_t encoded_size(const TaskMessage& msg);
-size_t encoded_size(const ResultMessage& msg);
-
-// Wire accounting for the simulated master, no message objects built:
-// the task-frame body size from dispatch-time fields (`command` is the
-// command line the master would ship — empty in the simulated data plane),
-// its length-prefixed size inside a batch frame, and the exact size of a
-// batch frame holding `count` messages whose prefixed bodies sum to
-// `prefixed_body_bytes`.
-size_t task_body_size_v2(uint64_t task_id, const std::string& category,
-                         const std::string& command, const alloc::Resources& alloc,
-                         const std::vector<InputFile>& inputs, size_t outfile_count);
-size_t batch_entry_size(size_t body_size);
-size_t batch_frame_size(size_t count, size_t prefixed_body_bytes);
 
 // Names on the wire (files, categories, peers, sources) are non-empty and
 // free of whitespace and control characters.

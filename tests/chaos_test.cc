@@ -1,22 +1,25 @@
 // Tests for the chaos & recovery subsystem: retry/backoff policy semantics
 // (including the seed-identical defaults), fault-plan determinism, journal
-// JSONL round-trips, the Master's fault-sink primitives, crash-restart
+// records decoded from bytes, the Master's fault-sink primitives, crash-restart
 // recovery equivalence, and a property-style fuzz sweep of seeded fault
 // schedules asserting the soak invariants (exactly-once completion, drained
 // accounting, labeler consistency).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "alloc/labeler.h"
 #include "chaos/injector.h"
 #include "chaos/journal.h"
 #include "chaos/plan.h"
 #include "chaos/retry.h"
+#include "serde/pickle.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "wq/master.h"
@@ -191,7 +194,7 @@ wq::TaskSpec sample_spec(uint64_t id) {
 
 Journal sample_journal() {
   Journal j;
-  j.worker_added(0, Resources{8.0, 16e9, 32e9}, 0.0, 0.0);
+  j.worker_added(0, Resources{8.0, 16e9, 32e9}, 0.5, 0.25);
   j.submitted(sample_spec(1), 0.0);
   j.dispatched(1, 0, 0, Resources{1.0, 2e9, 4e9}, 0.1);
   j.observed_exhaustion(1, "cat-a", Resources{1.0, 2e9, 4e9}, "memory", 1.0);
@@ -205,36 +208,122 @@ Journal sample_journal() {
   return j;
 }
 
-TEST(Journal, JsonlRoundTripIsLossless) {
-  const Journal original = sample_journal();
-  const std::string text = original.to_jsonl();
-  const Journal parsed = Journal::from_jsonl(text);
-  ASSERT_EQ(parsed.size(), original.size());
-  // Byte-identical re-serialization == every field survived the round trip.
-  EXPECT_EQ(parsed.to_jsonl(), text);
-  for (size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(parsed.entries()[i].kind, original.entries()[i].kind);
-    EXPECT_EQ(parsed.entries()[i].ts, original.entries()[i].ts);
+JournalEntry entry(EntryKind kind, double ts, uint64_t task) {
+  JournalEntry e;
+  e.kind = kind;
+  e.ts = ts;
+  e.task = task;
+  return e;
+}
+
+// sample_journal()'s records, field by field.
+std::vector<JournalEntry> sample_entries() {
+  std::vector<JournalEntry> out;
+  JournalEntry e = entry(EntryKind::kWorkerAdded, 0.25, 0);
+  e.worker = 0;
+  e.res = Resources{8.0, 16e9, 32e9};
+  e.ready_time = 0.5;
+  out.push_back(e);
+  e = entry(EntryKind::kSubmitted, 0.0, 1);
+  e.spec = sample_spec(1);
+  out.push_back(e);
+  e = entry(EntryKind::kDispatched, 0.1, 1);
+  e.worker = 0;
+  e.attempt = 0;
+  e.res = Resources{1.0, 2e9, 4e9};
+  out.push_back(e);
+  e = entry(EntryKind::kExhaustion, 1.0, 1);
+  e.text = "cat-a";
+  e.res = Resources{1.0, 2e9, 4e9};
+  e.text2 = "memory";
+  out.push_back(e);
+  e = entry(EntryKind::kDispatched, 1.5, 1);
+  e.worker = 0;
+  e.attempt = 1;
+  e.res = Resources{8.0, 16e9, 32e9};
+  out.push_back(e);
+  e = entry(EntryKind::kCompleted, 9.0, 1);
+  e.res = Resources{1.0, 3e9, 1e9};
+  out.push_back(e);
+  e = entry(EntryKind::kSubmitted, 0.0, 2);
+  e.spec = sample_spec(2);
+  out.push_back(e);
+  e = entry(EntryKind::kFailed, 12.0, 2);
+  e.text = "exhaustion-limit";
+  out.push_back(e);
+  e = entry(EntryKind::kSubmitted, 0.0, 3);
+  e.spec = sample_spec(3);
+  out.push_back(e);
+  out.push_back(entry(EntryKind::kCancelled, 13.0, 3));
+  e = entry(EntryKind::kWorkerLost, 14.0, 0);
+  e.worker = 0;
+  out.push_back(e);
+  return out;
+}
+
+void expect_same_resources(const Resources& a, const Resources& b) {
+  EXPECT_EQ(a.cores, b.cores);
+  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
+  EXPECT_EQ(a.disk_bytes, b.disk_bytes);
+}
+
+void expect_same_entry(const JournalEntry& got, const JournalEntry& want) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.ts, want.ts);
+  EXPECT_EQ(got.task, want.task);
+  EXPECT_EQ(got.worker, want.worker);
+  EXPECT_EQ(got.attempt, want.attempt);
+  EXPECT_EQ(got.ready_time, want.ready_time);
+  expect_same_resources(got.res, want.res);
+  EXPECT_EQ(got.text, want.text);
+  EXPECT_EQ(got.text2, want.text2);
+  EXPECT_EQ(got.spec.id, want.spec.id);
+  EXPECT_EQ(got.spec.category, want.spec.category);
+  EXPECT_EQ(got.spec.output_bytes, want.spec.output_bytes);
+  EXPECT_EQ(got.spec.exec_seconds, want.spec.exec_seconds);
+  EXPECT_EQ(got.spec.true_cores, want.spec.true_cores);
+  expect_same_resources(got.spec.true_peak, want.spec.true_peak);
+  EXPECT_EQ(got.spec.peak_fraction, want.spec.peak_fraction);
+  ASSERT_EQ(got.spec.inputs.size(), want.spec.inputs.size());
+  for (size_t i = 0; i < want.spec.inputs.size(); ++i) {
+    EXPECT_EQ(got.spec.inputs[i].name, want.spec.inputs[i].name);
+    EXPECT_EQ(got.spec.inputs[i].size_bytes, want.spec.inputs[i].size_bytes);
+    EXPECT_EQ(got.spec.inputs[i].cacheable, want.spec.inputs[i].cacheable);
+    EXPECT_EQ(got.spec.inputs[i].unpack_seconds, want.spec.inputs[i].unpack_seconds);
   }
-  // The submitted spec survives in full.
-  const JournalEntry& sub = parsed.entries()[1];
-  ASSERT_EQ(sub.kind, EntryKind::kSubmitted);
-  EXPECT_EQ(sub.spec.category, "cat-a");
-  ASSERT_EQ(sub.spec.inputs.size(), 1u);
-  EXPECT_EQ(sub.spec.inputs[0].name, "env.tar.gz");
-  EXPECT_EQ(sub.spec.inputs[0].size_bytes, 1000);
 }
 
-TEST(Journal, FromJsonlIgnoresBlankLinesAndRejectsGarbage) {
-  const std::string text = sample_journal().to_jsonl() + "\n   \n";
-  EXPECT_EQ(Journal::from_jsonl(text).size(), sample_journal().size());
-  EXPECT_THROW(Journal::from_jsonl("{\"t\":\"nonsense\",\"ts\":0}\n"), Error);
+// Byte offsets where each record of a log ends (a varint length, then the
+// record).
+std::vector<size_t> record_ends(const serde::Bytes& log) {
+  std::vector<size_t> ends;
+  serde::Reader r(log);
+  while (r.remaining() > 0) {
+    r.raw(r.varint());
+    ends.push_back(r.pos());
+  }
+  return ends;
 }
 
-TEST(Journal, FileSinkMirrorsEveryRecordAsWritten) {
+TEST(Journal, BytesDecodeBackToEveryKindAndField) {
+  const Journal original = sample_journal();
+  const Journal decoded = Journal::decode(original.bytes());
+  EXPECT_EQ(decoded.bytes(), original.bytes());
+  const std::vector<JournalEntry> want = sample_entries();
+  const std::vector<JournalEntry> got = decoded.entries();
+  ASSERT_EQ(decoded.size(), want.size());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    expect_same_entry(got[i], want[i]);
+  }
+  EXPECT_EQ(decoded.completed_task_ids(), std::unordered_set<uint64_t>{1});
+}
+
+TEST(Journal, FileHoldsExactlyTheBytes) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "lfm_journal_test.jsonl").string();
-  std::string in_memory;
+      (std::filesystem::temp_directory_path() / "lfm_journal_test.journal").string();
+  serde::Bytes in_memory;
   {
     Journal j(path);
     j.worker_added(0, Resources{8.0, 16e9, 32e9}, 0.0, 0.0);
@@ -242,15 +331,99 @@ TEST(Journal, FileSinkMirrorsEveryRecordAsWritten) {
     j.dispatched(1, 0, 0, Resources{1.0, 2e9, 4e9}, 0.1);
     j.completed(1, Resources{1.0, 3e9, 1e9}, 9.0);
     j.flush();
-    in_memory = j.to_jsonl();
+    in_memory = j.bytes();
   }
-  std::ifstream in(path);
-  std::stringstream contents;
-  contents << in.rdbuf();
-  EXPECT_EQ(contents.str(), in_memory);
-  const Journal reread = Journal::from_jsonl(contents.str());
-  EXPECT_EQ(reread.size(), 4u);
+  std::ifstream in(path, std::ios::binary);
+  const serde::Bytes on_file((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_FALSE(on_file.empty());
+  EXPECT_EQ(on_file, in_memory);
+  EXPECT_EQ(Journal::decode(on_file).size(), 4u);
   std::remove(path.c_str());
+}
+
+TEST(Journal, EveryPrefixAndSeededBitFlipDecodesOrThrows) {
+  const serde::Bytes log = sample_journal().bytes();
+  const std::vector<size_t> ends = record_ends(log);
+  ASSERT_EQ(ends.size(), sample_entries().size());
+  // A strict prefix decodes only when it ends on a record boundary.
+  for (size_t n = 0; n < log.size(); ++n) {
+    const serde::Bytes prefix(log.begin(), log.begin() + static_cast<ptrdiff_t>(n));
+    const size_t whole = static_cast<size_t>(
+        std::upper_bound(ends.begin(), ends.end(), n) - ends.begin());
+    if (n == 0 || std::binary_search(ends.begin(), ends.end(), n)) {
+      EXPECT_EQ(Journal::decode(prefix).entries().size(), whole) << "prefix " << n;
+    } else {
+      EXPECT_THROW(Journal::decode(prefix), Error) << "prefix " << n;
+    }
+  }
+  // A flipped bit either still decodes, and then every record reads back,
+  // or throws lfm::Error; sanitizer builds catch anything undefined.
+  Rng rng(2024);
+  int thrown = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    serde::Bytes flipped = log;
+    const size_t at = rng.uniform_int(0, static_cast<int64_t>(log.size()) - 1);
+    flipped[at] ^= static_cast<uint8_t>(1u << rng.uniform_int(0, 7));
+    try {
+      const Journal j = Journal::decode(flipped);
+      EXPECT_EQ(j.entries().size(), j.size());
+    } catch (const Error&) {
+      ++thrown;
+    }
+  }
+  EXPECT_GT(thrown, 0);
+}
+
+TEST(Journal, MalformedRecordsThrowNamingTheRecord) {
+  const auto message = [](const serde::Bytes& bytes) {
+    try {
+      Journal::decode(bytes);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("decoded");
+  };
+  Journal j;
+  j.completed(7, Resources{1.0, 2.0, 3.0}, 1.0);
+  j.submitted(sample_spec(8), 2.0);
+  const serde::Bytes log = j.bytes();
+  const size_t second = record_ends(log)[0];
+
+  // Each record's first byte after its 1-byte length is its kind.
+  serde::Bytes bad = log;
+  bad[second + 1] = 8;
+  EXPECT_NE(message(bad).find("record 1: unknown kind 8"), std::string::npos)
+      << message(bad);
+  bad = log;
+  bad[1] = 0xff;
+  EXPECT_NE(message(bad).find("record 0: unknown kind 255"), std::string::npos)
+      << message(bad);
+
+  // The input's cacheable flag follows its name and its size (1000, a
+  // 2-byte zigzag varint).
+  const std::string name = "env.tar.gz";
+  const size_t at = static_cast<size_t>(
+      std::search(log.begin(), log.end(), name.begin(), name.end()) - log.begin());
+  ASSERT_LT(at, log.size());
+  bad = log;
+  ASSERT_EQ(bad[at + name.size() + 2], 1);
+  bad[at + name.size() + 2] = 2;
+  EXPECT_NE(message(bad).find("record 1: bad flag byte 2"), std::string::npos)
+      << message(bad);
+
+  // A record longer than its fields.
+  bad.assign(log.begin(), log.begin() + static_cast<ptrdiff_t>(second));
+  bad[0] += 1;
+  bad.push_back(0);
+  EXPECT_NE(message(bad).find("record 0: record length mismatch"), std::string::npos)
+      << message(bad);
+
+  // A length running past the end of the log.
+  bad = log;
+  bad[second] += 1;
+  EXPECT_NE(message(bad).find("record 1: truncated record"), std::string::npos)
+      << message(bad);
 }
 
 // ---------------------------------------------------------------------------
@@ -391,11 +564,11 @@ TEST(MasterRecovery, JournalRoundTripYieldsIdenticalFinalState) {
   EXPECT_GT(first_fires, 0);
   EXPECT_LT(first_fires, 12);
 
-  // A fresh master recovers from the JSONL round-trip of the journal.
+  // A fresh master recovers from the journal's bytes.
   Rig recovered;
   recovered.master.set_on_complete(
       [&](const wq::TaskRecord& rec) { fired[rec.spec.id] += 1; });
-  recovered.master.recover(Journal::from_jsonl(journal.to_jsonl()));
+  recovered.master.recover(Journal::decode(journal.bytes()));
   const wq::MasterStats stats = recovered.master.run();
 
   // Recovered terminals count toward tasks_completed too; tasks_recovered
@@ -430,7 +603,7 @@ TEST(MasterRecovery, ExhaustionCountsSurviveRestart) {
   dying.sim.run_until(11.0);  // first attempt exhausted, retry in flight
 
   Rig recovered(cfg);
-  recovered.master.recover(Journal::from_jsonl(journal.to_jsonl()));
+  recovered.master.recover(Journal::decode(journal.bytes()));
   const wq::MasterStats stats = recovered.master.run();
   EXPECT_EQ(stats.tasks_completed, 1);
   ASSERT_EQ(recovered.master.records().size(), 1u);

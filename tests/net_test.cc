@@ -3,8 +3,10 @@
 // end-to-end master<->worker-process run over real loopback sockets with
 // an injected connection drop, a worker's side-by-side LFMs, and the one
 // liveness rule against SIGKILLed and SIGSTOPped workers.
+#include <arpa/inet.h>
 #include <dirent.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -16,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -1193,6 +1196,64 @@ TEST(MasterService, NonFramePeerIsClosedAtOnce) {
   loop.run();
   ::close(fd);
   EXPECT_TRUE(closed) << "no EOF within 1 s";
+}
+
+TEST(MasterService, ByeReachesAPeerWhoseFrameTheMasterLeftUnread) {
+  // A raw peer with a 4 KiB receive buffer reads nothing while the master
+  // stages a 64 KiB input to it, so that input waits in the master's kernel
+  // send buffer. The peer then writes a ping the master never reads before
+  // shutdown() queues the bye. A socket closed with unread input sends a
+  // reset, which discards the bytes still unsent, the bye among them; the
+  // master half-closes instead, and the peer reads through to the bye.
+  constexpr size_t kFile = 64u << 10;
+  EventLoop loop;
+  MasterService master(loop, {});
+  wq::TaskMessage t = simple_task(700);
+  t.infiles.push_back({"big.bin", static_cast<int64_t>(kFile), false});
+  master.submit(t, {{"big.bin", serde::Bytes(kFile, 0x5a)}});
+
+  const int peer = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(peer, 0);
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(peer, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(master.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(peer, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  const auto send_frame = [peer](const std::string& frame) {
+    return ::send(peer, frame.data(), frame.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(frame.size());
+  };
+  ASSERT_TRUE(send_frame(wq::encode(wq::HelloMessage{"raw", {1.0, 1e9, 1e9}})));
+  ASSERT_TRUE(run_until(
+      loop, [&] { return master.stats().bytes_sent > static_cast<int64_t>(kFile); },
+      5.0));
+
+  ASSERT_TRUE(send_frame(wq::encode(wq::ControlMessage{wq::ControlType::kPing, 1, 0.0})));
+  master.shutdown();
+
+  timeval timeout{5, 0};
+  ::setsockopt(peer, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  FrameSplitter splitter;
+  bool bye = false;
+  std::string ended = "timeout";
+  char chunk[4096];
+  while (!bye) {
+    const ssize_t n = ::recv(peer, chunk, sizeof chunk, 0);
+    if (n <= 0) {
+      ended = n == 0 ? "eof" : std::strerror(errno);
+      break;
+    }
+    splitter.feed(chunk, static_cast<size_t>(n));
+    for (const std::string& frame : split_all(splitter)) {
+      bye = bye || (wq::classify(frame) == wq::MessageKind::kControl &&
+                    wq::decode_control(frame).type == wq::ControlType::kBye);
+    }
+  }
+  ::close(peer);
+  EXPECT_TRUE(bye) << "the link ended (" << ended << ") before the bye";
+  EXPECT_TRUE(run_until(loop, [&] { return master.connected_workers() == 0; }, 5.0));
 }
 
 // --- staged files live while their task is outstanding ----------------------

@@ -487,6 +487,13 @@ TEST_F(ObsTest, TraceScopeStampsAndRestores) {
   EXPECT_EQ(events[2].trace_id, 0x2222u);
   EXPECT_EQ(events[3].trace_id, 0x1111u);
   EXPECT_EQ(events[4].trace_id, 0u);
+  // The local trace carries a stamped id as the merged trace does.
+  const serde::Value doc = chrome_trace_value(events);
+  const auto& list = doc.at("traceEvents").as_list();
+  ASSERT_EQ(list.size(), 3 + events.size());  // + process_name metadata
+  EXPECT_EQ(list[3].as_dict().count("args"), 0u);
+  EXPECT_EQ(list[4].at("args").at("trace_id").as_str(), "0x0000000000001111");
+  EXPECT_EQ(list[5].at("args").at("trace_id").as_str(), "0x0000000000002222");
 }
 
 // --- clock-offset estimation -------------------------------------------------

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "util/hash.h"
 #include "wq/protocol.h"
 
 namespace lfm::wq {
@@ -109,13 +111,6 @@ TEST(Protocol, CommandLineRoundtripsVerbatim) {
   EXPECT_EQ(back.command_line, msg.command_line);
 }
 
-TEST(Protocol, EncodedSizeMatchesEncode) {
-  const TaskMessage t = sample_task();
-  const ResultMessage r = sample_result();
-  EXPECT_EQ(encoded_size(t), encode(t).size());
-  EXPECT_EQ(encoded_size(r), encode(r).size());
-}
-
 TEST(Protocol, RejectsInvalidTokens) {
   TaskMessage msg = sample_task();
   msg.category = "has space";
@@ -197,25 +192,6 @@ TEST(Protocol, ValidTokenRules) {
   EXPECT_FALSE(valid_token(""));
   EXPECT_FALSE(valid_token("a b"));
   EXPECT_FALSE(valid_token("a\tb"));
-}
-
-TEST(Protocol, BatchSizeArithmeticMatchesEncoder) {
-  std::vector<TaskMessage> batch;
-  size_t prefixed = 0;
-  for (int i = 0; i < 3; ++i) {
-    TaskMessage msg = sample_task();
-    msg.task_id = 1000 + static_cast<uint64_t>(i);
-    msg.outfiles.clear();  // task_body_size_v2 covers only unnamed outfiles
-    const size_t body = task_body_size_v2(msg.task_id, msg.category,
-                                          msg.command_line, msg.allocation,
-                                          {{"hep-conda-env.tar.gz", 240000000, true},
-                                           {"events-00001.root", 500000, false}},
-                                          0);
-    prefixed += batch_entry_size(body);
-    batch.push_back(std::move(msg));
-  }
-  EXPECT_EQ(batch_frame_size(batch.size(), prefixed),
-            encode_batch(batch).size());
 }
 
 TEST(Protocol, HelloRoundtrip) {
@@ -391,14 +367,18 @@ TEST(Protocol, TracedBatchEntriesStayBounded) {
   EXPECT_EQ(rback[1].trace_id, 2222u);
 }
 
-TEST(Protocol, EncodedSizeCoversTraceExtensions) {
+TEST(Protocol, MaxWidthTraceExtensionsRoundtrip) {
+  // The encoders reserve each body's exact size; a wrong size for the
+  // trace extensions would misframe the body and fail the decode.
   TaskMessage t = sample_task();
   t.trace_id = 0xFFFFFFFFFFFFFFFFull;  // max-width varint
   t.parent_span = 1;
-  EXPECT_EQ(encoded_size(t), encode(t).size());
+  const TaskMessage tback = decode_task(encode(t));
+  EXPECT_EQ(tback.trace_id, t.trace_id);
+  EXPECT_EQ(tback.parent_span, 1u);
   ResultMessage r = sample_result();
   r.trace_id = 300;
-  EXPECT_EQ(encoded_size(r), encode(r).size());
+  EXPECT_EQ(decode_result(encode(r)).trace_id, 300u);
 }
 
 TEST(Protocol, ControlPeerTimeRoundtrip) {
@@ -499,6 +479,110 @@ TEST(Protocol, FrameBodyLimitIsConfigurable) {
   EXPECT_EQ(max_frame_body_bytes(), kDefaultMaxFrameBodyBytes);
   const FileMessage back = decode_file(wire);
   EXPECT_EQ(back.content.size(), 1024u);
+}
+
+// One frame of every kind, batch frames included, with the optional
+// fields both present and absent.
+std::vector<std::pair<std::string, std::string>> every_frame_kind() {
+  std::vector<std::pair<std::string, std::string>> frames;
+  TaskMessage traced = sample_task();
+  traced.trace_id = 0xFFFFFFFFFFFFFFFFull;
+  traced.parent_span = 77;
+  frames.emplace_back("task", encode(sample_task()));
+  frames.emplace_back("task traced", encode(traced));
+  ResultMessage exhausted = sample_result();
+  exhausted.exit_code = -9;
+  exhausted.exhausted = true;
+  exhausted.exhausted_resource = "memory";
+  exhausted.payload.clear();
+  exhausted.trace_id = 300;
+  ResultMessage big = sample_result();
+  big.payload.assign(300, 0xAB);
+  frames.emplace_back("result", encode(sample_result()));
+  frames.emplace_back("result exhausted traced", encode(exhausted));
+  frames.emplace_back("result 300-byte payload", encode(big));
+  frames.emplace_back("hello", encode(HelloMessage{"node-17", {16.0, 64e9, 500e9}}));
+  FileMessage file;
+  file.name = "env.tar.gz";
+  file.cacheable = true;
+  file.content.assign(200, 0x5A);
+  frames.emplace_back("file", encode(file));
+  frames.emplace_back("ping", encode(ControlMessage{ControlType::kPing, 300, 12.5}));
+  ControlMessage pong{ControlType::kPong, 300, 12.5};
+  pong.peer_time = 99.25;
+  frames.emplace_back("pong", encode(pong));
+  frames.emplace_back("bye", encode(ControlMessage{ControlType::kBye, 0, 3.0}));
+  StatsMessage stats;
+  stats.source = "foreman-1";
+  stats.workers = 4;
+  stats.pending = -1;
+  stats.completed = 1 << 20;
+  stats.fanout_bytes = INT64_MAX;
+  stats.fanout_files = 3;
+  stats.cache_files = 2;
+  stats.cache_bytes = 4096;
+  frames.emplace_back("stats", encode(stats));
+  TelemetryMessage telemetry;
+  telemetry.source = "worker-3";
+  telemetry.process_id = 4242;
+  telemetry.clock_offset = -0.0125;
+  telemetry.dropped = 5;
+  obs::TelemetryEvent span;
+  span.ph = 'X';
+  span.pid = 2;
+  span.tid = 300;
+  span.trace_id = 0xFEEDull;
+  span.ts = 1.5;
+  span.dur = 0.25;
+  span.name = "lfm.run";
+  span.cat = "lfm";
+  span.akey0 = "rss";
+  span.aval0 = 1e6;
+  span.akey1 = "cores";
+  span.aval1 = 0.5;
+  span.skey = "fn";
+  span.sval = "mix";
+  obs::TelemetryEvent instant;
+  instant.name = "bye";
+  telemetry.events = {span, instant};
+  telemetry.counters = {{"tasks", 12}, {"drops", -3}};
+  telemetry.gauges = {{"rss_mb", 4.5}};
+  frames.emplace_back("telemetry", encode(telemetry));
+  std::vector<TaskMessage> tasks{sample_task(), traced, sample_task()};
+  tasks[2].task_id = 1u << 20;
+  frames.emplace_back("task batch", encode_batch(tasks));
+  frames.emplace_back("result batch",
+                      encode_batch(std::vector<ResultMessage>{sample_result(), exhausted, big}));
+  return frames;
+}
+
+TEST(Protocol, EveryFrameKindEncodesToTheRecordedBytes) {
+  // Digests (hash64) of each frame's bytes, recorded from the encoders as
+  // they stood before the frames were written through serde::Writer. Any
+  // change to any frame's bytes changes its digest.
+  const std::vector<std::pair<std::string, uint64_t>> recorded = {
+      {"task", 0x2388aeb489b39914ull},
+      {"task traced", 0xbfc603e397e42d5aull},
+      {"result", 0x71f200170d11ced8ull},
+      {"result exhausted traced", 0x3e20e950ecc8ba97ull},
+      {"result 300-byte payload", 0xc053dbf1d15531f0ull},
+      {"hello", 0xcf71a9ad5fcdacf6ull},
+      {"file", 0xa2e1daae3c1bebbdull},
+      {"ping", 0x67a9b405e85d507aull},
+      {"pong", 0x10b3a78f1fcebef0ull},
+      {"bye", 0x2d7d8af6728befbaull},
+      {"stats", 0x812f41d8966e5a6full},
+      {"telemetry", 0x1d224ba007676684ull},
+      {"task batch", 0xbe5ea995d7a4711dull},
+      {"result batch", 0x8748157a688858c4ull},
+  };
+  const auto frames = every_frame_kind();
+  ASSERT_EQ(frames.size(), recorded.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].first, recorded[i].first);
+    EXPECT_EQ(hash64(frames[i].second), recorded[i].second)
+        << frames[i].first << ": 0x" << std::hex << hash64(frames[i].second);
+  }
 }
 
 }  // namespace

@@ -45,10 +45,14 @@ TEST(Timeline, EmptyAndSingleSampleSafe) {
   EXPECT_EQ(tl.peak_rss(), 42);
 }
 
-TEST(Report, JsonEscape) {
-  EXPECT_EQ(monitor::json_escape("plain"), "plain");
-  EXPECT_EQ(monitor::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(monitor::json_escape(std::string("\x01", 1)), "\\u0001");
+TEST(Report, OutcomeJsonEscapesItsText) {
+  TaskOutcome outcome;
+  outcome.status = TaskStatus::kException;
+  outcome.error = std::string("a\"b\\c\nd\x01", 8);
+  const std::string json = monitor::to_json(outcome);
+  EXPECT_NE(json.find("\"error\":\"a\\\"b\\\\c\\nd\\u0001\""), std::string::npos)
+      << json;
+  EXPECT_EQ(serde::from_json(json).at("error").as_str(), outcome.error);
 }
 
 TEST(Report, UsageJsonHasAllFields) {
@@ -78,8 +82,10 @@ TEST(Report, OutcomeJsonIncludesTimelineWhenRecorded) {
   TaskOutcome outcome;
   outcome.status = TaskStatus::kSuccess;
   outcome.timeline.add({0.1, 0.05, 2048, 0, 1});
-  const std::string json = monitor::to_json(outcome);
-  EXPECT_NE(json.find("\"timeline\":[{\"t\":0.1"), std::string::npos);
+  const serde::Value report = serde::from_json(monitor::to_json(outcome));
+  const serde::Value& sample = report.at("timeline").as_list().at(0);
+  EXPECT_EQ(sample.at("t").as_real(), 0.1);
+  EXPECT_EQ(sample.at("rss").as_int(), 2048);
 }
 
 TEST(Report, LiveMonitorRecordsTimeline) {
