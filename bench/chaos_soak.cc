@@ -344,7 +344,8 @@ int main(int argc, char** argv) {
     const bool do_replay = replay_every > 0 && i % replay_every == 0;
     const SeedReport r = run_seed(seed, do_replay, journal_dir);
     std::printf("%8llu %7lld %6lld %6lld %5lld %5lld %9lld %9.1f %8zu %7s\n",
-                static_cast<unsigned long long>(seed), r.faults.total(),
+                static_cast<unsigned long long>(seed),
+                static_cast<long long>(r.faults.total()),
                 static_cast<long long>(r.stats.tasks_completed),
                 static_cast<long long>(r.stats.tasks_failed),
                 static_cast<long long>(r.stats.exhaustion_retries),

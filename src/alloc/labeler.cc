@@ -50,22 +50,10 @@ Histogram make_hist(double whole, int buckets) {
   return Histogram(width, static_cast<size_t>(std::max(buckets, 1)));
 }
 
-// Registry handles resolved once; the observe paths run once per completion.
-struct LabelerMetrics {
-  obs::Counter& samples;
-  obs::Counter& exhaustions;
-  obs::HistogramMetric& peak_mem_gb;
-
-  static LabelerMetrics& get() {
-    static LabelerMetrics m{
-        obs::Recorder::global().metrics().counter("labeler.samples"),
-        obs::Recorder::global().metrics().counter("labeler.exhaustions"),
-        obs::Recorder::global().metrics().histogram("labeler.peak_mem_gb", 1e-3,
-                                                    1e4, 70),
-    };
-    return m;
-  }
-};
+// The learning signal, counted once per completion.
+obs::Count labeler_samples{"labeler.samples"};
+obs::Count labeler_exhaustions{"labeler.exhaustions"};
+obs::Spread labeler_peak_mem_gb{"labeler.peak_mem_gb", 1e-3, 1e4, 70};
 
 }  // namespace
 
@@ -211,11 +199,8 @@ Resources Labeler::allocation(const std::string& cat, int attempt) {
 
 void Labeler::observe_success(const std::string& cat, const Resources& peak) {
   category(cat).observe_success(peak);
-  if (obs::Recorder::enabled()) {
-    LabelerMetrics& m = LabelerMetrics::get();
-    m.samples.add();
-    m.peak_mem_gb.observe(peak.memory_bytes / 1e9);
-  }
+  labeler_samples.add();
+  labeler_peak_mem_gb.observe(peak.memory_bytes / 1e9);
 }
 
 void Labeler::observe_exhaustion(const std::string& cat, const Resources& allocated,
@@ -225,8 +210,8 @@ void Labeler::observe_exhaustion(const std::string& cat, const Resources& alloca
     obs::Recorder& r = obs::Recorder::global();
     r.instant(obs::kPidSim, 0, r.now(), "label-exhaustion", "alloc", "category",
               cat + ":" + resource, "allocated_cores", allocated.cores);
-    LabelerMetrics::get().exhaustions.add();
   }
+  labeler_exhaustions.add();
 }
 
 void Labeler::set_oracle(const std::string& cat, const Resources& oracle) {

@@ -8,29 +8,14 @@ namespace lfm::chaos {
 
 namespace {
 
-// Per-class injection counters (process-global registry, like the master's).
-struct ChaosMetrics {
-  obs::Counter& crashes;
-  obs::Counter& rejoins;
-  obs::Counter& net_slowdowns;
-  obs::Counter& partitions;
-  obs::Counter& fs_stalls;
-  obs::Counter& stragglers;
-  obs::Counter& spurious_kills;
-
-  static ChaosMetrics& get() {
-    static ChaosMetrics m{
-        obs::Recorder::global().metrics().counter("chaos.crashes"),
-        obs::Recorder::global().metrics().counter("chaos.rejoins"),
-        obs::Recorder::global().metrics().counter("chaos.net_slowdowns"),
-        obs::Recorder::global().metrics().counter("chaos.partitions"),
-        obs::Recorder::global().metrics().counter("chaos.fs_stalls"),
-        obs::Recorder::global().metrics().counter("chaos.stragglers"),
-        obs::Recorder::global().metrics().counter("chaos.spurious_kills"),
-    };
-    return m;
-  }
-};
+// Per-class injection counters.
+obs::Count chaos_crashes{"chaos.crashes"};
+obs::Count chaos_rejoins{"chaos.rejoins"};
+obs::Count chaos_net_slowdowns{"chaos.net_slowdowns"};
+obs::Count chaos_partitions{"chaos.partitions"};
+obs::Count chaos_fs_stalls{"chaos.fs_stalls"};
+obs::Count chaos_stragglers{"chaos.stragglers"};
+obs::Count chaos_spurious_kills{"chaos.spurious_kills"};
 
 // Fault-window spans render one Perfetto row per fault class.
 uint64_t class_lane(FaultKind kind) { return static_cast<uint64_t>(kind) + 1; }
@@ -56,14 +41,15 @@ double Injector::composite(const std::map<double, int>& active) const {
 
 void Injector::deliver(const FaultEvent& event) {
   const bool traced = obs::Recorder::enabled();
-  ChaosMetrics* metrics = traced ? &ChaosMetrics::get() : nullptr;
   switch (event.kind) {
     case FaultKind::kWorkerCrash:
       ++stats_.crashes;
-      if (event.duration >= 0.0) ++stats_.rejoins_scheduled;
+      chaos_crashes.add();
+      if (event.duration >= 0.0) {
+        ++stats_.rejoins_scheduled;
+        chaos_rejoins.add();
+      }
       if (traced) {
-        metrics->crashes.add();
-        if (event.duration >= 0.0) metrics->rejoins.add();
         obs::Recorder::global().instant(
             obs::kPidChaos, class_lane(event.kind), sim_.now(), "worker-crash",
             "chaos", nullptr, {}, "rejoin_delay", event.duration);
@@ -75,13 +61,12 @@ void Injector::deliver(const FaultEvent& event) {
     case FaultKind::kPartition: {
       if (event.kind == FaultKind::kPartition) {
         ++stats_.partitions;
+        chaos_partitions.add();
       } else {
         ++stats_.net_slowdowns;
+        chaos_net_slowdowns.add();
       }
       if (traced) {
-        (event.kind == FaultKind::kPartition ? metrics->partitions
-                                             : metrics->net_slowdowns)
-            .add();
         obs::Recorder::global().begin(obs::kPidChaos, class_lane(event.kind),
                                       sim_.now(), fault_kind_name(event.kind),
                                       "chaos");
@@ -94,8 +79,8 @@ void Injector::deliver(const FaultEvent& event) {
 
     case FaultKind::kFsStall:
       ++stats_.fs_stalls;
+      chaos_fs_stalls.add();
       if (traced) {
-        metrics->fs_stalls.add();
         obs::Recorder::global().begin(obs::kPidChaos, class_lane(event.kind),
                                       sim_.now(), "fs-stall", "chaos");
       }
@@ -106,8 +91,8 @@ void Injector::deliver(const FaultEvent& event) {
 
     case FaultKind::kStraggler:
       ++stats_.stragglers;
+      chaos_stragglers.add();
       if (traced) {
-        metrics->stragglers.add();
         obs::Recorder::global().begin(obs::kPidChaos, class_lane(event.kind),
                                       sim_.now(), "straggler", "chaos");
       }
@@ -120,8 +105,8 @@ void Injector::deliver(const FaultEvent& event) {
 
     case FaultKind::kSpuriousKill:
       ++stats_.spurious_kills;
+      chaos_spurious_kills.add();
       if (traced) {
-        metrics->spurious_kills.add();
         obs::Recorder::global().instant(obs::kPidChaos, class_lane(event.kind),
                                         sim_.now(), "spurious-kill", "chaos");
       }

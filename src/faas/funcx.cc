@@ -9,6 +9,11 @@
 
 namespace lfm::faas {
 
+namespace {
+obs::Count faas_functions_registered{"faas.functions_registered"};
+obs::Count faas_invocations{"faas.invocations"};
+}  // namespace
+
 FunctionId FunctionRegistry::register_function(const std::string& name,
                                                monitor::TaskFn fn,
                                                std::vector<std::string> dependencies,
@@ -34,7 +39,7 @@ FunctionId FunctionRegistry::register_function(const std::string& name,
     obs::Recorder& r = obs::Recorder::global();
     r.instant(obs::kPidHost, 0, r.now(), "fn-register", "faas", "name", name,
               "dependencies", static_cast<double>(rf.dependencies.size()));
-    r.metrics().counter("faas.functions_registered").add();
+    faas_functions_registered.add();
   }
   functions_.emplace(id, std::move(rf));
   return id;
@@ -75,7 +80,7 @@ flow::Future Endpoint::invoke(const RegisteredFunction& fn, serde::Value args) {
   if (obs::Recorder::enabled()) {
     obs::Recorder& r = obs::Recorder::global();
     r.instant(obs::kPidHost, 0, r.now(), "fn-invoke", "faas", "endpoint", name_);
-    r.metrics().counter("faas.invocations").add();
+    faas_invocations.add();
   }
   flow::Future future;
   flow::App app;

@@ -97,17 +97,17 @@ class Foreman : private net::Uplink {
  private:
   struct Metrics {
     obs::Metrics* sink;
-    net::Count connects{sink, "foreman.connects"};
-    net::Count frames_in{sink, "foreman.frames_in"};
-    net::Count files_cached{sink, "foreman.files_cached"};
-    net::Count file_bytes_in{sink, "foreman.file_bytes_in"};
-    net::Count files_dropped{sink, "foreman.files_dropped"};
-    net::Count cache_resets{sink, "foreman.cache_resets"};
-    net::Count tasks_received{sink, "foreman.tasks_received"};
-    net::Count results_relayed{sink, "foreman.results_relayed"};
-    net::Count stats_sent{sink, "foreman.stats_sent"};
-    net::Count telemetry_dropped_frames{sink, "foreman.telemetry_dropped_frames"};
-    net::Count telemetry_relayed{sink, "foreman.telemetry_relayed"};
+    obs::Count connects{sink, "foreman.connects"};
+    obs::Count frames_in{sink, "foreman.frames_in"};
+    obs::Count files_cached{sink, "foreman.files_cached"};
+    obs::Count file_bytes_in{sink, "foreman.file_bytes_in"};
+    obs::Count files_dropped{sink, "foreman.files_dropped"};
+    obs::Count cache_resets{sink, "foreman.cache_resets"};
+    obs::Count tasks_received{sink, "foreman.tasks_received"};
+    obs::Count results_relayed{sink, "foreman.results_relayed"};
+    obs::Count stats_sent{sink, "foreman.stats_sent"};
+    obs::Count telemetry_dropped_frames{sink, "foreman.telemetry_dropped_frames"};
+    obs::Count telemetry_relayed{sink, "foreman.telemetry_relayed"};
   };
 
   net::MasterServiceConfig shard_config();

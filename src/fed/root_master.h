@@ -143,14 +143,14 @@ class RootMaster : private net::Dispatcher {
   std::unordered_set<uint64_t> recovered_done_;
   std::map<uint64_t, wq::StatsMessage> last_stats_;  // by link id
   RootStats own_;  // the counts the dispatch core does not keep
-  net::Count recovered_m_{metrics(), "fed.recovered_done"};
-  net::Count groups_submitted_m_{metrics(), "fed.groups_submitted"};
-  net::Count groups_completed_m_{metrics(), "fed.groups_completed"};
-  net::Count requeued_groups_m_{metrics(), "fed.requeued_groups"};
-  net::Count affinity_hits_m_{metrics(), "fed.affinity_hits"};
-  net::Count stats_frames_m_{metrics(), "fed.stats_frames"};
-  net::Level tree_workers_m_{metrics(), "fed.tree_workers"};
-  net::Level tree_cache_bytes_m_{metrics(), "fed.tree_cache_bytes"};
+  obs::Count recovered_m_{metrics(), "fed.recovered_done"};
+  obs::Count groups_submitted_m_{metrics(), "fed.groups_submitted"};
+  obs::Count groups_completed_m_{metrics(), "fed.groups_completed"};
+  obs::Count requeued_groups_m_{metrics(), "fed.requeued_groups"};
+  obs::Count affinity_hits_m_{metrics(), "fed.affinity_hits"};
+  obs::Count stats_frames_m_{metrics(), "fed.stats_frames"};
+  obs::Level tree_workers_m_{metrics(), "fed.tree_workers"};
+  obs::Level tree_cache_bytes_m_{metrics(), "fed.tree_cache_bytes"};
 };
 
 }  // namespace lfm::fed

@@ -1,15 +1,12 @@
 #include "flow/analysis.h"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
-#include <thread>
-
 #include "obs/recorder.h"
+#include "util/parallel.h"
 
 namespace lfm::flow {
 namespace {
+
+obs::Count flow_analyses{"flow.analyses"};
 
 // One complete-span per bulk analysis call, sized by the request count.
 struct AnalysisTrace {
@@ -22,7 +19,7 @@ struct AnalysisTrace {
     obs::Recorder& r = obs::Recorder::global();
     r.complete(obs::kPidHost, 0, t0, r.now() - t0, "flow.analyze_all", "flow",
                "requests", static_cast<double>(count));
-    r.metrics().counter("flow.analyses").add(static_cast<int64_t>(count));
+    flow_analyses.add(static_cast<int64_t>(count));
   }
 };
 
@@ -34,55 +31,17 @@ std::vector<DependencyPlan> analyze_all(
     const std::map<std::string, std::string>& aliases) {
   AnalysisTrace trace;
   trace.count = requests.size();
+  // Each plan lands in its request's own slot, so output order never
+  // depends on scheduling, and no locks are held beyond the shared caches'.
+  // The first analysis error (e.g. a SyntaxError) rethrows on the caller.
   std::vector<DependencyPlan> plans(requests.size());
-  if (requests.empty()) return plans;
-
-  size_t workers = threads > 0 ? static_cast<size_t>(threads)
-                               : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min(workers, requests.size());
-  if (workers <= 1) {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const auto& req = requests[i];
-      plans[i] = req.function_name.empty()
-                     ? plan_module_dependencies(req.source, installed, aliases)
-                     : plan_function_dependencies(req.source, req.function_name,
-                                                  installed, aliases);
-    }
-    return plans;
-  }
-
-  // Work-stealing by index: each thread claims the next request and writes
-  // its plan into the request's own slot, so output order never depends on
-  // scheduling and no locks are held beyond the shared caches'. The first
-  // analysis error (e.g. a SyntaxError) wins and rethrows on the caller's
-  // thread after the pool drains.
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mu;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      while (!failed.load(std::memory_order_relaxed)) {
-        const size_t i = next.fetch_add(1);
-        if (i >= requests.size()) return;
-        const auto& req = requests[i];
-        try {
-          plans[i] = req.function_name.empty()
-                         ? plan_module_dependencies(req.source, installed, aliases)
-                         : plan_function_dependencies(req.source, req.function_name,
-                                                      installed, aliases);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!failed.exchange(true)) error = std::current_exception();
-          return;
-        }
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (error) std::rethrow_exception(error);
+  parallel_for(requests.size(), threads, [&](size_t i) {
+    const auto& req = requests[i];
+    plans[i] = req.function_name.empty()
+                   ? plan_module_dependencies(req.source, installed, aliases)
+                   : plan_function_dependencies(req.source, req.function_name,
+                                                installed, aliases);
+  });
   return plans;
 }
 

@@ -2,12 +2,11 @@
 // step-2 pipeline (static analysis -> pinned requirements), used by the
 // funcX registration path and the scale benches.
 //
-// `analyze_all` fans N module/function analyses across a worker pool. Each
-// worker owns its slice of the request list and builds results into
-// pre-sized slots (a per-thread arena of outputs), so threads share nothing
-// but the read-only index and the content-addressed caches; the result
-// vector is positionally aligned with the requests and is byte-identical
-// for any thread count.
+// `analyze_all` fans N module/function analyses across parallel_for's
+// work-stealing pool (util/parallel.h). Each result lands in its request's
+// pre-sized slot, so threads share nothing but the read-only index and the
+// content-addressed caches; the result vector is positionally aligned with
+// the requests and is byte-identical for any thread count.
 #pragma once
 
 #include <string>

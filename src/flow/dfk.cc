@@ -6,6 +6,13 @@
 
 namespace lfm::flow {
 
+namespace {
+obs::Count flow_apps_submitted{"flow.apps_submitted"};
+obs::Count flow_apps_completed{"flow.apps_completed"};
+obs::Count flow_dep_failures{"flow.dep_failures"};
+obs::Spread flow_resolve_wait_seconds{"flow.resolve_wait_seconds"};
+}  // namespace
+
 // --- LocalLfmExecutor --------------------------------------------------------
 
 LocalLfmExecutor::LocalLfmExecutor(int workers, double poll_interval)
@@ -94,9 +101,9 @@ void InlineExecutor::execute(const App& app, serde::Value args,
 Future DataFlowKernel::submit(const App& app, std::vector<Arg> args) {
   Future result;
   submitted_.fetch_add(1);
+  flow_apps_submitted.add();
   if (obs::Recorder::enabled()) {
     obs::Recorder& r = obs::Recorder::global();
-    r.metrics().counter("flow.apps_submitted").add();
     r.instant(obs::kPidHost, 0, r.now(), "app-submit", "flow", "app", app.name);
   }
 
@@ -129,10 +136,10 @@ Future DataFlowKernel::submit(const App& app, std::vector<Arg> args) {
       if (pending->fetch_sub(1) == 1) {
         if (obs::Recorder::enabled()) {
           // Time from submit to the last dependency resolving — the app's
-          // dataflow latency, separate from its execution latency.
-          obs::Recorder& r = obs::Recorder::global();
-          r.metrics().histogram("flow.resolve_wait_seconds")
-              .observe(r.now() - dep_wait_from);
+          // dataflow latency, separate from its execution latency. The gate
+          // spares an untraced run the clock read.
+          flow_resolve_wait_seconds.observe(obs::Recorder::global().now() -
+                                            dep_wait_from);
         }
         if (failed_dep->load()) {
           monitor::TaskOutcome dep_failure;
@@ -140,9 +147,7 @@ Future DataFlowKernel::submit(const App& app, std::vector<Arg> args) {
           dep_failure.error = "dependency failed";
           result.fulfill(std::move(dep_failure));
           self->completed_.fetch_add(1);
-          if (obs::Recorder::enabled()) {
-            obs::Recorder::global().metrics().counter("flow.dep_failures").add();
-          }
+          flow_dep_failures.add();
           self->wait_cv_.notify_all();
           return;
         }
@@ -179,10 +184,7 @@ void DataFlowKernel::launch(const App& app, std::vector<Arg> args, Future result
                     [self, result](monitor::TaskOutcome outcome) {
                       result.fulfill(std::move(outcome));
                       self->completed_.fetch_add(1);
-                      if (obs::Recorder::enabled()) {
-                        obs::Recorder::global().metrics()
-                            .counter("flow.apps_completed").add();
-                      }
+                      flow_apps_completed.add();
                       std::lock_guard lock(self->wait_mutex_);
                       self->wait_cv_.notify_all();
                     });

@@ -29,6 +29,13 @@ namespace {
 constexpr uint8_t kReportSuccess = 0;
 constexpr uint8_t kReportException = 1;
 
+obs::Count lfm_invocations{"lfm.invocations"};
+obs::Count lfm_polls{"lfm.polls"};
+obs::Count lfm_limit_kills{"lfm.limit_kills"};
+obs::Spread lfm_invocation_seconds{"lfm.invocation_seconds"};
+obs::Spread lfm_fork_us{"lfm.fork_us"};
+obs::Spread lfm_child_minflt{"lfm.child_minflt"};
+
 double now_seconds() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
@@ -132,7 +139,7 @@ Invocation::Invocation(const std::function<void(int)>& child_main,
   if (traced_) {
     obs::Recorder& r = obs::Recorder::global();
     r.begin(obs::kPidHost, trace_tid_, r.now(), "lfm.run", "lfm");
-    r.metrics().counter("lfm.invocations").add();
+    lfm_invocations.add();
   }
   start_ = now_seconds();
   next_sample_ = start_;
@@ -201,7 +208,7 @@ void Invocation::sample() {
     r.counter(obs::kPidHost, trace_tid_, ts, "lfm.disk", "disk_write_mb",
               static_cast<double>(snapshot.disk_write_bytes) / 1e6, "processes",
               static_cast<double>(snapshot.processes));
-    r.metrics().counter("lfm.polls").add();
+    lfm_polls.add();
   }
   if (options_.on_poll) options_.on_poll(usage_);
 
@@ -214,7 +221,7 @@ void Invocation::sample() {
         obs::Recorder& r = obs::Recorder::global();
         r.instant(obs::kPidHost, trace_tid_, r.now(), "limit-kill", "lfm",
                   "resource", *violation);
-        r.metrics().counter("lfm.limit_kills").add();
+        lfm_limit_kills.add();
       }
       ::kill(-pid_, SIGKILL);  // the whole process group
       ::kill(pid_, SIGKILL);   // in case setpgid had not run yet
@@ -236,13 +243,11 @@ void Invocation::end() {
   if (traced_) {
     obs::Recorder& r = obs::Recorder::global();
     r.end(obs::kPidHost, trace_tid_, r.now());
-    r.metrics().histogram("lfm.invocation_seconds").observe(usage_.wall_time);
+    lfm_invocation_seconds.observe(usage_.wall_time);
     // The fork's two costs: the parent's time in fork(), and the page
     // faults the child took on the copy-on-write memory it touched.
-    r.metrics().histogram("lfm.fork_us").observe(fork_seconds_ * 1e6);
-    if (child_minflt_ >= 0) {
-      r.metrics().histogram("lfm.child_minflt").observe(static_cast<double>(child_minflt_));
-    }
+    lfm_fork_us.observe(fork_seconds_ * 1e6);
+    if (child_minflt_ >= 0) lfm_child_minflt.observe(static_cast<double>(child_minflt_));
   }
 }
 

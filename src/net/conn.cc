@@ -14,6 +14,11 @@
 
 namespace lfm::net {
 
+namespace {
+// The last flushed connection's backlog, set on every socket flush.
+obs::Level net_write_queue_bytes{"net.write_queue_bytes"};
+}  // namespace
+
 Connection::Connection(EventLoop& loop, int fd, uint64_t id)
     : loop_(loop), fd_(fd), id_(id), last_activity_(EventLoop::now()) {
   set_nonblocking(fd_);
@@ -69,11 +74,7 @@ void Connection::flush_writes() {
       outbound_offset_ = 0;
     }
   }
-  if (obs::Recorder::enabled()) {
-    // Cheap to re-read the totals here; sites that need deltas snapshot.
-    obs::Recorder::global().metrics().gauge("net.write_queue_bytes").set(
-        static_cast<double>(queued_bytes_));
-  }
+  net_write_queue_bytes.set(static_cast<double>(queued_bytes_));
   if (outbound_.empty() && close_after_flush_) {
     shutdown_write();
     return;

@@ -129,6 +129,9 @@ void Dispatcher::on_accept(int fd) {
   m_.accepts.add();
   mark(policy_.accept_mark, "conn " + std::to_string(id), id);
   conn->start();
+  // A peer that connects while the links drain (a worker forked late, or
+  // one recycling its link) is told the run is over.
+  if (finishing_) say_bye(links_[id]);
 }
 
 void Dispatcher::on_message(uint64_t id, Connection& conn, std::string&& wire) {
@@ -139,6 +142,7 @@ void Dispatcher::on_message(uint64_t id, Connection& conn, std::string&& wire) {
   const wq::MessageKind kind = wq::classify(wire);
   switch (kind) {
     case wq::MessageKind::kHello: {
+      if (finishing_) return;  // the peer has its bye and gets no work
       const wq::HelloMessage hello = wq::decode_hello(wire);
       l.helloed = true;
       l.name = hello.worker_name;
@@ -396,24 +400,23 @@ void Dispatcher::heartbeat() {
 
 void Dispatcher::begin_finish() {
   finishing_ = true;
-  // No new peers are welcome once the bye sequence starts. Closing the
-  // listener also resets connections the kernel already completed into the
-  // backlog — otherwise a peer that recycled its connection right at the
-  // end reconnects successfully, waits forever for a hello reply the
-  // stopped loop will never send, and deadlocks the whole tree against the
-  // parent's waitpid.
-  listener_.close();
-  for (auto& [id, l] : links_) {
-    if (l.conn->closed()) continue;
-    wq::ControlMessage bye{wq::ControlType::kBye, 0, EventLoop::now()};
-    l.conn->send(wq::encode(bye));
-    m_.frames_out.add();
-    // Tracing runs leave the close to the peer: its bye handler ships the
-    // final kTelemetry frames (a foreman's include its drained subtree's)
-    // before closing its end, and closing here would stop reading first and
-    // lose them. Untraced runs keep the prompt close.
-    if (!obs::Recorder::enabled()) l.conn->close_after_flush();
-  }
+  // The listener stays open while the links drain, and a peer accepted now
+  // gets its bye too (on_accept). Closed here, it would reset the
+  // connections the kernel had already completed into its backlog, and a
+  // worker forked late would retry a listener that is gone.
+  for (auto& [id, l] : links_) say_bye(l);
+}
+
+void Dispatcher::say_bye(Link& l) {
+  if (l.conn->closed()) return;
+  wq::ControlMessage bye{wq::ControlType::kBye, 0, EventLoop::now()};
+  l.conn->send(wq::encode(bye));
+  m_.frames_out.add();
+  // Tracing runs leave the close to the peer: its bye handler ships the
+  // final kTelemetry frames (a foreman's include its drained subtree's)
+  // before closing its end, and closing here would stop reading first and
+  // lose them. Untraced runs keep the prompt close.
+  if (!obs::Recorder::enabled()) l.conn->close_after_flush();
 }
 
 void Dispatcher::check_finished() {
@@ -422,7 +425,13 @@ void Dispatcher::check_finished() {
 
 void Dispatcher::shutdown() {
   if (!finishing_) begin_finish();
-  if (links_.empty()) loop_.stop();
+  if (links_.empty()) {
+    // The listener closes with the loop: a peer that connects after this is
+    // refused, instead of waiting in a backlog nobody serves for a hello
+    // reply that never comes (and holding up its parent's waitpid).
+    listener_.close();
+    loop_.stop();
+  }
 }
 
 NetMasterStats Dispatcher::run(double timeout) {

@@ -49,8 +49,8 @@
 
 #include "net/conn.h"
 #include "net/event_loop.h"
-#include "net/instruments.h"
 #include "obs/clock.h"
+#include "obs/recorder.h"
 #include "serde/value.h"
 #include "wq/protocol.h"
 #include "wq/worker.h"
@@ -123,7 +123,9 @@ class Dispatcher {
   }
 
   // Send bye to every peer, close links after their write queues flush, and
-  // stop the loop once the last one is gone. Idempotent.
+  // stop the loop once the last one is gone. A peer that connects in the
+  // meantime gets a bye and no work; the listener closes with the loop.
+  // Idempotent.
   void shutdown();
 
   // JSON snapshot for the /statusz endpoint: queue depth, completion
@@ -217,28 +219,28 @@ class Dispatcher {
   struct Metrics {
     obs::Metrics* sink;
     std::string p;
-    Count accepts{sink, p + "accepts"};
-    Count frames_in{sink, p + "frames_in"};
-    Count frames_out{sink, p + "frames_out"};
-    Count hellos{sink, p + "hellos"};
-    Count pings{sink, p + "pings"};
-    Count telemetry_frames{sink, p + "telemetry_frames"};
-    Count telemetry_dropped{sink, p + "telemetry_dropped_frames"};
-    Count unknown_results{sink, p + "unknown_results"};
-    Count duplicate_results{sink, p + "duplicate_results"};
-    Count results{sink, p + "results"};
-    Count links_lost{sink, p + "links_lost"};
-    Count links_departed{sink, p + "links_departed"};
-    Count requeued_tasks{sink, p + "requeued_tasks"};
-    Count files_sent{sink, p + "files_sent"};
-    Count backpressure_stalls{sink, p + "backpressure_stalls"};
-    Count dispatched_tasks{sink, p + "dispatched_tasks"};
-    Count idle_closes{sink, p + "idle_closes"};
-    Count injected_drops{sink, p + "injected_drops"};
-    Count bytes_out{sink, p + "bytes_out"};
-    Count bytes_in{sink, p + "bytes_in"};
-    Spread rtt{sink, p + "rtt_seconds", 1e-6, 10.0};
-    Spread batch_size{sink, p + "batch_size", 1.0, 4096.0};
+    obs::Count accepts{sink, p + "accepts"};
+    obs::Count frames_in{sink, p + "frames_in"};
+    obs::Count frames_out{sink, p + "frames_out"};
+    obs::Count hellos{sink, p + "hellos"};
+    obs::Count pings{sink, p + "pings"};
+    obs::Count telemetry_frames{sink, p + "telemetry_frames"};
+    obs::Count telemetry_dropped{sink, p + "telemetry_dropped_frames"};
+    obs::Count unknown_results{sink, p + "unknown_results"};
+    obs::Count duplicate_results{sink, p + "duplicate_results"};
+    obs::Count results{sink, p + "results"};
+    obs::Count links_lost{sink, p + "links_lost"};
+    obs::Count links_departed{sink, p + "links_departed"};
+    obs::Count requeued_tasks{sink, p + "requeued_tasks"};
+    obs::Count files_sent{sink, p + "files_sent"};
+    obs::Count backpressure_stalls{sink, p + "backpressure_stalls"};
+    obs::Count dispatched_tasks{sink, p + "dispatched_tasks"};
+    obs::Count idle_closes{sink, p + "idle_closes"};
+    obs::Count injected_drops{sink, p + "injected_drops"};
+    obs::Count bytes_out{sink, p + "bytes_out"};
+    obs::Count bytes_in{sink, p + "bytes_in"};
+    obs::Spread rtt{sink, p + "rtt_seconds", 1e-6, 10.0};
+    obs::Spread batch_size{sink, p + "batch_size", 1.0, 4096.0};
   };
 
   void mark(const char* name, const std::string& detail, uint64_t tid) const;
@@ -254,6 +256,7 @@ class Dispatcher {
   void flush();
   void heartbeat();
   void begin_finish();
+  void say_bye(Link& link);
   void check_finished();
 
   EventLoop& loop_;

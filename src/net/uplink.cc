@@ -23,7 +23,7 @@ chaos::RetryPolicy default_reconnect_policy() {
   return p;
 }
 
-Uplink::Uplink(Dial dial, Count telemetry_dropped)
+Uplink::Uplink(Dial dial, obs::Count telemetry_dropped)
     : dial_(std::move(dial)),
       jitter_seed_(hash64(dial_.name)),
       telemetry_dropped_m_(std::move(telemetry_dropped)) {}

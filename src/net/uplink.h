@@ -35,7 +35,7 @@
 #include "chaos/retry.h"
 #include "net/conn.h"
 #include "net/event_loop.h"
-#include "net/instruments.h"
+#include "obs/recorder.h"
 #include "wq/protocol.h"
 #include "wq/worker.h"
 
@@ -71,7 +71,7 @@ class Uplink {
 
   // `telemetry_dropped` counts own trace events discarded under
   // backpressure.
-  Uplink(Dial dial, Count telemetry_dropped);
+  Uplink(Dial dial, obs::Count telemetry_dropped);
   virtual ~Uplink() = default;
 
   // Every frame from the peer: files are held in files_ (then on_file
@@ -120,7 +120,7 @@ class Uplink {
   void answer_control(Connection& conn, const std::string& wire);
 
   const uint64_t jitter_seed_;
-  Count telemetry_dropped_m_;
+  obs::Count telemetry_dropped_m_;
   std::vector<uint64_t> timers_;
   uint64_t next_conn_id_ = 1;
   bool ever_connected_ = false;

@@ -38,7 +38,7 @@ alloc::Resources footprint_of(const wq::TaskMessage& task,
 WorkerClient::WorkerClient(WorkerClientOptions o)
     : Uplink({"net", "worker", o.name, o.host, o.port, o.capacity, o.reconnect,
               o.max_reconnect_attempts},
-             Count(nullptr, "obs.telemetry_dropped")),
+             obs::Count("obs.telemetry_dropped")),
       options_(std::move(o)),
       worker_(options_.worker) {}
 

@@ -1,10 +1,12 @@
 // Metrics registry: named counters, gauges, and log-spaced histograms.
 //
-// Instrumentation sites look a metric up once by name (a mutexed map
-// insert), cache the returned reference, and then update it lock-free
-// (counters/gauges are atomics) or under a per-histogram mutex. References
-// stay valid for the registry's lifetime — metrics are never removed, only
-// reset in place by clear().
+// Record sites go through the handles in obs/recorder.h (obs::Count,
+// obs::Level, obs::Spread), which look their series up by name (a mutexed
+// map insert) on the first record, keep the returned pointer, and then
+// update it lock-free (counters/gauges are atomics) or under a
+// per-histogram mutex. References stay valid for the registry's lifetime —
+// metrics are never removed, only reset in place by clear(). Lookup by name
+// is for readers: the exporters, statusz, telemetry snapshots and tests.
 //
 // Exporters (export.h) snapshot the registry into Prometheus text or JSONL;
 // metric names should follow the `component.metric` convention (dots are

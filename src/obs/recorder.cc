@@ -48,6 +48,7 @@ void Recorder::clear() {
 
 namespace {
 thread_local uint64_t t_current_trace_id = 0;
+Count obs_sval_truncated{"obs.sval_truncated"};
 }  // namespace
 
 uint64_t current_trace_id() { return t_current_trace_id; }
@@ -58,10 +59,7 @@ TraceScope::TraceScope(uint64_t trace_id) : prev_(t_current_trace_id) {
 
 TraceScope::~TraceScope() { t_current_trace_id = prev_; }
 
-void note_sval_truncated() {
-  if (!Recorder::enabled()) return;
-  Recorder::global().metrics().counter("obs.sval_truncated").add();
-}
+void note_sval_truncated() { obs_sval_truncated.add(); }
 
 void Recorder::push(TraceEvent&& ev) {
   if (ev.trace_id == 0) ev.trace_id = t_current_trace_id;

@@ -2,8 +2,9 @@
 //
 // Design constraints (DESIGN.md §9):
 //   * Disabled path compiles to one relaxed atomic load per instrumentation
-//     site — no allocation, no locking, no string work — so fig4–fig9 and
-//     table1–3 outputs are byte-identical with observability off.
+//     site (a metric handle first checks its registry pointer) — no
+//     allocation, no locking, no string work — so fig4–fig9 and table1–3
+//     outputs are byte-identical with observability off.
 //   * Recording is thread-safe: events buffer under one mutex (the simulated
 //     layers are single-threaded; the real LFM / flow layers are not).
 //   * Timestamps are whatever clock the domain owns. Simulation-driven call
@@ -17,14 +18,20 @@
 //   obs::Recorder::global().set_enabled(true);
 //   auto& r = obs::Recorder::global();
 //   if (obs::Recorder::enabled()) r.begin(obs::kPidSim, task_id, sim.now(), "run", "task");
+//   obs::Count tasks_done{"wq.tasks_completed"};  // once, at namespace scope
+//   tasks_done.add();                              // checks the gate itself
 //   ...
 //   obs::export_all(r, "obs_out");   // export.h
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -95,6 +102,84 @@ class Recorder {
   std::function<double()> clock_;  // empty = wall_now
   Metrics metrics_;
 };
+
+// --- metric handles ----------------------------------------------------------
+// The one way to record a metric (DESIGN.md §9). A handle names one series
+// and finds it in its registry the first time it records; from then on a
+// record is a branch, an atomic load and the series' own update. Each
+// series is declared once: at namespace scope in its module, or as a member
+// where it belongs to one instance.
+//
+// A handle built with a registry always records into it (co-hosted fed
+// components keep their series apart this way). One built without records
+// into the process-wide registry, and only while the Recorder is enabled,
+// so a record site needs no gate of its own. A series appears in its
+// registry when it is first recorded.
+//
+// Handles are safe to share across threads. Threads that race on the first
+// record store the same pointer (the registry returns one series per
+// name); the release/acquire pair orders the series' construction before
+// any other thread's first update through the cached pointer.
+template <class T>
+class Handle {
+ public:
+  // [lo, hi] over `buckets` is a histogram's shape, applied when the series
+  // is created; the defaults are the registry's.
+  explicit Handle(std::string name, double lo = 1e-6, double hi = 1e6,
+                  size_t buckets = 96)
+      : Handle(nullptr, std::move(name), lo, hi, buckets) {}
+  Handle(Metrics* registry, std::string name, double lo = 1e-6, double hi = 1e6,
+         size_t buckets = 96)
+      : registry_(registry),
+        name_(std::move(name)),
+        lo_(lo),
+        hi_(hi),
+        buckets_(buckets) {}
+  // A copy names the same series and finds it on its own first record.
+  Handle(const Handle& o) : Handle(o.registry_, o.name_, o.lo_, o.hi_, o.buckets_) {}
+  Handle& operator=(const Handle&) = delete;
+
+  void add(int64_t n = 1) {
+    if (T* s = series()) s->add(n);
+  }
+  void set(double v) {
+    if (T* s = series()) s->set(v);
+  }
+  void observe(double v) {
+    if (T* s = series()) s->observe(v);
+  }
+
+ private:
+  T* series() {
+    Metrics* m = registry_;
+    if (m == nullptr) {
+      if (!Recorder::enabled()) return nullptr;
+      m = &Recorder::global().metrics();
+    }
+    T* s = series_.load(std::memory_order_acquire);
+    if (s == nullptr) {
+      if constexpr (std::is_same_v<T, Counter>) {
+        s = &m->counter(name_);
+      } else if constexpr (std::is_same_v<T, Gauge>) {
+        s = &m->gauge(name_);
+      } else {
+        s = &m->histogram(name_, lo_, hi_, buckets_);
+      }
+      series_.store(s, std::memory_order_release);
+    }
+    return s;
+  }
+
+  Metrics* registry_;
+  std::string name_;
+  double lo_, hi_;
+  size_t buckets_;
+  std::atomic<T*> series_{nullptr};
+};
+
+using Count = Handle<Counter>;
+using Level = Handle<Gauge>;
+using Spread = Handle<HistogramMetric>;
 
 // --- distributed trace context ----------------------------------------------
 // The thread's current trace id. Recorder::push stamps it onto every event

@@ -1,17 +1,16 @@
 #include "pkg/packer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <thread>
 
 #include "obs/recorder.h"
 #include "pkg/environment.h"
 #include "util/hash.h"
+#include "util/parallel.h"
 #include "util/strings.h"
 
 namespace lfm::pkg {
@@ -337,26 +336,12 @@ PackCache& pack_cache() {
   return *instance;
 }
 
-struct PackMetrics {
-  obs::Counter& requests;
-  obs::Counter& cache_hits;
-  obs::Counter& cold_packs;
-  obs::Counter& chunks;
-  obs::HistogramMetric& seconds;
-  obs::HistogramMetric& archive_bytes;
-
-  static PackMetrics& get() {
-    static PackMetrics m{
-        obs::Recorder::global().metrics().counter("pack.requests"),
-        obs::Recorder::global().metrics().counter("pack.cache_hits"),
-        obs::Recorder::global().metrics().counter("pack.cold_packs"),
-        obs::Recorder::global().metrics().counter("pack.chunks"),
-        obs::Recorder::global().metrics().histogram("pack.seconds"),
-        obs::Recorder::global().metrics().histogram("pack.archive_bytes", 1.0, 1e12, 96),
-    };
-    return m;
-  }
-};
+obs::Count pack_requests{"pack.requests"};
+obs::Count pack_cache_hits{"pack.cache_hits"};
+obs::Count pack_cold_packs{"pack.cold_packs"};
+obs::Count pack_chunks{"pack.chunks"};
+obs::Spread pack_seconds{"pack.seconds"};
+obs::Spread pack_archive_bytes{"pack.archive_bytes", 1.0, 1e12, 96};
 
 std::string prefix_for_signature(const std::string& signature) {
   return strformat("/master/envs/%016llx",
@@ -402,43 +387,10 @@ PackedEnvironment pack_environment_cold(const Environment& env,
   const auto& packages = env.packages();
   std::vector<PackageJob> jobs(packages.size());
 
-  size_t workers = threads > 0 ? static_cast<size_t>(threads)
-                               : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min(workers, std::max<size_t>(jobs.size(), 1));
-  if (workers <= 1) {
-    for (size_t i = 0; i < packages.size(); ++i) {
-      pack_package(*packages[i], prefix, jobs[i]);
-    }
-  } else {
-    // Work-stealing by index (same shape as flow::analyze_all): each thread
-    // claims the next package and writes into that package's own slot, so
-    // the merged output never depends on scheduling.
-    std::atomic<size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_mu;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const size_t i = next.fetch_add(1);
-          if (i >= packages.size()) return;
-          try {
-            pack_package(*packages[i], prefix, jobs[i]);
-          } catch (...) {
-            {
-              std::lock_guard<std::mutex> lock(error_mu);
-              if (!error) error = std::current_exception();
-            }
-            failed.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-    if (error) std::rethrow_exception(error);
-  }
+  // Each thread claims the next package and writes into that package's own
+  // slot, so the merged output never depends on scheduling.
+  parallel_for(packages.size(), threads,
+               [&](size_t i) { pack_package(*packages[i], prefix, jobs[i]); });
 
   // Deterministic merge. The stream layout mirrors the serial writer exactly:
   // requirements.txt entry, per-package dist-info entries in sorted package
@@ -507,25 +459,21 @@ PackedEnvironment pack_environment_cold(const Environment& env,
 PackedEnvironment packed_environment(const Environment& env, int threads) {
   std::string signature = env.requirements_txt();
   auto& pc = pack_cache();
-  const bool recording = obs::Recorder::enabled();
-  if (recording) PackMetrics::get().requests.add();
+  pack_requests.add();
   {
     std::lock_guard<std::mutex> lock(pc.mu);
     if (const auto* hit = pc.cache.find(signature)) {
-      if (recording) PackMetrics::get().cache_hits.add();
+      pack_cache_hits.add();
       return *hit;
     }
   }
   const auto t0 = std::chrono::steady_clock::now();
   PackedEnvironment packed = pack_environment_cold(env, signature, threads);
-  if (recording) {
-    PackMetrics& m = PackMetrics::get();
-    m.cold_packs.add();
-    m.chunks.add(static_cast<int64_t>(packed.manifest->chunk_count()));
-    m.seconds.observe(std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - t0).count());
-    m.archive_bytes.observe(static_cast<double>(packed.tar->size()));
-  }
+  pack_cold_packs.add();
+  pack_chunks.add(static_cast<int64_t>(packed.manifest->chunk_count()));
+  pack_seconds.observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  pack_archive_bytes.observe(static_cast<double>(packed.tar->size()));
   {
     std::lock_guard<std::mutex> lock(pc.mu);
     pc.cache.insert(std::move(signature), packed);

@@ -294,6 +294,26 @@ void stmt_expressions(const Stmt& s, const std::function<void(const Expr&)>& fn)
 
 }  // namespace
 
+const FunctionDefStmt* find_function(const std::vector<StmtPtr>& body,
+                                     const std::string& name) {
+  for (const auto& stmt : body) {
+    if (stmt->kind == StmtKind::kFunctionDef) {
+      const auto& fn = static_cast<const FunctionDefStmt&>(*stmt);
+      if (fn.name == name) return &fn;
+    }
+    if (stmt->kind == StmtKind::kClassDef) {
+      const auto& n = static_cast<const ClassDefStmt&>(*stmt);
+      if (const auto* found = find_function(n.body, name)) return found;
+    }
+    if (stmt->kind == StmtKind::kIf) {
+      const auto& n = static_cast<const IfStmt&>(*stmt);
+      if (const auto* found = find_function(n.body, name)) return found;
+      if (const auto* found = find_function(n.orelse, name)) return found;
+    }
+  }
+  return nullptr;
+}
+
 void walk_statements(const std::vector<StmtPtr>& body,
                      const std::function<void(const Stmt&)>& fn) {
   for (const auto& s : body) walk_stmt(*s, fn);

@@ -471,6 +471,12 @@ struct Module {
   std::vector<std::string> names;
 };
 
+// The def named `name` in `body`, looking inside class and `if` bodies (a
+// def under a module-level `if` is still the module's function); nullptr
+// when there is none.
+const FunctionDefStmt* find_function(const std::vector<StmtPtr>& body,
+                                     const std::string& name);
+
 // Depth-first walk helpers: invoke `fn` on every statement (resp. expression)
 // in the subtree, including nested function/class bodies.
 void walk_statements(const std::vector<StmtPtr>& body,

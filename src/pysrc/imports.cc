@@ -218,27 +218,6 @@ class Scanner {
   ImportScan& out_;
 };
 
-const FunctionDefStmt* find_function(const std::vector<StmtPtr>& body,
-                                     const std::string& name) {
-  for (const auto& stmt : body) {
-    if (stmt->kind == StmtKind::kFunctionDef) {
-      const auto& fn = static_cast<const FunctionDefStmt&>(*stmt);
-      if (fn.name == name) return &fn;
-    }
-    if (stmt->kind == StmtKind::kClassDef) {
-      const auto* nested =
-          find_function(static_cast<const ClassDefStmt&>(*stmt).body, name);
-      if (nested) return nested;
-    }
-    if (stmt->kind == StmtKind::kIf) {
-      const auto& n = static_cast<const IfStmt&>(*stmt);
-      if (const auto* found = find_function(n.body, name)) return found;
-      if (const auto* found = find_function(n.orelse, name)) return found;
-    }
-  }
-  return nullptr;
-}
-
 bool is_import_stmt(const Stmt& stmt) {
   return stmt.kind == StmtKind::kImport || stmt.kind == StmtKind::kImportFrom;
 }

@@ -201,23 +201,6 @@ class ScopeWalker {
   ScopeReport& report_;
 };
 
-const FunctionDefStmt* find_def(const std::vector<StmtPtr>& body,
-                                const std::string& name) {
-  for (const auto& stmt : body) {
-    if (stmt->kind == StmtKind::kFunctionDef) {
-      const auto& fn = static_cast<const FunctionDefStmt&>(*stmt);
-      if (fn.name == name) return &fn;
-    }
-    if (stmt->kind == StmtKind::kClassDef) {
-      if (const auto* found =
-              find_def(static_cast<const ClassDefStmt&>(*stmt).body, name)) {
-        return found;
-      }
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 std::set<std::string> ScopeReport::free_names(
@@ -240,7 +223,7 @@ ScopeReport analyze_scope(const FunctionDefStmt& fn) {
 
 ScopeReport analyze_function_scope(const Module& module,
                                    const std::string& function_name) {
-  const FunctionDefStmt* fn = find_def(module.body, function_name);
+  const FunctionDefStmt* fn = find_function(module.body, function_name);
   if (fn == nullptr) throw Error("analyze_function_scope: no function '" +
                                  function_name + "'");
   return analyze_scope(*fn);

@@ -372,28 +372,6 @@ class Unparser {
   }
 };
 
-const FunctionDefStmt* find_def(const std::vector<StmtPtr>& body,
-                                const std::string& name) {
-  for (const auto& stmt : body) {
-    if (stmt->kind == StmtKind::kFunctionDef) {
-      const auto& fn = static_cast<const FunctionDefStmt&>(*stmt);
-      if (fn.name == name) return &fn;
-    }
-    if (stmt->kind == StmtKind::kClassDef) {
-      if (const auto* found =
-              find_def(static_cast<const ClassDefStmt&>(*stmt).body, name)) {
-        return found;
-      }
-    }
-    if (stmt->kind == StmtKind::kIf) {
-      const auto& n = static_cast<const IfStmt&>(*stmt);
-      if (const auto* found = find_def(n.body, name)) return found;
-      if (const auto* found = find_def(n.orelse, name)) return found;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 std::string unparse(const Module& module) {
@@ -407,7 +385,7 @@ std::string unparse_statement(const Stmt& stmt, int indent) {
 std::string unparse_expression(const Expr& expr) { return expr_str(expr); }
 
 std::string extract_function_source(const Module& module, const std::string& name) {
-  const FunctionDefStmt* fn = find_def(module.body, name);
+  const FunctionDefStmt* fn = find_function(module.body, name);
   if (fn == nullptr) throw Error("extract_function_source: no function '" + name + "'");
   return Unparser().render(*fn, 0);
 }

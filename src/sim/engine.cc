@@ -11,16 +11,9 @@ namespace {
 constexpr size_t kInitialCapacity = 4096;
 
 // Engine-level telemetry: executed/cancelled event totals across every
-// Simulation in the process. Handles resolved once, updated atomically.
-void count_executed() {
-  static obs::Counter& c = obs::Recorder::global().metrics().counter("sim.events_executed");
-  c.add();
-}
-
-void count_cancelled() {
-  static obs::Counter& c = obs::Recorder::global().metrics().counter("sim.events_cancelled");
-  c.add();
-}
+// Simulation in the process.
+obs::Count sim_events_executed{"sim.events_executed"};
+obs::Count sim_events_cancelled{"sim.events_cancelled"};
 
 }  // namespace
 
@@ -50,7 +43,7 @@ void Simulation::cancel(EventId id) {
   if (st != kPending) return;  // already ran or already cancelled
   st = kCancelled;             // tombstone; the heap entry is skipped later
   --live_pending_;
-  if (obs::Recorder::enabled()) count_cancelled();
+  sim_events_cancelled.add();
 }
 
 void Simulation::pop_top(Event& out) {
@@ -69,7 +62,7 @@ bool Simulation::step() {
     --live_pending_;
     now_ = ev.time;
     ++executed_;
-    if (obs::Recorder::enabled()) count_executed();
+    sim_events_executed.add();
     ev.fn();
     return true;
   }
@@ -96,7 +89,7 @@ double Simulation::run_until(double deadline) {
     --live_pending_;
     now_ = ev.time;
     ++executed_;
-    if (obs::Recorder::enabled()) count_executed();
+    sim_events_executed.add();
     ev.fn();
   }
   if (now_ < deadline) now_ = deadline;

@@ -13,64 +13,29 @@ namespace lfm::wq {
 
 namespace {
 
-// Metric handles resolved once per process; the registry is global, so all
-// Master instances share the same series (scenario sweeps clear between
-// runs when they care).
-struct MasterMetrics {
-  obs::Counter& submitted;
-  obs::Counter& dispatched;
-  obs::Counter& completed;
-  obs::Counter& failed;
-  obs::Counter& cancelled;
-  obs::Counter& exhaustions;
-  obs::Counter& cache_hits;
-  obs::Counter& cache_evictions;
-  obs::Counter& worker_crashes;
-  obs::HistogramMetric& first_dispatch_wait;
-  obs::HistogramMetric& run_seconds;
-  obs::HistogramMetric& turnaround;
-
-  static MasterMetrics& get() {
-    static MasterMetrics m{
-        obs::Recorder::global().metrics().counter("wq.tasks_submitted"),
-        obs::Recorder::global().metrics().counter("wq.tasks_dispatched"),
-        obs::Recorder::global().metrics().counter("wq.tasks_completed"),
-        obs::Recorder::global().metrics().counter("wq.tasks_failed"),
-        obs::Recorder::global().metrics().counter("wq.tasks_cancelled"),
-        obs::Recorder::global().metrics().counter("wq.exhaustions"),
-        obs::Recorder::global().metrics().counter("wq.cache_hits"),
-        obs::Recorder::global().metrics().counter("wq.cache_evictions"),
-        obs::Recorder::global().metrics().counter("wq.worker_crashes"),
-        obs::Recorder::global().metrics().histogram("wq.first_dispatch_wait_seconds"),
-        obs::Recorder::global().metrics().histogram("wq.run_seconds"),
-        obs::Recorder::global().metrics().histogram("wq.turnaround_seconds"),
-    };
-    return m;
-  }
-};
+// The simulated master's series; every Master instance shares them
+// (scenario sweeps clear between runs when they care).
+obs::Count wq_tasks_submitted{"wq.tasks_submitted"};
+obs::Count wq_tasks_dispatched{"wq.tasks_dispatched"};
+obs::Count wq_tasks_completed{"wq.tasks_completed"};
+obs::Count wq_tasks_failed{"wq.tasks_failed"};
+obs::Count wq_tasks_cancelled{"wq.tasks_cancelled"};
+obs::Count wq_exhaustions{"wq.exhaustions"};
+obs::Count wq_cache_hits{"wq.cache_hits"};
+obs::Count wq_cache_evictions{"wq.cache_evictions"};
+obs::Count wq_worker_crashes{"wq.worker_crashes"};
+obs::Spread wq_first_dispatch_wait_seconds{"wq.first_dispatch_wait_seconds"};
+obs::Spread wq_run_seconds{"wq.run_seconds"};
+obs::Spread wq_turnaround_seconds{"wq.turnaround_seconds"};
 
 // Environment delivery under delta distribution: full and delta transfers,
 // bytes shipped and saved, chunk-cache evictions.
-struct DistMetrics {
-  obs::Counter& delta_transfers;
-  obs::Counter& full_transfers;
-  obs::Counter& bytes_shipped;
-  obs::Counter& bytes_saved;
-  obs::Counter& chunk_evictions;
-  obs::HistogramMetric& miss_fraction;
-
-  static DistMetrics& get() {
-    static DistMetrics m{
-        obs::Recorder::global().metrics().counter("dist.delta_transfers"),
-        obs::Recorder::global().metrics().counter("dist.full_transfers"),
-        obs::Recorder::global().metrics().counter("dist.bytes_shipped"),
-        obs::Recorder::global().metrics().counter("dist.bytes_saved"),
-        obs::Recorder::global().metrics().counter("dist.chunk_evictions"),
-        obs::Recorder::global().metrics().histogram("dist.miss_fraction", 1e-6, 1.0, 48),
-    };
-    return m;
-  }
-};
+obs::Count dist_delta_transfers{"dist.delta_transfers"};
+obs::Count dist_full_transfers{"dist.full_transfers"};
+obs::Count dist_bytes_shipped{"dist.bytes_shipped"};
+obs::Count dist_bytes_saved{"dist.bytes_saved"};
+obs::Count dist_chunk_evictions{"dist.chunk_evictions"};
+obs::Spread dist_miss_fraction{"dist.miss_fraction", 1e-6, 1.0, 48};
 
 }  // namespace
 
@@ -181,7 +146,7 @@ size_t Master::submit_record(TaskSpec spec, int attempt, int exhaustions) {
   const size_t index = records_.size() - 1;
   if (journal_) journal_->submitted(records_[index].spec, sim_.now());
   trace_task_begin(index);
-  if (obs::Recorder::enabled()) MasterMetrics::get().submitted.add();
+  wq_tasks_submitted.add();
   SchedState state;
   state.category_id = intern_category(records_[index].spec.category);
   state.signature_id = intern_signature(records_[index].spec);
@@ -248,7 +213,7 @@ bool Master::make_cache_room(Worker& worker, int64_t bytes) {
     worker.cache.erase(it);
     worker.evictable.erase(victim);
     ++stats_.cache_evictions;
-    if (obs::Recorder::enabled()) MasterMetrics::get().cache_evictions.add();
+    wq_cache_evictions.add();
   }
   return true;
 }
@@ -367,7 +332,7 @@ void Master::flush_cancelled(size_t record_index) {
   sched_[record_index].queued = false;
   --ready_count_;
   trace_task_end(record_index, "cancelled");
-  if (obs::Recorder::enabled()) MasterMetrics::get().cancelled.add();
+  wq_tasks_cancelled.add();
   if (on_complete_) on_complete_(rec);
 }
 
@@ -496,12 +461,11 @@ void Master::dispatch(size_t record_index, int worker_id,
   if (journal_) {
     journal_->dispatched(rec.spec.id, worker_id, rec.attempt, alloc, sim_.now());
   }
+  wq_tasks_dispatched.add();
+  if (rec.start_time < 0.0) {
+    wq_first_dispatch_wait_seconds.observe(sim_.now() - rec.submit_time);
+  }
   if (obs::Recorder::enabled()) {
-    MasterMetrics& m = MasterMetrics::get();
-    m.dispatched.add();
-    if (rec.start_time < 0.0) {
-      m.first_dispatch_wait.observe(sim_.now() - rec.submit_time);
-    }
     // The label decision as applied: allocated cores and the retry attempt.
     obs::Recorder::global().instant(obs::kPidSim, rec.spec.id, sim_.now(),
                                     rec.attempt == 0 ? "label" : "label-retry",
@@ -520,7 +484,7 @@ void Master::dispatch(size_t record_index, int worker_id,
     const auto cached = worker.cache.find(f.name);
     if (f.cacheable && cached != worker.cache.end()) {
       ++stats_.cache_hits;
-      if (obs::Recorder::enabled()) MasterMetrics::get().cache_hits.add();
+      wq_cache_hits.add();
       CacheEntry& entry = cached->second;
       if (entry.pins == 0) worker.evictable.erase({entry.last_use, f.name});
       entry.last_use = sim_.now();
@@ -547,17 +511,14 @@ void Master::dispatch(size_t record_index, int worker_id,
       worker.chunks.admit(*f.manifest);  // the fetched chunks land on disk
       const int64_t evicted = worker.chunks.evictions() - evictions_before;
       stats_.chunk_cache_evictions += evicted;
-      if (obs::Recorder::enabled()) {
-        DistMetrics& dm = DistMetrics::get();
-        (partial ? dm.delta_transfers : dm.full_transfers).add();
-        dm.bytes_shipped.add(shipped);
-        if (partial) {
-          dm.bytes_saved.add(f.size_bytes - shipped);
-          dm.miss_fraction.observe(
-              static_cast<double>(missing) / static_cast<double>(total));
-        }
-        if (evicted > 0) dm.chunk_evictions.add(evicted);
+      (partial ? dist_delta_transfers : dist_full_transfers).add();
+      dist_bytes_shipped.add(shipped);
+      if (partial) {
+        dist_bytes_saved.add(f.size_bytes - shipped);
+        dist_miss_fraction.observe(static_cast<double>(missing) /
+                                   static_cast<double>(total));
       }
+      if (evicted > 0) dist_chunk_evictions.add(evicted);
     }
     bytes += shipped;
     if (f.cacheable) {
@@ -634,7 +595,7 @@ void Master::finish_cancelled(size_t record_index, int worker_id,
   ++stats_.tasks_cancelled;
   if (journal_) journal_->cancelled(rec.spec.id, sim_.now());
   trace_task_end(record_index, "cancelled");
-  if (obs::Recorder::enabled()) MasterMetrics::get().cancelled.add();
+  wq_tasks_cancelled.add();
   unpin_inputs(worker_id, rec.spec);
   release(record_index, worker_id, alloc);
   if (on_complete_) on_complete_(rec);
@@ -656,8 +617,8 @@ void Master::finish_attempt(size_t record_index, int worker_id,
   if (exhausted) {
     ++rec.exhaustions;
     ++stats_.exhaustion_retries;
+    wq_exhaustions.add();
     if (obs::Recorder::enabled()) {
-      MasterMetrics::get().exhaustions.add();
       obs::Recorder::global().instant(obs::kPidSim, rec.spec.id, sim_.now(),
                                       "exhausted", "task", "resource",
                                       exhausted_resource, "attempt",
@@ -696,7 +657,7 @@ void Master::finish_attempt(size_t record_index, int worker_id,
   // The LFM can only observe parallelism up to the granted cores.
   observed.cores = std::min(observed.cores, alloc.cores);
   labeler_.observe_success(rec.spec.category, observed);
-  if (obs::Recorder::enabled()) MasterMetrics::get().run_seconds.observe(runtime);
+  wq_run_seconds.observe(runtime);
 
   rec.state = TaskState::kReturning;
   // The result return rides inside the still-open "task" span (its end time
@@ -714,11 +675,8 @@ void Master::finish_attempt(size_t record_index, int worker_id,
     // user nothing for this task; one that dies before it re-runs the attempt.
     if (journal_) journal_->completed(r.spec.id, observed, sim_.now());
     trace_task_end(record_index, "completed");
-    if (obs::Recorder::enabled()) {
-      MasterMetrics& m = MasterMetrics::get();
-      m.completed.add();
-      m.turnaround.observe(r.finish_time - r.submit_time);
-    }
+    wq_tasks_completed.add();
+    wq_turnaround_seconds.observe(r.finish_time - r.submit_time);
     unpin_inputs(worker_id, r.spec);
     release(record_index, worker_id, alloc);
     if (on_complete_) on_complete_(r);
@@ -790,8 +748,8 @@ void Master::crash_worker(int worker_id) {
   worker.cache_bytes = 0;
   worker.chunks.clear();  // the chunk cache lives on the same lost disk
   ++worker_crashes_;
+  wq_worker_crashes.add();
   if (obs::Recorder::enabled()) {
-    MasterMetrics::get().worker_crashes.add();
     obs::Recorder::global().instant(obs::kPidSim, 0, sim_.now(), "worker-crash",
                                     "worker", nullptr, {}, "worker_id",
                                     static_cast<double>(worker_id));
@@ -838,7 +796,7 @@ void Master::finalize_failed(size_t record_index, const char* reason) {
   ++stats_.tasks_failed;
   if (journal_) journal_->failed(rec.spec.id, reason, sim_.now());
   trace_task_end(record_index, "failed");
-  if (obs::Recorder::enabled()) MasterMetrics::get().failed.add();
+  wq_tasks_failed.add();
   if (on_complete_) on_complete_(rec);
 }
 
@@ -848,7 +806,7 @@ void Master::finalize_cancelled_idle(size_t record_index) {
   ++stats_.tasks_cancelled;
   if (journal_) journal_->cancelled(rec.spec.id, sim_.now());
   trace_task_end(record_index, "cancelled");
-  if (obs::Recorder::enabled()) MasterMetrics::get().cancelled.add();
+  wq_tasks_cancelled.add();
   if (on_complete_) on_complete_(rec);
 }
 
@@ -986,7 +944,7 @@ void Master::recover(const chaos::Journal& journal) {
     int exhaustions = 0;
     int terminal = 0;  // 0 = in progress, 1 = done, 2 = failed, 3 = cancelled
     double terminal_ts = -1.0;
-    alloc::Resources peak;  // observed peak from the "done" record
+    alloc::Resources peak{};  // observed peak from the "done" record
   };
   std::vector<uint64_t> order;  // submission order
   std::unordered_map<uint64_t, PendingTask> tasks;

@@ -27,40 +27,22 @@ enum FrameType : uint8_t {
 // configuration, not synchronization.
 std::atomic<size_t> g_max_frame_body_bytes{kDefaultMaxFrameBodyBytes};
 
-// --- wire metrics (recorded only while the obs recorder is enabled) ---------
-struct WireMetrics {
-  obs::Counter& frames_encoded;
-  obs::Counter& bytes_encoded;
-  obs::Counter& frames_decoded;
-  obs::Counter& bytes_decoded;
-  obs::HistogramMetric& batch_size;
-
-  static WireMetrics& get() {
-    static WireMetrics m{
-        obs::Recorder::global().metrics().counter("wire.frames_encoded"),
-        obs::Recorder::global().metrics().counter("wire.bytes_encoded"),
-        obs::Recorder::global().metrics().counter("wire.frames_decoded"),
-        obs::Recorder::global().metrics().counter("wire.bytes_decoded"),
-        obs::Recorder::global().metrics().histogram("wire.encoded_batch_size", 1.0,
-                                                    1e5, 48),
-    };
-    return m;
-  }
-};
+// --- wire metrics -------------------------------------------------------------
+obs::Count wire_frames_encoded{"wire.frames_encoded"};
+obs::Count wire_bytes_encoded{"wire.bytes_encoded"};
+obs::Count wire_frames_decoded{"wire.frames_decoded"};
+obs::Count wire_bytes_decoded{"wire.bytes_decoded"};
+obs::Spread wire_encoded_batch_size{"wire.encoded_batch_size", 1.0, 1e5, 48};
 
 void count_encoded(size_t bytes, size_t messages) {
-  if (!obs::Recorder::enabled()) return;
-  WireMetrics& m = WireMetrics::get();
-  m.frames_encoded.add();
-  m.bytes_encoded.add(static_cast<int64_t>(bytes));
-  m.batch_size.observe(static_cast<double>(messages));
+  wire_frames_encoded.add();
+  wire_bytes_encoded.add(static_cast<int64_t>(bytes));
+  wire_encoded_batch_size.observe(static_cast<double>(messages));
 }
 
 void count_decoded(size_t bytes) {
-  if (!obs::Recorder::enabled()) return;
-  WireMetrics& m = WireMetrics::get();
-  m.frames_decoded.add();
-  m.bytes_decoded.add(static_cast<int64_t>(bytes));
+  wire_frames_decoded.add();
+  wire_bytes_decoded.add(static_cast<int64_t>(bytes));
 }
 
 // --- frame bodies -----------------------------------------------------------

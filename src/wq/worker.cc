@@ -11,6 +11,8 @@
 namespace lfm::wq {
 namespace {
 
+obs::Count worker_tasks_executed{"worker.tasks_executed"};
+
 monitor::MonitorOptions monitor_options_for(const TaskMessage& task,
                                             double poll_interval) {
   monitor::MonitorOptions options;
@@ -146,7 +148,7 @@ std::unique_ptr<LocalWorker::Run> LocalWorker::start(const TaskMessage& task,
     // (WorkerClient sets it per task), so the span joins the
     // submit→dispatch chain minted at the root.
     obs::Recorder& r = obs::Recorder::global();
-    r.metrics().counter("worker.tasks_executed").add();
+    worker_tasks_executed.add();
     r.begin(obs::kPidHost, task.task_id, r.now(), "lfm.run", "worker");
     run->span_ = true;
   }
@@ -200,15 +202,12 @@ std::pair<TaskMessage, FileSet> make_python_task(
   files[module_file] = serde::Bytes(module_source.begin(), module_source.end());
   files[args_file] = serde::dumps(args);
 
-  TaskMessage::FileStanza module_stanza;
-  module_stanza.name = module_file;
-  module_stanza.size_bytes = static_cast<int64_t>(files[module_file].size());
-  module_stanza.cacheable = true;  // the function source is reused across tasks
-  task.infiles.push_back(module_stanza);
-  TaskMessage::FileStanza args_stanza;
-  args_stanza.name = args_file;
-  args_stanza.size_bytes = static_cast<int64_t>(files[args_file].size());
-  task.infiles.push_back(args_stanza);
+  // Both inputs are one-shot: the module is named after its task, so no
+  // other task names it, and each tier drops it once it hands the task on.
+  // The worker's parse cache is keyed by content, so a source shared by
+  // many tasks still parses once.
+  task.infiles.push_back({module_file, static_cast<int64_t>(files[module_file].size())});
+  task.infiles.push_back({args_file, static_cast<int64_t>(files[args_file].size())});
   return {std::move(task), std::move(files)};
 }
 

@@ -74,7 +74,8 @@ class LocalWorker {
 };
 
 // Master-side helper: build the "lfm-pyrun" TaskMessage + FileSet for one
-// Python function invocation (module source + pickled args as files).
+// Python function invocation (module source + pickled args as one-shot
+// files).
 std::pair<TaskMessage, FileSet> make_python_task(
     uint64_t task_id, const std::string& category, const std::string& module_source,
     const std::string& function, const serde::Value& args,

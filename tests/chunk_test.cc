@@ -46,7 +46,9 @@ TEST(ChunkBytes, SizesPartitionInputWithinBounds) {
     total += chunks[i].size;
     EXPECT_LE(chunks[i].size, params.max_size);
     // Every chunk but the trailing remainder respects the minimum.
-    if (i + 1 < chunks.size()) EXPECT_GE(chunks[i].size, params.min_size);
+    if (i + 1 < chunks.size()) {
+      EXPECT_GE(chunks[i].size, params.min_size);
+    }
   }
   EXPECT_EQ(total, data.size());
 }

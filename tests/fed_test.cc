@@ -812,6 +812,55 @@ TEST(Federation, StatsCountTheCacheableBytesAForemanHolds) {
   EXPECT_EQ(foreman.service().statusz_value().at("staged_bytes").as_int(), 0);
 }
 
+TEST(Federation, ForemanHoldsNoModuleOfAPythonTaskItHandedOn) {
+  // make_python_task ships each task's module one-shot: a foreman drops it
+  // once the task's batch is submitted, so kStats counts no file held even
+  // while every task still waits there for a worker.
+  constexpr int kTasks = 5;
+  obs::Metrics m("py.");
+  net::EventLoop loop;
+  RootMasterConfig rc;
+  rc.metrics = &m;
+  RootMaster root(loop, rc);
+  ForemanConfig fc;
+  fc.name = "fp";
+  fc.root_port = root.port();
+  fc.metrics = &m;
+  fc.stats_interval = 0.01;
+  Foreman foreman(fc);
+  std::thread ft([&] { foreman.run(); });
+  await_foremen(loop, root, 1);
+
+  TaskGroup g;
+  g.name = "py";
+  for (int i = 0; i < kTasks; ++i) {
+    serde::ValueList args;
+    args.push_back(serde::Value(int64_t{i}));
+    auto [task, files] = wq::make_python_task(
+        700 + static_cast<uint64_t>(i), "py", "def f(x):\n    return x\n", "f",
+        serde::Value(std::move(args)), alloc::Resources{1.0, 512e6, 1e9});
+    g.tasks.push_back(std::move(task));
+    g.files.merge(files);
+  }
+  root.submit(std::move(g));
+
+  auto shard = [&] {
+    const std::map<std::string, wq::StatsMessage> all = root.shard_stats();
+    const auto it = all.find("fp");
+    return it == all.end() ? wq::StatsMessage{} : it->second;
+  };
+  EXPECT_TRUE(run_until(loop, [&] { return shard().pending == kTasks; }, 10.0))
+      << "no kStats frame counted the batch";
+  EXPECT_EQ(shard().cache_files, 0);
+  EXPECT_EQ(shard().cache_bytes, 0);
+
+  EchoWorker w(foreman.worker_port(), "wp");
+  const RootStats stats = root.run_until_complete(30.0);
+  ft.join();
+  w.join();
+  EXPECT_EQ(stats.tasks_completed, kTasks);
+}
+
 TEST(Federation, DroppedFileNamedAgainResetsTheLinkAndEveryTaskCompletesOnce) {
   // Groups alternate two 4 KiB cacheable files through a foreman that may
   // hold 6 KiB, one group in flight at a time. The second file puts it past

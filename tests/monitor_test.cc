@@ -201,7 +201,7 @@ TEST(Lfm, MeasuresCpuBoundWork) {
         };
         const double cpu0 = cpu_now();
         while (cpu_now() - cpu0 < 0.1) {
-          for (int i = 1; i < 5000; ++i) sink += 1.0 / i;
+          for (int i = 1; i < 5000; ++i) sink = sink + 1.0 / i;
         }
         return Value(sink);
       },

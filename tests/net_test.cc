@@ -1091,8 +1091,8 @@ def spin(n):
 }
 
 TEST(MasterService, ListenerRefusesConnectsOnceTheRunReturns) {
-  // The finish sequence closes the listener before the byes go out, so a
-  // worker that recycles its connection at the very end is refused instead
+  // The listener closes with the loop, once the last link is gone, so a
+  // worker that recycles its connection after the run is refused instead
   // of hanging in the backlog of a master that no longer serves it.
   EventLoop loop;
   MasterService master(loop, {});
@@ -1256,6 +1256,100 @@ TEST(MasterService, ByeReachesAPeerWhoseFrameTheMasterLeftUnread) {
   EXPECT_TRUE(run_until(loop, [&] { return master.connected_workers() == 0; }, 5.0));
 }
 
+// A raw peer on a blocking socket whose input is read without blocking,
+// so the test's own loop keeps serving the master in between.
+struct RawPeer {
+  int fd;
+  FrameSplitter splitter;
+  std::vector<std::string> frames;
+
+  explicit RawPeer(uint16_t port) : fd(connect_tcp("127.0.0.1", port)) {}
+  ~RawPeer() {
+    if (fd >= 0) ::close(fd);
+  }
+  bool send(const std::string& frame) const {
+    return ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(frame.size());
+  }
+  void read_available() {
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, chunk, sizeof chunk, MSG_DONTWAIT)) > 0) {
+      splitter.feed(chunk, static_cast<size_t>(n));
+      for (std::string& f : split_all(splitter)) frames.push_back(std::move(f));
+    }
+  }
+  size_t count(wq::MessageKind kind) const {
+    size_t n = 0;
+    for (const std::string& f : frames) n += wq::classify(f) == kind ? 1 : 0;
+    return n;
+  }
+  bool got_bye() const {
+    for (const std::string& f : frames) {
+      if (wq::classify(f) == wq::MessageKind::kControl &&
+          wq::decode_control(f).type == wq::ControlType::kBye) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+TEST(MasterService, PeerThatConnectsWhileLinksDrainGetsTheBye) {
+  // The last result is in and the bye is out, but the first peer has not
+  // closed yet. A second peer that connects now is accepted, reads a bye,
+  // and gets no work; the listener closes once both links are gone.
+  EventLoop loop;
+  MasterService master(loop, {});
+  master.submit(simple_task(710));
+  RawPeer first(master.port());
+  ASSERT_GE(first.fd, 0);
+  ASSERT_TRUE(first.send(wq::encode(wq::HelloMessage{"first", {1.0, 1e9, 1e9}})));
+  ASSERT_TRUE(run_until(
+      loop,
+      [&] {
+        first.read_available();
+        return first.count(wq::MessageKind::kTask) == 1;
+      },
+      5.0));
+  wq::ResultMessage result;
+  result.task_id = 710;
+  ASSERT_TRUE(first.send(wq::encode(result)));
+  ASSERT_TRUE(run_until(loop, [&] { return master.stats().tasks_completed == 1; }, 5.0));
+  master.shutdown();
+  ASSERT_TRUE(run_until(
+      loop,
+      [&] {
+        first.read_available();
+        return first.got_bye();
+      },
+      5.0));
+
+  RawPeer late(master.port());
+  ASSERT_GE(late.fd, 0) << "the finishing master refused a connect: "
+                        << std::strerror(errno);
+  ASSERT_TRUE(late.send(wq::encode(wq::HelloMessage{"late", {1.0, 1e9, 1e9}})));
+  EXPECT_TRUE(run_until(
+      loop,
+      [&] {
+        late.read_available();
+        return late.got_bye();
+      },
+      5.0))
+      << "the late peer never read a bye";
+  EXPECT_EQ(late.count(wq::MessageKind::kTask) + late.count(wq::MessageKind::kTaskBatch),
+            0u);
+  EXPECT_EQ(master.connected_workers(), 1) << "the late peer's hello was taken";
+
+  ::close(std::exchange(first.fd, -1));
+  ::close(std::exchange(late.fd, -1));
+  EXPECT_TRUE(run_until(
+      loop, [&] { return master.statusz_value().at("workers").as_list().empty(); }, 5.0));
+  const int fd = connect_tcp("127.0.0.1", master.port());
+  EXPECT_LT(fd, 0) << "the listener outlived the links";
+  if (fd >= 0) ::close(fd);
+}
+
 // --- staged files live while their task is outstanding ----------------------
 
 TEST(MasterService, StagedBytesFollowTheTasksStillOutstanding) {
@@ -1329,7 +1423,8 @@ TEST(RootMaster, GroupRecoveredDoneHoldsNoStagedFiles) {
 const char* const kIncModule = "def inc(x):\n    return x + 1\n";
 
 // An lfm-pyrun task on the shared cacheable module "inc.py" with its own
-// one-shot args.
+// one-shot args. make_python_task ships each module one-shot under its
+// task's name; renamed to a shared name, the module is marked cacheable.
 std::pair<wq::TaskMessage, wq::FileSet> inc_task(uint64_t id, int64_t x) {
   serde::ValueList args;
   args.push_back(serde::Value(x));
@@ -1339,6 +1434,7 @@ std::pair<wq::TaskMessage, wq::FileSet> inc_task(uint64_t id, int64_t x) {
   const std::string own = task.infiles[0].name;  // fn-<id>.py
   task.command_line.replace(task.command_line.find(own), own.size(), "inc.py");
   task.infiles[0].name = "inc.py";
+  task.infiles[0].cacheable = true;
   files["inc.py"] = files.at(own);
   files.erase(own);
   return {task, files};
@@ -1349,6 +1445,43 @@ serde::Bytes run_in_process(const wq::TaskMessage& task, const wq::FileSet& file
   wo.poll_interval = 0.01;
   wq::LocalWorker direct(wo);
   return direct.execute(task, files).payload;
+}
+
+TEST(MasterService, LinkCachesNoModuleOfAPythonTask) {
+  // make_python_task ships each task's module one-shot, so a link records
+  // none of them as shipped: after N Python tasks, statusz counts no cached
+  // file for the link that ran them.
+  constexpr int kTasks = 6;
+  EventLoop loop;
+  MasterService master(loop, {});
+  for (int i = 0; i < kTasks; ++i) {
+    serde::ValueList args;
+    args.push_back(serde::Value(int64_t{i}));
+    auto [task, files] = wq::make_python_task(
+        900 + static_cast<uint64_t>(i), "inc", kIncModule, "inc",
+        serde::Value(std::move(args)), alloc::Resources{1.0, 512e6, 1e9});
+    master.submit(task, files);
+  }
+  int results = 0;
+  int64_t cached = -1;
+  master.set_on_result([&](const wq::ResultMessage&) {
+    if (++results < kTasks) return;
+    const serde::Value status = master.statusz_value();
+    const serde::ValueList& links = status.at("workers").as_list();
+    if (links.size() == 1) cached = links[0].at("cached_files").as_int();
+  });
+  WorkerClientOptions o;
+  o.port = master.port();
+  o.name = "echo";
+  o.echo_results = true;
+  WorkerClient client(o);
+  std::thread worker([&] { client.run(); });
+  const NetMasterStats stats = master.run_until_complete(20.0);
+  worker.join();
+
+  EXPECT_EQ(stats.tasks_completed, kTasks);
+  EXPECT_EQ(stats.files_sent, 2 * kTasks);
+  EXPECT_EQ(cached, 0);
 }
 
 TEST(WorkerClient, ReconnectedWorkerStartsWithNoFiles) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -152,6 +153,75 @@ TEST_F(ObsTest, PrefixedRegistriesNamespaceWithoutTouchingTheDefault) {
     EXPECT_EQ(name.find("net.results"), std::string::npos) << name;
   }
   EXPECT_TRUE(Recorder::global().metrics().prefix().empty());
+}
+
+TEST_F(ObsTest, HandleRecordsWhereItsRegistryRuleSays) {
+  Metrics own("own.");
+  Count configured(&own, "h.count");
+  Count never(&own, "h.never");
+  Count global("h.count");
+  Spread shaped("h.shape", 1.0, 100.0, 8);
+  const auto global_count = [] {
+    for (const auto& [name, v] : Recorder::global().metrics().counters()) {
+      if (name == "h.count") return v;
+    }
+    return int64_t{0};
+  };
+
+  // Recorder off: a handle with a registry records, one without does not.
+  // A series appears in its registry once it is first recorded.
+  configured.add(2);
+  global.add(5);
+  EXPECT_EQ(own.counter("h.count").value(), 2);
+  EXPECT_EQ(own.counters().size(), 1u) << "a never-recorded handle exported a series";
+  EXPECT_EQ(global_count(), 0);
+
+  Recorder::global().set_enabled(true);
+  global.add(5);
+  shaped.observe(3.0);
+  Recorder::global().set_enabled(false);
+  global.add(5);
+  EXPECT_EQ(global_count(), 5);
+  const LogHistogram h = Recorder::global().metrics().histogram("h.shape").snapshot();
+  EXPECT_EQ(h.lo(), 1.0);
+  EXPECT_EQ(h.hi(), 100.0);
+  EXPECT_EQ(h.bucket_count(), 8u);
+  EXPECT_EQ(h.count(), 1);
+
+  // A copy names the same series.
+  Count copy(configured);
+  copy.add();
+  EXPECT_EQ(own.counter("h.count").value(), 3);
+}
+
+TEST_F(ObsTest, HandleCountsExactlyAcrossThreads) {
+  // Threads start together, so several race on the first record through
+  // each handle; every update still lands in the one series.
+  constexpr int kThreads = 8, kAdds = 20000;
+  Metrics own;
+  Count global("threads.count");
+  Spread spread("threads.spread");
+  Count configured(&own, "threads.count");
+  Recorder::global().set_enabled(true);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kAdds; ++i) {
+        global.add();
+        configured.add(2);
+        if (i % 100 == 0) spread.observe(1e-3);
+      }
+    });
+  }
+  for (auto& t : pool) t.join();
+  Recorder::global().set_enabled(false);
+  Metrics& m = Recorder::global().metrics();
+  EXPECT_EQ(m.counter("threads.count").value(), int64_t{kThreads} * kAdds);
+  EXPECT_EQ(m.histogram("threads.spread").snapshot().count(), kThreads * kAdds / 100);
+  EXPECT_EQ(own.counter("threads.count").value(), int64_t{2} * kThreads * kAdds);
 }
 
 TEST_F(ObsTest, ChromeTraceRoundTripsThroughSerdeJson) {

@@ -160,5 +160,16 @@ def predict(batch):
   EXPECT_TRUE(warned);
 }
 
+TEST(Plan, FunctionUnderAModuleLevelIfIsCheckedForSelfContainment) {
+  // The import scan and the scope check find the def under the `if` alike:
+  // the plan warns as it does for the same def at top level.
+  const char* src = "X = 3\nif True:\n    def f(a):\n        return a + X\n";
+  const auto plan = plan_function_dependencies(src, "f", index());
+  ASSERT_EQ(plan.diagnostics.size(), 1u);
+  EXPECT_NE(plan.diagnostics[0].message.find("references 'X' from enclosing scope"),
+            std::string::npos)
+      << plan.diagnostics[0].message;
+}
+
 }  // namespace
 }  // namespace lfm::flow

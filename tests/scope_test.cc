@@ -164,5 +164,21 @@ class Pipeline:
       [&] { std::string s; for (const auto& o : offenders) s += o + " "; return s; }();
 }
 
+TEST(Scope, DefUnderModuleLevelIfFound) {
+  const char* src = R"(
+X = 3
+if True:
+    def f(a):
+        return a + X
+else:
+    def g(a):
+        return a
+)";
+  std::set<std::string> offenders;
+  EXPECT_FALSE(is_self_contained(parse_module(src), "f", &offenders));
+  EXPECT_EQ(offenders, std::set<std::string>{"X"});
+  EXPECT_TRUE(is_self_contained(parse_module(src), "g", &offenders));
+}
+
 }  // namespace
 }  // namespace lfm::pysrc

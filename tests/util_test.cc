@@ -1,14 +1,19 @@
 // Unit tests for util: rng determinism and distributions, statistics,
-// string helpers, unit formatting, error types.
+// string helpers, unit formatting, error types, the parallel index loop.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "util/error.h"
 #include "util/io.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -407,6 +412,58 @@ TEST(Io, ErrorsSurfaceAsFalseOrKError) {
   EXPECT_FALSE(io::write_all(fds[0], &byte, 1));
   close(fds[0]);
   close(fds[1]);
+}
+
+TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
+  for (const int threads : {1, 3, 16}) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{1000}}) {
+      std::vector<std::atomic<int>> runs(n);
+      std::atomic<int> calls{0};
+      parallel_for(n, threads, [&](size_t i) {
+        runs[i].fetch_add(1);
+        calls.fetch_add(1);
+      });
+      EXPECT_EQ(calls.load(), static_cast<int>(n)) << threads << " threads, n=" << n;
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(runs[i].load(), 1) << "index " << i << ", " << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, FirstExceptionRethrowsOnTheCallerAfterThePoolDrains) {
+  // Index 10 throws while other threads are still inside fn: the caller
+  // sees the exception only once every running call has returned, and no
+  // index is claimed after the failure is seen.
+  for (const int threads : {1, 3, 16}) {
+    std::atomic<int> inside{0};
+    std::atomic<int> started{0};
+    std::atomic<bool> returned{false};
+    std::atomic<bool> overlapped{false};
+    try {
+      parallel_for(200, threads, [&](size_t i) {
+        inside.fetch_add(1);
+        started.fetch_add(1);
+        if (i == 10) {
+          inside.fetch_sub(1);
+          throw Error("index 10 failed");
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        if (returned.load()) overlapped.store(true);
+        inside.fetch_sub(1);
+      });
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const Error& e) {
+      returned.store(true);
+      EXPECT_STREQ(e.what(), "index 10 failed");
+      EXPECT_EQ(inside.load(), 0) << threads << " threads";
+    }
+    EXPECT_FALSE(overlapped.load()) << "a call ran past the rethrow";
+    EXPECT_LT(started.load(), 200) << "claims went on after the failure";
+    if (threads == 1) {
+      EXPECT_EQ(started.load(), 11) << "the serial loop went past the failure";
+    }
+  }
 }
 
 }  // namespace

@@ -107,7 +107,10 @@ def weigh(items, factor):
                                         serde::Value(std::move(args)),
                                         alloc::Resources{1.0, 512e6, 1e9});
   ASSERT_EQ(task.infiles.size(), 2u);
-  EXPECT_TRUE(task.infiles[0].cacheable);  // function source reused
+  // The module is named after its task, so no other task names it: both
+  // inputs are one-shot.
+  EXPECT_FALSE(task.infiles[0].cacheable);
+  EXPECT_FALSE(task.infiles[1].cacheable);
 
   LocalWorkerOptions options;
   options.poll_interval = 0.01;
