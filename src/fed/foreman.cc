@@ -14,7 +14,7 @@ constexpr size_t kResultBatchMax = 64;
 
 Foreman::Foreman(ForemanConfig c)
     : Uplink({"fed", "foreman", c.name, c.root_host, c.root_port, c.capacity,
-              c.reconnect, c.max_reconnect_attempts},
+              c.reconnect, c.max_reconnect_attempts, c.service.idle_timeout},
              obs::Count(c.metrics, "foreman.telemetry_dropped")),
       config_(std::move(c)),
       m_{config_.metrics},

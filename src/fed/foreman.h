@@ -5,13 +5,15 @@
 // fed::RootMaster — it connects out like a worker would (hello, then task /
 // file / control frames in, result / stats frames out), reconnecting with
 // chaos::RetryPolicy backoff when the link drops; each relay of results
-// upward restores its full reconnect budget. Downward it runs a
-// net::MasterService over its own worker pool: every task frame the root
-// sends is decoded and submitted into the local dispatch stream (the relay
-// hop), and every local result is coalesced into batch frames travelling
-// back up. The foreman drives its loop itself and never runs the service to
-// completion: the run ends when the root says bye, which shuts the local
-// tier down.
+// upward restores its full reconnect budget. It follows a worker's silence
+// rule: a root that leaves the hello unanswered for 5 s, or is silent for
+// the shard's own service.idle_timeout, is dropped like a closed link.
+// Downward it runs a net::MasterService over its own worker pool: every
+// task frame the root sends is decoded and submitted into the local
+// dispatch stream (the relay hop), and every local result is coalesced into
+// batch frames travelling back up. The foreman drives its loop itself and
+// never runs the service to completion: the run ends when the root says
+// bye, which shuts the local tier down.
 //
 // The foreman is also the second-tier file cache: the uplink holds each
 // file the root ships, whole, and each relayed task takes a copy of the
@@ -58,7 +60,9 @@ struct ForemanConfig {
   // capacity.
   alloc::Resources capacity{4.0, 8e9, 50e9};
   // The worker-facing MasterService tier. `service.port` is the local
-  // listen port (0 = ephemeral; read back via worker_port()).
+  // listen port (0 = ephemeral; read back via worker_port()), and
+  // `service.idle_timeout` also bounds how long the foreman listens to a
+  // silent root.
   net::MasterServiceConfig service;
   chaos::RetryPolicy reconnect = net::default_reconnect_policy();
   // Upstream failures tolerated since the last relayed progress (the same

@@ -40,10 +40,6 @@ std::string to_json(const ResourceUsage& usage) {
   return serde::to_json(usage_value(usage));
 }
 
-std::string to_json(const UsageTimeline& timeline) {
-  return serde::to_json(timeline_value(timeline));
-}
-
 std::string to_json(const TaskOutcome& outcome) {
   serde::ValueDict d;
   d["status"] = task_status_name(outcome.status);

@@ -19,7 +19,4 @@ std::string to_json(const TaskOutcome& outcome);
 // {"cores": ..., "cpu_time": ..., "wall_time": ..., ...}
 std::string to_json(const ResourceUsage& usage);
 
-// [{"cpu": ..., "io_w": ..., "procs": ..., "rss": ..., "t": ...}, ...]
-std::string to_json(const UsageTimeline& timeline);
-
 }  // namespace lfm::monitor

@@ -2,6 +2,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,17 @@
 #include "util/log.h"
 
 namespace lfm::net {
+
+namespace {
+
+// Give up on a connection that never answers the hello this long after
+// connect. Tighter than idle_timeout: a live peer pings or dispatches within
+// its heartbeat, so a silent accept is a dead one — typically a connection
+// the kernel completed into the backlog of a listener whose owner already
+// stopped serving it.
+constexpr double kHandshakeTimeout = 5.0;
+
+}  // namespace
 
 chaos::RetryPolicy default_reconnect_policy() {
   chaos::RetryPolicy p;
@@ -45,6 +58,13 @@ void Uplink::serve() {
   bye_ = false;
   gave_up_ = false;
   attempt_ = 0;
+  if (dial_.idle_timeout > 0) {
+    every(std::max(0.25, dial_.idle_timeout / 4.0), [this] {
+      if (!conn_ || conn_->closed()) return;
+      const double last = std::max(conn_->last_activity(), last_send_);
+      if (EventLoop::now() - last > dial_.idle_timeout) conn_->close("idle-timeout");
+    });
+  }
   try_connect();
   loop_.run();
   for (const uint64_t timer : timers_) loop_.cancel_timer(timer);
@@ -94,6 +114,13 @@ void Uplink::try_connect() {
   conn_->start();
   conn_->send(wq::encode(wq::HelloMessage{dial_.name, dial_.capacity}));
   last_send_ = EventLoop::now();
+  std::weak_ptr<Connection> weak = conn_;
+  loop_.run_after(kHandshakeTimeout, [this, weak] {
+    const auto c = weak.lock();
+    if (c && c == conn_ && !c->closed() && c->messages_in() == 0) {
+      c->close("handshake-timeout");
+    }
+  });
   on_connected();
 }
 

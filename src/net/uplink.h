@@ -14,6 +14,11 @@
 // A one-shot (non-cacheable) input is dropped once the owner hands on the
 // task that names it (release_inputs).
 //
+// Both dialing ends follow one silence rule: the uplink closes a link whose
+// peer has not answered the hello within 5 s, or that has been silent for
+// the owner's idle_timeout (a worker's own option, a foreman's shard
+// service.idle_timeout). Either close counts against the budget below.
+//
 // The reconnect budget (max_attempts) counts failures — failed connects
 // plus unexpected closes — since the owner last proved the link works and
 // called reset_budget(): a worker on each completed task, a foreman on each
@@ -67,6 +72,7 @@ class Uplink {
     alloc::Resources capacity;
     chaos::RetryPolicy reconnect;
     int max_attempts;
+    double idle_timeout;  // close after this much silence (0 = off)
   };
 
   // `telemetry_dropped` counts own trace events discarded under
@@ -92,9 +98,10 @@ class Uplink {
   // Run `fn` every `interval` seconds while serve() runs.
   void every(double interval, std::function<void()> fn);
   // Connect (retrying with backoff) and run the loop until the owner stops
-  // it. Then ship this end's last telemetry while the link is still up (a
-  // foreman's is: it drains its own tier first), close the link, and throw
-  // lfm::Error if the peer was never reached at all.
+  // it, closing a silent link (see the header). Then ship this end's last
+  // telemetry while the link is still up (a foreman's is: it drains its own
+  // tier first), close the link, and throw lfm::Error if the peer was never
+  // reached at all.
   void serve();
   void ship_telemetry();
   void reset_budget() { attempt_ = 0; }

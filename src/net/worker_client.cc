@@ -2,8 +2,6 @@
 
 #include <sys/epoll.h>
 
-#include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -13,13 +11,6 @@ namespace lfm::net {
 
 namespace {
 
-// Give up on a connection that never answers the hello this long after
-// connect. Tighter than idle_timeout: a live master replies to a hello
-// immediately, so a silent accept is a dead one — typically a connection
-// the kernel completed into the backlog of a listener whose owner already
-// stopped serving it. Counts against the reconnect budget like any other
-// drop.
-constexpr double kHandshakeTimeout = 5.0;
 // Seconds between telemetry shipments on tracing runs.
 constexpr double kTelemetryInterval = 0.5;
 
@@ -37,21 +28,12 @@ alloc::Resources footprint_of(const wq::TaskMessage& task,
 
 WorkerClient::WorkerClient(WorkerClientOptions o)
     : Uplink({"net", "worker", o.name, o.host, o.port, o.capacity, o.reconnect,
-              o.max_reconnect_attempts},
+              o.max_reconnect_attempts, o.idle_timeout},
              obs::Count("obs.telemetry_dropped")),
       options_(std::move(o)),
       worker_(options_.worker) {}
 
 int64_t WorkerClient::run() {
-  if (options_.idle_timeout > 0) {
-    every(std::max(0.25, options_.idle_timeout / 4.0), [this] {
-      if (!conn_ || conn_->closed()) return;
-      const double last = std::max(conn_->last_activity(), last_send_);
-      if (EventLoop::now() - last > options_.idle_timeout) {
-        conn_->close("idle-timeout");
-      }
-    });
-  }
   if (obs::Recorder::enabled()) every(kTelemetryInterval, [this] { ship_telemetry(); });
   serve();
   // Whatever still runs is killed and reaped: each fd leaves the epoll set
@@ -74,12 +56,6 @@ void WorkerClient::on_connected() {
   // requeued those tasks when that link closed, and re-stages their inputs.
   queue_.clear();
   outbox_.clear();
-  std::weak_ptr<Connection> weak = conn_;
-  loop_.run_after(kHandshakeTimeout, [this, weak] {
-    const auto c = weak.lock();
-    if (!c || c != conn_ || c->closed()) return;
-    if (c->messages_in() == 0) c->close("handshake-timeout");
-  });
 }
 
 void WorkerClient::on_bye(Connection& conn) {

@@ -22,8 +22,8 @@
 // cacheable ones stay for the life of the link, and a fresh link starts
 // with none (the master re-stages them on it). Each completed task
 // restores the full reconnect budget: the link is proven end to end (task
-// in, result out). The worker alone bounds how long it listens to silence:
-// idle_timeout on an established link, 5 s on an unanswered hello.
+// in, result out). The uplink closes a silent link: idle_timeout on an
+// established link, 5 s on an unanswered hello.
 // Buffered trace events ship upward after each result send, every 0.5 s,
 // and before the bye-close (tracing runs only).
 #pragma once

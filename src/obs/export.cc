@@ -117,53 +117,6 @@ std::string prometheus_text(const Metrics& metrics) {
   return out;
 }
 
-std::string metrics_jsonl(const Metrics& metrics) {
-  std::string out;
-  const auto emit = [&out](serde::ValueDict d) {
-    out += serde::to_json(serde::Value(std::move(d)));
-    out += '\n';
-  };
-  for (const auto& [name, value] : metrics.counters()) {
-    serde::ValueDict d;
-    d["type"] = std::string("counter");
-    d["name"] = name;
-    d["value"] = value;
-    emit(std::move(d));
-  }
-  for (const auto& [name, value] : metrics.gauges()) {
-    serde::ValueDict d;
-    d["type"] = std::string("gauge");
-    d["name"] = name;
-    d["value"] = value;
-    emit(std::move(d));
-  }
-  for (const auto& [name, hist] : metrics.histograms()) {
-    serde::ValueDict d;
-    d["type"] = std::string("histogram");
-    d["name"] = name;
-    d["count"] = hist.count();
-    d["sum"] = hist.sum();
-    d["min"] = hist.min_seen();
-    d["max"] = hist.max_seen();
-    if (hist.count() > 0) {
-      d["p50"] = hist.quantile(0.5);
-      d["p95"] = hist.quantile(0.95);
-      d["p99"] = hist.quantile(0.99);
-    }
-    serde::ValueList edges;
-    serde::ValueList counts;
-    for (size_t i = 0; i < hist.bucket_count(); ++i) {
-      if (hist.bucket(i) == 0) continue;  // sparse: skip empty buckets
-      edges.push_back(hist.bucket_edge(i));
-      counts.push_back(hist.bucket(i));
-    }
-    d["bucket_edges"] = std::move(edges);
-    d["bucket_counts"] = std::move(counts);
-    emit(std::move(d));
-  }
-  return out;
-}
-
 void write_text_file(const std::string& dir, const std::string& filename,
                      const std::string& content) {
   if (!dir.empty()) {
@@ -179,12 +132,6 @@ void write_text_file(const std::string& dir, const std::string& filename,
   if (written != content.size() || close_rc != 0) {
     throw Error("obs: short write to " + path);
   }
-}
-
-void export_all(const Recorder& recorder, const std::string& dir) {
-  write_text_file(dir, "trace.json", chrome_trace_json(recorder.events()));
-  write_text_file(dir, "metrics.prom", prometheus_text(recorder.metrics()));
-  write_text_file(dir, "metrics.jsonl", metrics_jsonl(recorder.metrics()));
 }
 
 }  // namespace lfm::obs

@@ -4,12 +4,10 @@
 //     https://ui.perfetto.dev; one process track per pid domain, one row per
 //     tid (task id), nested spans per lifecycle phase.
 //   * Prometheus text exposition — counters, gauges, and histograms with
-//     cumulative `_bucket{le=...}` series, `_sum`, `_count`.
-//   * JSONL metrics — one self-describing JSON object per metric per line,
-//     for ad-hoc analysis (jq, pandas).
+//     cumulative `_bucket{le=...}` series, `_sum`, `_count` (served on
+//     /metrics).
 //
-// All JSON passes through the serde layer (serde::Value -> to_json), so the
-// emitted documents round-trip through serde::from_json in tests.
+// The trace passes through the serde layer (serde::Value -> to_json).
 #pragma once
 
 #include <string>
@@ -17,14 +15,10 @@
 
 #include "obs/collector.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "obs/trace.h"
 #include "serde/value.h"
 
 namespace lfm::obs {
-
-// The default output directory used by benches and examples (gitignored).
-inline constexpr const char* kDefaultOutputDir = "obs_out";
 
 // {"traceEvents": [...], "displayTimeUnit": "ms"}; timestamps in
 // microseconds as the format requires. The events follow one process_name
@@ -43,15 +37,9 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events);
 // rewritten to '_'; histogram buckets are emitted cumulatively.
 std::string prometheus_text(const Metrics& metrics);
 
-// One JSON object per line: {"type":"counter","name":...,"value":...} etc.
-std::string metrics_jsonl(const Metrics& metrics);
-
 // Create `dir` (one level) if needed and write `content`; throws lfm::Error
 // on I/O failure.
 void write_text_file(const std::string& dir, const std::string& filename,
                      const std::string& content);
-
-// Convenience: write trace.json, metrics.prom, and metrics.jsonl under dir.
-void export_all(const Recorder& recorder, const std::string& dir = kDefaultOutputDir);
 
 }  // namespace lfm::obs

@@ -8,7 +8,7 @@
 // metrics are never removed, only reset in place by clear(). Lookup by name
 // is for readers: the exporters, statusz, telemetry snapshots and tests.
 //
-// Exporters (export.h) snapshot the registry into Prometheus text or JSONL;
+// The exporter (export.h) snapshots the registry into Prometheus text;
 // metric names should follow the `component.metric` convention (dots are
 // rewritten to '_' for Prometheus).
 #pragma once

@@ -51,8 +51,6 @@ thread_local uint64_t t_current_trace_id = 0;
 Count obs_sval_truncated{"obs.sval_truncated"};
 }  // namespace
 
-uint64_t current_trace_id() { return t_current_trace_id; }
-
 TraceScope::TraceScope(uint64_t trace_id) : prev_(t_current_trace_id) {
   t_current_trace_id = trace_id;
 }

@@ -21,7 +21,7 @@
 //   obs::Count tasks_done{"wq.tasks_completed"};  // once, at namespace scope
 //   tasks_done.add();                              // checks the gate itself
 //   ...
-//   obs::export_all(r, "obs_out");   // export.h
+//   obs::chrome_trace_json(r.events());  // export.h
 #pragma once
 
 #include <atomic>
@@ -182,14 +182,11 @@ using Level = Handle<Gauge>;
 using Spread = Handle<HistogramMetric>;
 
 // --- distributed trace context ----------------------------------------------
-// The thread's current trace id. Recorder::push stamps it onto every event
-// recorded with trace_id == 0, so all existing instrumentation (the wq
-// master, the LFM monitor, the transport) inherits the task's global trace
-// identity without signature changes.
-uint64_t current_trace_id();
-
-// RAII: set the thread-local trace context for the enclosed scope. Nests —
-// the previous context is restored on destruction.
+// RAII: set the thread's current trace id for the enclosed scope. Nests —
+// the previous context is restored on destruction. Recorder::push stamps it
+// onto every event recorded with trace_id == 0, so all existing
+// instrumentation (the wq master, the LFM monitor, the transport) inherits
+// the task's global trace identity without signature changes.
 class TraceScope {
  public:
   explicit TraceScope(uint64_t trace_id);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "serde/pickle.h"
 #include "util/hash.h"
 
 namespace lfm::pkg {
@@ -68,52 +67,6 @@ std::vector<ChunkRef> chunk_bytes(const uint8_t* data, size_t size,
     start += len;
   }
   return out;
-}
-
-Bytes ChunkManifest::encode() const {
-  Bytes out;
-  serde::Writer w(out);
-  w.varint(chunks_.size());
-  for (const ChunkRef& c : chunks_) {
-    // Digests are near-uniform 64-bit values: fixed 8 bytes beats a varint.
-    for (int b = 0; b < 8; ++b) w.u8(static_cast<uint8_t>(c.digest >> (8 * b)));
-    w.varint(c.size);
-  }
-  for (int b = 0; b < 8; ++b) {
-    w.u8(static_cast<uint8_t>(stream_digest_ >> (8 * b)));
-  }
-  return out;
-}
-
-ChunkManifest ChunkManifest::decode(const Bytes& wire) {
-  try {
-    serde::Reader r(wire);
-    ChunkManifest m;
-    const uint64_t count = r.varint();
-    if (count > wire.size()) throw Error("chunk manifest: impossible count");
-    m.chunks_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      ChunkRef c;
-      for (int b = 0; b < 8; ++b) {
-        c.digest |= static_cast<uint64_t>(r.u8()) << (8 * b);
-      }
-      const uint64_t size = r.varint();
-      if (size == 0 || size > UINT32_MAX) {
-        throw Error("chunk manifest: bad chunk size");
-      }
-      c.size = static_cast<uint32_t>(size);
-      m.append(c);
-    }
-    for (int b = 0; b < 8; ++b) {
-      m.stream_digest_ |= static_cast<uint64_t>(r.u8()) << (8 * b);
-    }
-    if (r.remaining() != 0) throw Error("chunk manifest: trailing bytes");
-    return m;
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    if (what.rfind("chunk manifest:", 0) == 0) throw;
-    throw Error("chunk manifest: malformed (" + what + ")");
-  }
 }
 
 void ChunkStore::put(ChunkRef ref, std::shared_ptr<const Bytes> backing,
@@ -185,12 +138,6 @@ ChunkStore::Stats ChunkStore::stats() const {
   s.dedup_hits = dedup_hits_;
   s.evictions = evictions_;
   return s;
-}
-
-void ChunkStore::set_capacity(int64_t capacity_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_bytes_ = capacity_bytes;
-  evict_to_capacity_locked();
 }
 
 void ChunkStore::clear() {

@@ -2,11 +2,12 @@
 //
 // The packer (packer.h) splits every packed environment's ustar stream into
 // content-defined chunks; a `ChunkManifest` (the ordered digest list) fully
-// describes the archive, and a process-wide `ChunkStore` owns the chunk
-// payloads as spans into the immutable packed archives. Two environments
-// sharing a package produce identical chunks for that package's bytes, so a
-// worker that already holds a sibling environment's chunks only fetches the
-// difference (delta distribution, wq::MasterConfig::delta_distribution).
+// describes the archive. Two environments sharing a package produce
+// identical chunks for that package's bytes, so a worker that already holds
+// a sibling environment's chunks only fetches the difference (the
+// simulator's delta distribution, wq::MasterConfig::delta_distribution).
+// A `ChunkStore` holds chunk payloads as spans into immutable archives;
+// nothing in the packer or the runtime fills one (see global_chunk_store).
 //
 // Determinism: chunk boundaries depend only on the bytes of the logical
 // segment being chunked (gear rolling hash over a fixed table), never on
@@ -23,7 +24,6 @@
 
 #include "serde/value.h"  // for Bytes
 #include "util/error.h"
-#include "util/lru.h"
 
 namespace lfm::pkg {
 
@@ -81,22 +81,16 @@ class ChunkManifest {
            stream_digest_ == o.stream_digest_;
   }
 
-  // Compact binary form (varint-coded); decode() round-trips exactly and
-  // throws lfm::Error on truncated or corrupt input.
-  Bytes encode() const;
-  static ChunkManifest decode(const Bytes& wire);
-
  private:
   std::vector<ChunkRef> chunks_;
   int64_t total_bytes_ = 0;
   uint64_t stream_digest_ = 0;
 };
 
-// Process-wide content-addressed chunk payload store. Payloads are spans
-// into the immutable packed archives (no bytes are copied on insert); the
-// shared_ptr keeps the backing archive alive while any chunk references it.
-// Bounded: least-recently-used chunks are dropped past `capacity_bytes` —
-// a dropped chunk only costs a re-pack if its manifest is requested again.
+// Content-addressed chunk payload store. Payloads are spans into immutable
+// archives (no bytes are copied on insert); the shared_ptr keeps the
+// backing archive alive while any chunk references it. Bounded:
+// least-recently-used chunks are dropped past `capacity_bytes`.
 class ChunkStore {
  public:
   explicit ChunkStore(int64_t capacity_bytes = 256LL << 20)
@@ -123,7 +117,6 @@ class ChunkStore {
   };
   Stats stats() const;
 
-  void set_capacity(int64_t capacity_bytes);
   void clear();
 
  private:
@@ -160,14 +153,14 @@ class ChunkStore {
   std::map<uint64_t, Key> lru_;
 };
 
-// The process-wide store the packer populates and reassemble() reads.
+// A process-wide store. Nothing under src/ fills or reads it; it, the two
+// functions below and ChunkStore itself stay only for perfbench's pkg.*
+// layer rows and tests/chunk_test.cc.
 ChunkStore& global_chunk_store();
 
 // Concatenate the manifest's chunks from `store` into the original archive
 // bytes. Throws if a chunk was evicted or the reassembled stream's digest
-// disagrees with the manifest. No code under src/ calls this or
-// chunk_into_store(); both stay only for perfbench's pkg.* layer rows and
-// tests/chunk_test.cc.
+// disagrees with the manifest.
 Bytes reassemble(const ChunkManifest& manifest, const ChunkStore& store);
 
 // Chunk `backing` and register every chunk in `store` (spans into `backing`,

@@ -82,17 +82,6 @@ const PackageMeta* PackageIndex::best(const std::string& name, const VersionSpec
   return nullptr;
 }
 
-const PackageMeta* PackageIndex::find(const std::string& name, const Version& version) const {
-  const auto it = packages_.find(name);
-  if (it == packages_.end()) return nullptr;
-  for (const auto& meta : it->second) {
-    if (meta.version == version) return &meta;
-  }
-  return nullptr;
-}
-
-size_t PackageIndex::package_count() const { return packages_.size(); }
-
 std::vector<std::string> PackageIndex::package_names() const {
   std::vector<std::string> out;
   out.reserve(packages_.size());

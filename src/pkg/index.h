@@ -55,10 +55,6 @@ class PackageIndex {
   std::vector<const PackageMeta*> versions(const std::string& name) const;
   // Newest version matching the spec, or nullptr.
   const PackageMeta* best(const std::string& name, const VersionSpec& spec) const;
-  // Exact lookup.
-  const PackageMeta* find(const std::string& name, const Version& version) const;
-
-  size_t package_count() const;
   std::vector<std::string> package_names() const;
 
   // Globally unique, monotonically increasing mutation stamp: refreshed at

@@ -442,15 +442,6 @@ PackedEnvironment pack_environment_cold(const Environment& env,
   PackedEnvironment packed;
   packed.tar = std::make_shared<const Bytes>(std::move(tar));
   packed.manifest = std::make_shared<const ChunkManifest>(std::move(manifest));
-
-  // Register every chunk as a span into the immutable archive (no copies);
-  // the store's shared_ptr keeps the archive alive past cache eviction.
-  ChunkStore& store = global_chunk_store();
-  size_t offset = 0;
-  for (const ChunkRef& c : packed.manifest->chunks()) {
-    store.put(c, packed.tar, offset);
-    offset += c.size;
-  }
   return packed;
 }
 

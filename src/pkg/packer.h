@@ -69,8 +69,8 @@ int relocate_prefix(Archive& archive, const std::string& old_prefix,
                     const std::string& new_prefix);
 
 // A packed environment: the ustar archive plus the content-defined chunk
-// manifest describing it (chunk payloads live in global_chunk_store(), as
-// spans into `tar`). Both are immutable and shared out of the pack cache.
+// manifest describing it (the simulator's delta distribution reads the
+// manifest). Both are immutable and shared out of the pack cache.
 struct PackedEnvironment {
   std::shared_ptr<const Bytes> tar;
   std::shared_ptr<const ChunkManifest> manifest;

@@ -62,13 +62,6 @@ Version Version::parse(const std::string& text) {
   return v;
 }
 
-Version Version::of(std::vector<int> release) {
-  if (release.empty()) throw Error("Version::of: empty release");
-  Version v;
-  v.release_ = std::move(release);
-  return v;
-}
-
 std::string Version::str() const {
   std::string out;
   for (size_t i = 0; i < release_.size(); ++i) {

@@ -20,8 +20,6 @@ class Version {
   Version() = default;
   // Parse; throws lfm::Error on malformed input.
   static Version parse(const std::string& text);
-  // Build from numeric components.
-  static Version of(std::vector<int> release);
 
   const std::vector<int>& release() const { return release_; }
   // Pre-release ordinal: (kind, number) where kind a<b<rc<final.

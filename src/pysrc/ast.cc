@@ -159,51 +159,8 @@ void walk_expr(const Expr* e, const std::function<void(const Expr&)>& fn) {
   }
 }
 
-void walk_stmt(const Stmt& s, const std::function<void(const Stmt&)>& fn) {
-  fn(s);
-  switch (s.kind) {
-    case StmtKind::kIf: {
-      const auto& n = static_cast<const IfStmt&>(s);
-      walk_statements(n.body, fn);
-      walk_statements(n.orelse, fn);
-      break;
-    }
-    case StmtKind::kFor: {
-      const auto& n = static_cast<const ForStmt&>(s);
-      walk_statements(n.body, fn);
-      walk_statements(n.orelse, fn);
-      break;
-    }
-    case StmtKind::kWhile: {
-      const auto& n = static_cast<const WhileStmt&>(s);
-      walk_statements(n.body, fn);
-      walk_statements(n.orelse, fn);
-      break;
-    }
-    case StmtKind::kTry: {
-      const auto& n = static_cast<const TryStmt&>(s);
-      walk_statements(n.body, fn);
-      for (const auto& h : n.handlers) walk_statements(h.body, fn);
-      walk_statements(n.orelse, fn);
-      walk_statements(n.finally, fn);
-      break;
-    }
-    case StmtKind::kWith:
-      walk_statements(static_cast<const WithStmt&>(s).body, fn);
-      break;
-    case StmtKind::kFunctionDef:
-      walk_statements(static_cast<const FunctionDefStmt&>(s).body, fn);
-      break;
-    case StmtKind::kClassDef:
-      walk_statements(static_cast<const ClassDefStmt&>(s).body, fn);
-      break;
-    default:
-      break;
-  }
-}
+}  // namespace
 
-// Visit every expression directly referenced by one statement (not nested
-// statements; walk_statements handles recursion into bodies).
 void stmt_expressions(const Stmt& s, const std::function<void(const Expr&)>& fn) {
   const auto visit = [&fn](const ExprPtr& e) {
     if (e) walk_expr(e.get(), fn);
@@ -292,8 +249,6 @@ void stmt_expressions(const Stmt& s, const std::function<void(const Expr&)>& fn)
   }
 }
 
-}  // namespace
-
 const FunctionDefStmt* find_function(const std::vector<StmtPtr>& body,
                                      const std::string& name) {
   for (const auto& stmt : body) {
@@ -314,18 +269,8 @@ const FunctionDefStmt* find_function(const std::vector<StmtPtr>& body,
   return nullptr;
 }
 
-void walk_statements(const std::vector<StmtPtr>& body,
-                     const std::function<void(const Stmt&)>& fn) {
-  for (const auto& s : body) walk_stmt(*s, fn);
-}
-
 void walk_expressions(const Expr& expr, const std::function<void(const Expr&)>& fn) {
   walk_expr(&expr, fn);
-}
-
-void walk_all_expressions(const std::vector<StmtPtr>& body,
-                          const std::function<void(const Expr&)>& fn) {
-  walk_statements(body, [&fn](const Stmt& s) { stmt_expressions(s, fn); });
 }
 
 }  // namespace lfm::pysrc

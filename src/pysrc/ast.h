@@ -477,12 +477,13 @@ struct Module {
 const FunctionDefStmt* find_function(const std::vector<StmtPtr>& body,
                                      const std::string& name);
 
-// Depth-first walk helpers: invoke `fn` on every statement (resp. expression)
-// in the subtree, including nested function/class bodies.
-void walk_statements(const std::vector<StmtPtr>& body,
-                     const std::function<void(const Stmt&)>& fn);
+// Invoke `fn` on `expr` and on every expression nested in it, depth first.
 void walk_expressions(const Expr& expr, const std::function<void(const Expr&)>& fn);
-void walk_all_expressions(const std::vector<StmtPtr>& body,
-                          const std::function<void(const Expr&)>& fn);
+
+// Invoke `fn`, through walk_expressions, on every expression that statement
+// `s` itself holds: its value, targets, header (an `if`, `for`, `while` or
+// `with`), defaults, annotations, decorators, bases and handler types. The
+// statements of its bodies are not visited; the caller recurses into them.
+void stmt_expressions(const Stmt& s, const std::function<void(const Expr&)>& fn);
 
 }  // namespace lfm::pysrc

@@ -68,9 +68,10 @@ class Scanner {
     rec.in_class = ctx.in_class;
   }
 
-  // Detect `__import__("x")` and `importlib.import_module("x")` calls.
-  void scan_expr_for_dynamic(const Expr& root, const Context& ctx) {
-    walk_expressions(root, [this, &ctx](const Expr& e) {
+  // Record `__import__("x")` and `importlib.import_module("x")` among the
+  // expressions `stmt` itself holds; its bodies are scanned by scan_stmt.
+  void scan_dynamic_imports(const Stmt& stmt, const Context& ctx) {
+    stmt_expressions(stmt, [this, &ctx](const Expr& e) {
       if (e.kind != ExprKind::kCall) return;
       const auto& call = static_cast<const CallExpr&>(e);
       bool is_dynamic = false;
@@ -101,33 +102,6 @@ class Scanner {
     });
   }
 
-  void scan_stmt_exprs(const Stmt& stmt, const Context& ctx) {
-    // Reuse the generic walker on a single-statement body. We wrap the raw
-    // pointer in a temporary vector-free path: inspect direct expressions of
-    // this statement only; nested statements are visited by scan_stmt itself.
-    std::vector<StmtPtr> dummy;  // not used; see walk_all_expressions contract
-    (void)dummy;
-    switch (stmt.kind) {
-      case StmtKind::kExpr:
-        if (const auto& v = static_cast<const ExprStmt&>(stmt).value) {
-          scan_expr_for_dynamic(*v, ctx);
-        }
-        break;
-      case StmtKind::kAssign: {
-        const auto& n = static_cast<const AssignStmt&>(stmt);
-        if (n.value) scan_expr_for_dynamic(*n.value, ctx);
-        break;
-      }
-      case StmtKind::kReturn: {
-        const auto& n = static_cast<const ReturnStmt&>(stmt);
-        if (n.value) scan_expr_for_dynamic(*n.value, ctx);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
   static bool handlers_catch_import_error(const TryStmt& stmt) {
     for (const auto& handler : stmt.handlers) {
       if (!handler.type) return true;  // bare except catches everything
@@ -153,6 +127,9 @@ class Scanner {
   }
 
   void scan_stmt(const Stmt& stmt, Context ctx) {
+    // A statement's own expressions (an `if` header, a default argument, a
+    // class base) run in the statement's context, not in its bodies'.
+    scan_dynamic_imports(stmt, ctx);
     switch (stmt.kind) {
       case StmtKind::kImport:
         record_import(static_cast<const ImportStmt&>(stmt), ctx);
@@ -210,7 +187,6 @@ class Scanner {
         break;
       }
       default:
-        scan_stmt_exprs(stmt, ctx);
         break;
     }
   }

@@ -11,13 +11,6 @@ namespace lfm::serde {
 
 std::string to_json(const Value& value);
 
-// Parse a JSON document back into a Value; throws lfm::Error on malformed
-// input or trailing content. Inverse of to_json up to the lossy encodings
-// (bytes come back as their base64 strings, NaN/Inf came out as null).
-// Numbers without '.' or an exponent that fit an int64 parse as Int;
-// everything else numeric parses as Real.
-Value from_json(const std::string& text);
-
 // Base64 used for bytes payloads (standard alphabet, padded).
 std::string base64_encode(const Bytes& data);
 

@@ -19,8 +19,8 @@
 //     read-decode-execute path never copies payload bytes it doesn't touch.
 //
 // The Writer/Reader pair below is the one varint codec: the wq wire
-// protocol (wq/protocol.h), the chunk manifest (pkg/chunk.h) and the
-// chaos journal (chaos/journal.h) write and read through it too.
+// protocol (wq/protocol.h) and the chaos journal (chaos/journal.h) write
+// and read through it too.
 #pragma once
 
 #include <cstdint>

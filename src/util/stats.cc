@@ -7,42 +7,9 @@
 
 namespace lfm {
 
-void OnlineStats::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double OnlineStats::variance() const {
-  return n_ > 0 ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
 void Samples::add(double x) {
   values_.push_back(x);
   sorted_valid_ = false;
-}
-
-double Samples::mean() const {
-  if (values_.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : values_) s += v;
-  return s / static_cast<double>(values_.size());
-}
-
-double Samples::min() const {
-  if (values_.empty()) throw Error("Samples::min on empty sample set");
-  return *std::min_element(values_.begin(), values_.end());
-}
-
-double Samples::max() const {
-  if (values_.empty()) throw Error("Samples::max on empty sample set");
-  return *std::max_element(values_.begin(), values_.end());
 }
 
 void Samples::ensure_sorted() const {
@@ -134,24 +101,6 @@ void LogHistogram::add(double value) {
   }
   ++total_;
   sum_ += value;
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  if (lo_ != other.lo_ || hi_ != other.hi_ || counts_.size() != other.counts_.size()) {
-    throw Error("LogHistogram::merge: shape mismatch");
-  }
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  if (other.total_ > 0) {
-    if (total_ == 0) {
-      min_seen_ = other.min_seen_;
-      max_seen_ = other.max_seen_;
-    } else {
-      min_seen_ = std::min(min_seen_, other.min_seen_);
-      max_seen_ = std::max(max_seen_, other.max_seen_);
-    }
-  }
-  total_ += other.total_;
-  sum_ += other.sum_;
 }
 
 double LogHistogram::bucket_edge(size_t i) const {

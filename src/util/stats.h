@@ -2,33 +2,11 @@
 // auto-labeling algorithm, and the benchmark harnesses.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 namespace lfm {
-
-// Welford's online mean/variance with min/max tracking.
-class OnlineStats {
- public:
-  void add(double x);
-  int64_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const;  // population variance
-  double stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  int64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // A retained-sample distribution supporting exact percentiles.
 class Samples {
@@ -36,9 +14,6 @@ class Samples {
   void add(double x);
   size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
-  double mean() const;
-  double min() const;
-  double max() const;
   // Exact percentile by linear interpolation; p in [0, 100].
   double percentile(double p) const;
   const std::vector<double>& values() const { return values_; }
@@ -82,15 +57,12 @@ class Histogram {
 //
 // Values <= lo land in bucket 0 (underflow); values > hi land in the last
 // bucket (overflow). Quantiles are estimated as the upper edge of the
-// containing bucket. Two histograms of identical shape can be merged, so
-// per-thread recorders can combine without locks on the hot path.
+// containing bucket.
 class LogHistogram {
  public:
   LogHistogram(double lo, double hi, size_t buckets);
 
   void add(double value);
-  // Combine `other` into this; shapes (lo, hi, buckets) must match exactly.
-  void merge(const LogHistogram& other);
 
   int64_t count() const { return total_; }
   double sum() const { return sum_; }

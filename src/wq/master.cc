@@ -178,14 +178,6 @@ void Master::worker_ready(int worker_id) {
   try_dispatch();
 }
 
-int64_t Master::missing_bytes(const Worker& worker, const TaskSpec& task) const {
-  int64_t bytes = 0;
-  for (const auto& f : task.inputs) {
-    if (!f.cacheable || worker.cache.count(f.name) == 0) bytes += f.size_bytes;
-  }
-  return bytes;
-}
-
 double Master::cached_bytes(const Worker& worker, const TaskSpec& task) const {
   double bytes = 0;
   for (const auto& f : task.inputs) {
@@ -929,10 +921,6 @@ bool Master::worker_caches(int worker_id, const std::string& file_name) const {
 
 int64_t Master::worker_cache_bytes(int worker_id) const {
   return workers_[static_cast<size_t>(worker_id)].cache_bytes;
-}
-
-int64_t Master::worker_chunk_bytes(int worker_id) const {
-  return workers_[static_cast<size_t>(worker_id)].chunks.bytes();
 }
 
 void Master::recover(const chaos::Journal& journal) {

@@ -181,8 +181,6 @@ class Master : public chaos::FaultSink {
   bool worker_caches(int worker_id, const std::string& file_name) const;
   // Total bytes currently cached on `worker_id`.
   int64_t worker_cache_bytes(int worker_id) const;
-  // Bytes in `worker_id`'s chunk cache (delta distribution; 0 otherwise).
-  int64_t worker_chunk_bytes(int worker_id) const;
 
  private:
   struct CacheEntry {
@@ -296,8 +294,6 @@ class Master : public chaos::FaultSink {
   // ("completed", "failed", "cancelled") and attempt as end-event args.
   void trace_task_end(size_t record_index, const char* outcome);
 
-  // Bytes of `task`'s inputs NOT cached on `worker`.
-  int64_t missing_bytes(const Worker& worker, const TaskSpec& task) const;
   double cached_bytes(const Worker& worker, const TaskSpec& task) const;
   // Index-driven worker choice: warm candidates from the inverted file
   // index first, else best fit from the availability index. Identical

@@ -6,10 +6,13 @@
 // bit-identical to an in-process reference execution.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -726,9 +729,9 @@ TEST(Federation, SilentForemanHoldingAGroupIsClosedAndTheGroupRunsOnASibling) {
 }
 
 TEST(Federation, ListenersRefuseConnectsOnceTheRunReturns) {
-  // Both tiers close their listener when the bye sequence starts: a peer
-  // that recycles its connection at the very end is refused instead of
-  // hanging in the backlog of a master that no longer serves it.
+  // Both tiers close their listener with the loop, once the last link is
+  // gone: a peer that recycles its connection at the very end is refused
+  // instead of hanging in the backlog of a master that no longer serves it.
   net::EventLoop loop;
   RootMaster root(loop, {});
   TaskGroup group;
@@ -753,6 +756,45 @@ TEST(Federation, ListenersRefuseConnectsOnceTheRunReturns) {
     EXPECT_LT(fd, 0) << "port " << port << " still accepts after the run";
     if (fd >= 0) ::close(fd);
   }
+}
+
+TEST(Federation, ForemanLeavesARootThatStaysSilent) {
+  // A "root" that accepts the hello and then never says a word. The
+  // foreman follows a worker's silence rule, bounded by its shard's own
+  // idle_timeout: it closes the link, and with no reconnect budget left it
+  // gives up and run() returns.
+  const int lfd = net::listen_tcp(0);
+  ASSERT_GE(lfd, 0);
+  ForemanConfig fc;
+  fc.name = "fsilent";
+  fc.root_port = net::local_port(lfd);
+  fc.service.idle_timeout = 0.5;
+  fc.max_reconnect_attempts = 0;
+  Foreman foreman(fc);
+  std::atomic<bool> returned{false};
+  std::thread ft([&] {
+    foreman.run();
+    returned.store(true);
+  });
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto waited = [&start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  };
+  int peer = -1;
+  while (!returned.load() && waited() < 3.0) {
+    if (peer < 0) peer = ::accept(lfd, nullptr, nullptr);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const bool left = returned.load();
+  if (!left) foreman.stop();  // bound the wait at the parent's behaviour
+  ft.join();
+
+  EXPECT_GE(peer, 0) << "the foreman never connected";
+  EXPECT_TRUE(left) << "the foreman held a silent root's link for 3 s";
+  EXPECT_TRUE(foreman.gave_up());
+  if (peer >= 0) ::close(peer);
+  ::close(lfd);
 }
 
 // --- the files a foreman holds ------------------------------------------------

@@ -106,6 +106,53 @@ TEST(Imports, DynamicImportLiteral) {
   EXPECT_TRUE(mx->dynamic);
 }
 
+TEST(Imports, DynamicImportFoundInEveryStatementForm) {
+  // A statement's own expressions run in the statement's context: the `if`
+  // header runs whatever the condition says, the body only when it holds;
+  // a default, a decorator and a base run where the def or class stands.
+  const char* src = R"(
+if __import__('in_if_header'):
+    __import__('in_if_body')
+for item in __import__('in_for_header'):
+    pass
+while __import__('in_while_header'):
+    break
+with __import__('in_with_header') as handle:
+    pass
+total += __import__('in_aug_assign')
+typed: int = __import__('in_ann_assign')
+assert __import__('in_assert')
+raise __import__('in_raise')
+def f(arg=__import__('in_default')):
+    pass
+@__import__('in_decorator')
+def g():
+    pass
+class C(__import__('in_class_base')):
+    pass
+)";
+  const auto scan = scan_source(src);
+  for (const char* module :
+       {"in_if_header", "in_if_body", "in_for_header", "in_while_header",
+        "in_with_header", "in_aug_assign", "in_ann_assign", "in_assert", "in_raise",
+        "in_default", "in_decorator", "in_class_base"}) {
+    int found = 0;
+    for (const auto& rec : scan.imports) {
+      if (rec.module != module) continue;
+      ++found;
+      EXPECT_TRUE(rec.dynamic) << module;
+      EXPECT_FALSE(rec.in_function) << module;
+      EXPECT_FALSE(rec.in_class) << module;
+    }
+    EXPECT_EQ(found, 1) << module;
+  }
+  ASSERT_NE(find_import(scan, "in_if_header"), nullptr);
+  EXPECT_FALSE(find_import(scan, "in_if_header")->conditional);
+  ASSERT_NE(find_import(scan, "in_if_body"), nullptr);
+  EXPECT_TRUE(find_import(scan, "in_if_body")->conditional);
+  EXPECT_TRUE(scan.diagnostics.empty());
+}
+
 TEST(Imports, DynamicImportNonLiteralWarns) {
   const auto scan = scan_source("mod = __import__(name)\n");
   EXPECT_TRUE(scan.imports.empty());

@@ -39,8 +39,8 @@
 #include "net/master_service.h"
 #include "net/socket.h"
 #include "net/worker_client.h"
-#include "serde/json.h"
 #include "serde/pickle.h"
+#include "support/json_parse.h"
 #include "util/error.h"
 #include "wq/protocol.h"
 #include "wq/worker.h"

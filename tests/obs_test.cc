@@ -1,5 +1,5 @@
 // Tests for the observability subsystem: recorder gating, the metrics
-// registry, exporter round-trips through serde::json (Chrome trace, JSONL),
+// registry, the Chrome trace read back through the tests' JSON parser,
 // the Prometheus golden file, and end-to-end span coverage of the WQ master
 // and the real LFM monitor.
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "serde/json.h"
+#include "support/json_parse.h"
 #include "util/log.h"
 #include "wq/master.h"
 
@@ -420,79 +420,6 @@ TEST_F(ObsTest, PrometheusTextMatchesGoldenFile) {
   std::fclose(f);
 
   EXPECT_EQ(actual, golden) << "regenerate with:\n" << actual;
-}
-
-TEST_F(ObsTest, MetricsJsonlRoundTripsThroughSerdeJson) {
-  Metrics m;
-  m.counter("faas.invocations").add(9);
-  m.gauge("wq.queue_depth").set(3.0);
-  HistogramMetric& h = m.histogram("flow.resolve_wait_seconds", 1e-3, 1e3, 24);
-  h.observe(0.125);
-  h.observe(2.0);
-
-  const std::string jsonl = metrics_jsonl(m);
-  std::vector<serde::Value> lines;
-  size_t start = 0;
-  while (start < jsonl.size()) {
-    const size_t nl = jsonl.find('\n', start);
-    ASSERT_NE(nl, std::string::npos);  // every line is newline-terminated
-    lines.push_back(serde::from_json(jsonl.substr(start, nl - start)));
-    start = nl + 1;
-  }
-  ASSERT_EQ(lines.size(), 3u);
-
-  const auto& counter = lines[0].as_dict();
-  EXPECT_EQ(counter.at("type").as_str(), "counter");
-  EXPECT_EQ(counter.at("name").as_str(), "faas.invocations");
-  EXPECT_EQ(counter.at("value").as_int(), 9);
-
-  const auto& gauge = lines[1].as_dict();
-  EXPECT_EQ(gauge.at("type").as_str(), "gauge");
-  EXPECT_DOUBLE_EQ(gauge.at("value").as_real(), 3.0);
-
-  const auto& hist = lines[2].as_dict();
-  EXPECT_EQ(hist.at("type").as_str(), "histogram");
-  EXPECT_EQ(hist.at("count").as_int(), 2);
-  EXPECT_DOUBLE_EQ(hist.at("sum").as_real(), 2.125);
-  EXPECT_DOUBLE_EQ(hist.at("min").as_real(), 0.125);
-  EXPECT_DOUBLE_EQ(hist.at("max").as_real(), 2.0);
-  EXPECT_EQ(hist.count("p50"), 1u);
-  // Sparse buckets: one entry per occupied bucket, aligned with its edge.
-  const auto& edges = hist.at("bucket_edges").as_list();
-  const auto& counts = hist.at("bucket_counts").as_list();
-  ASSERT_EQ(edges.size(), 2u);
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[0].as_int() + counts[1].as_int(), 2);
-}
-
-TEST_F(ObsTest, ExportAllWritesLoadableFiles) {
-  Recorder& r = Recorder::global();
-  r.set_enabled(true);
-  r.begin(kPidSim, 1, 0.0, "task", "task");
-  r.end(kPidSim, 1, 1.0);
-  r.metrics().counter("wq.tasks_completed").add();
-
-  const std::string dir = ::testing::TempDir() + "obs_export_test";
-  export_all(r, dir);
-
-  const auto slurp = [](const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr) << path;
-    std::string out;
-    if (f) {
-      char buf[4096];
-      size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-      std::fclose(f);
-    }
-    return out;
-  };
-  const serde::Value trace = serde::from_json(slurp(dir + "/trace.json"));
-  EXPECT_EQ(trace.as_dict().at("traceEvents").as_list().size(), 5u);
-  EXPECT_NE(slurp(dir + "/metrics.prom").find("wq_tasks_completed 1"),
-            std::string::npos);
-  EXPECT_NE(slurp(dir + "/metrics.jsonl").find("wq.tasks_completed"),
-            std::string::npos);
 }
 
 TEST_F(ObsTest, LogHookMirrorsRecordsAsInstantEvents) {

@@ -171,5 +171,22 @@ TEST(Plan, FunctionUnderAModuleLevelIfIsCheckedForSelfContainment) {
       << plan.diagnostics[0].message;
 }
 
+TEST(Plan, DynamicImportInALoopHeaderIsPlanned) {
+  // The loop's condition imports scipy on every pass: the worker needs it.
+  const char* src = R"(
+def fit(xs):
+    while __import__('scipy').optimize.step(xs):
+        xs = xs[1:]
+    return xs
+)";
+  const auto plan = plan_function_dependencies(src, "fit", index());
+  EXPECT_EQ(plan.import_names, (std::set<std::string>{"scipy"}));
+  bool saw_scipy = false;
+  for (const auto& req : plan.requirements) {
+    if (req.name == "scipy") saw_scipy = true;
+  }
+  EXPECT_TRUE(saw_scipy);
+}
+
 }  // namespace
 }  // namespace lfm::flow

@@ -7,6 +7,7 @@
 #include "monitor/report.h"
 #include "serde/json.h"
 #include "serde/pickle.h"
+#include "support/json_parse.h"
 #include <cmath>
 #include <limits>
 

@@ -9,6 +9,7 @@
 #include "serde/json.h"
 #include "serde/pickle.h"
 #include "serde/value.h"
+#include "support/json_parse.h"
 #include "util/hash.h"
 #include "util/rng.h"
 

@@ -1,5 +1,6 @@
 // Unit tests for util: rng determinism and distributions, statistics,
-// string helpers, unit formatting, error types, the parallel index loop.
+// string helpers, unit formatting, error types, the log level, the parallel
+// index loop.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -7,12 +8,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
 #include "util/io.h"
+#include "util/log.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -21,6 +26,16 @@
 
 namespace lfm {
 namespace {
+
+// Mean and population standard deviation of `xs`.
+std::pair<double, double> moments(const std::vector<double>& xs) {
+  double sum = 0.0;
+  for (const double x : xs) sum += x;
+  const double mean = sum / static_cast<double>(xs.size());
+  double squares = 0.0;
+  for (const double x : xs) squares += (x - mean) * (x - mean);
+  return {mean, std::sqrt(squares / static_cast<double>(xs.size()))};
+}
 
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42), b(42);
@@ -64,17 +79,18 @@ TEST(Rng, UniformIntRejectsInvertedRange) {
 
 TEST(Rng, NormalMeanAndSpread) {
   Rng rng(11);
-  OnlineStats stats;
-  for (int i = 0; i < 20000; ++i) stats.add(rng.normal(10.0, 2.0));
-  EXPECT_NEAR(stats.mean(), 10.0, 0.1);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
+  std::vector<double> xs;
+  for (int i = 0; i < 20000; ++i) xs.push_back(rng.normal(10.0, 2.0));
+  const auto [mean, stddev] = moments(xs);
+  EXPECT_NEAR(mean, 10.0, 0.1);
+  EXPECT_NEAR(stddev, 2.0, 0.1);
 }
 
 TEST(Rng, ExponentialMean) {
   Rng rng(13);
-  OnlineStats stats;
-  for (int i = 0; i < 20000; ++i) stats.add(rng.exponential(5.0));
-  EXPECT_NEAR(stats.mean(), 5.0, 0.25);
+  std::vector<double> xs;
+  for (int i = 0; i < 20000; ++i) xs.push_back(rng.exponential(5.0));
+  EXPECT_NEAR(moments(xs).first, 5.0, 0.25);
 }
 
 TEST(Rng, TruncatedNormalRespectsBounds) {
@@ -121,24 +137,6 @@ TEST(Rng, ForkProducesIndependentStream) {
     if (child.next() != b.next()) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
-}
-
-TEST(OnlineStats, BasicMoments) {
-  OnlineStats s;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
 }
 
 TEST(Samples, PercentilesExact) {
@@ -330,32 +328,20 @@ TEST(LogHistogram, QuantilesFromManySamples) {
   EXPECT_GE(h.quantile(1.0), h.quantile(0.5));
 }
 
-TEST(LogHistogram, MergeCombinesAndChecksShape) {
-  LogHistogram a(1.0, 100.0, 8);
-  LogHistogram b(1.0, 100.0, 8);
-  a.add(2.0);
-  a.add(50.0);
-  b.add(7.0);
-  b.add(0.1);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4);
-  EXPECT_DOUBLE_EQ(a.sum(), 59.1);
-  EXPECT_DOUBLE_EQ(a.min_seen(), 0.1);
-  EXPECT_DOUBLE_EQ(a.max_seen(), 50.0);
-  // Merging an empty histogram is a no-op; empty.merge(full) adopts stats.
-  LogHistogram empty(1.0, 100.0, 8);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 4);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 4);
-  EXPECT_DOUBLE_EQ(empty.min_seen(), 0.1);
-  // Shape mismatches are rejected in every dimension.
-  LogHistogram wrong_buckets(1.0, 100.0, 9);
-  LogHistogram wrong_lo(2.0, 100.0, 8);
-  LogHistogram wrong_hi(1.0, 200.0, 8);
-  EXPECT_THROW(a.merge(wrong_buckets), Error);
-  EXPECT_THROW(a.merge(wrong_lo), Error);
-  EXPECT_THROW(a.merge(wrong_hi), Error);
+TEST(Log, MessageBelowTheLevelDoesNotReachTheSink) {
+  const LogLevel before = log_level();
+  std::vector<std::string> seen;
+  set_log_sink([&seen](LogLevel, const std::string&, const std::string& message) {
+    seen.push_back(message);
+  });
+  set_log_level(LogLevel::kError);
+  LFM_WARN("test", "below the level");
+  LFM_ERROR("test", "at the level");
+  set_log_level(LogLevel::kDebug);
+  LFM_DEBUG("test", "at the lowest level");
+  set_log_level(before);
+  set_log_sink(nullptr);
+  EXPECT_EQ(seen, (std::vector<std::string>{"at the level", "at the lowest level"}));
 }
 
 TEST(Io, WriteAllThenReadAvailableRoundtrip) {
