@@ -94,9 +94,9 @@ void Foreman::on_tasks(net::Connection& conn, const std::string& wire) {
   received_ += static_cast<int64_t>(tasks.size());
   m_.tasks_received.add(static_cast<int64_t>(tasks.size()));
   for (const wq::TaskMessage& t : tasks) {
-    // Each task takes its own copy of the inputs the uplink holds (the
-    // rest are worker-local); the local MasterService ships each cacheable
-    // one once per worker connection.
+    // Each task shares the buffers the uplink holds of the inputs it names
+    // (the rest are worker-local); the local MasterService ships each
+    // cacheable one once per worker connection.
     wq::FileSet files;
     for (const wq::TaskMessage::FileStanza& stanza : t.infiles) {
       unnamed_.erase(stanza.name);

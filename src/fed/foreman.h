@@ -16,9 +16,10 @@
 // bye, which shuts the local tier down.
 //
 // The foreman is also the second-tier file cache: the uplink holds each
-// file the root ships, whole, and each relayed task takes a copy of the
-// inputs it names into the local service, which holds it until the task
-// completes. A one-shot input is dropped once its batch is submitted. A
+// file the root ships as one buffer, and each relayed task shares the
+// buffers of the inputs it names with the local service, which holds them
+// until the task completes: one copy of a file however many tasks name
+// it. A one-shot input is dropped once its batch is submitted. A
 // cacheable file therefore crosses the root link once per foreman link and
 // fans out to W workers from shard-local memory — the root's egress scales
 // with the number of shards, not the number of workers.

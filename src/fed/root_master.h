@@ -52,7 +52,10 @@ namespace lfm::fed {
 struct TaskGroup {
   std::string name;
   std::vector<wq::TaskMessage> tasks;
-  wq::FileSet files;  // master-staged inputs named by the tasks' infiles
+  // Master-staged inputs named by the tasks' infiles. Groups whose sets
+  // are built from one shared buffer (a pkg::PackedEnvironment::tar) hold
+  // one copy of it between them.
+  wq::FileSet files;
 };
 
 struct RootMasterConfig {

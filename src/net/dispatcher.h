@@ -12,7 +12,8 @@
 //   * per-task done flags (exactly-once results, at-least-once attempts: a
 //     late result for a completed task is counted as a duplicate and
 //     discarded); a result goes to on_result and is not kept;
-//   * each unit's staged files, held until its last task completes;
+//   * each unit's staged files, held until its last task completes, as
+//     buffers shared with whoever else holds them;
 //   * per-link in-flight units, requeued to the front of the queue when the
 //     link closes; a link that closes before the bye is lost, one that
 //     closes after it has departed;
@@ -129,8 +130,8 @@ class Dispatcher {
   void shutdown();
 
   // JSON snapshot for the /statusz endpoint: queue depth, completion
-  // counts, staged bytes held, and per-link liveness / in-flight / backlog /
-  // clock offset.
+  // counts, staged bytes held (each buffer once, however many units share
+  // it), and per-link liveness / in-flight / backlog / clock offset.
   serde::Value statusz_value() const;
 
  protected:
@@ -268,7 +269,10 @@ class Dispatcher {
   uint64_t next_conn_id_ = 1;
   std::vector<Task> tasks_;
   std::vector<Unit> units_;
-  size_t staged_bytes_ = 0;  // of the units' files still held
+  // The bytes of the distinct buffers the units' files hold: a buffer
+  // counts from the first unit that holds it to the last.
+  size_t staged_bytes_ = 0;
+  std::unordered_map<const serde::Bytes*, size_t> staged_buffers_;  // units holding each
   std::unordered_map<std::string, size_t> staged_names_;  // units holding each
   std::deque<size_t> queue_;  // unit indices
   std::unordered_map<uint64_t, size_t> index_by_task_id_;

@@ -148,7 +148,7 @@ void Uplink::on_message(Connection& conn, std::string&& wire) {
     case wq::MessageKind::kFile: {
       wq::FileMessage fm = wq::decode_file(wire);
       const size_t bytes = fm.content.size();
-      serde::Bytes& held = files_[fm.name];
+      wq::StagedFile& held = files_[fm.name];
       held_bytes_ = held_bytes_ - held.size() + bytes;
       held = std::move(fm.content);
       on_file(fm.name, bytes);

@@ -8,9 +8,10 @@
 // network fault: the uplink reconnects with chaos::RetryPolicy exponential
 // backoff (jitter included, deterministically seeded by the peer name).
 //
-// It also holds the files the peer ships, as the bytes that arrived, for
-// the current link only: every new link starts empty, since the peer ships
-// a cacheable file once per link and re-ships whatever a fresh link needs.
+// It also holds the files the peer ships, each as one buffer of the bytes
+// that arrived (which the owner's tasks share), for the current link
+// only: every new link starts empty, since the peer ships a cacheable file
+// once per link and re-ships whatever a fresh link needs.
 // A one-shot (non-cacheable) input is dropped once the owner hands on the
 // task that names it (release_inputs).
 //

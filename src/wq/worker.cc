@@ -110,8 +110,9 @@ void LocalWorker::start_python(const TaskMessage& task, const FileSet& files,
   // bytes. The child is forked before start() returns, and fork() gives it
   // its own copy of the parent's memory, so the views stay valid inside the
   // LFM child whatever the caller does with `files` afterwards.
+  const serde::Bytes& module_bytes = module_it->second;
   const std::string_view module_source(
-      reinterpret_cast<const char*>(module_it->second.data()), module_it->second.size());
+      reinterpret_cast<const char*>(module_bytes.data()), module_bytes.size());
   std::shared_ptr<const pysrc::Module> module;
   try {
     module = pysrc::parse_module_shared(module_source);
@@ -199,8 +200,8 @@ std::pair<TaskMessage, FileSet> make_python_task(
   task.command_line = "lfm-pyrun " + module_file + " " + args_file + " " + function;
 
   FileSet files;
-  files[module_file] = serde::Bytes(module_source.begin(), module_source.end());
-  files[args_file] = serde::dumps(args);
+  files.emplace(module_file, serde::Bytes(module_source.begin(), module_source.end()));
+  files.emplace(args_file, serde::dumps(args));
 
   // Both inputs are one-shot: the module is named after its task, so no
   // other task names it, and each tier drops it once it hands the task on.

@@ -16,15 +16,38 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "monitor/command.h"
 #include "wq/protocol.h"
 
 namespace lfm::wq {
 
+// One staged file's bytes: an immutable buffer that every holder in a
+// process shares — a task group, the dispatcher's units, an uplink, a
+// foreman's relay, a file frame still queued on a link. Copying one copies
+// the handle, not the bytes. Built from serde::Bytes (moved in, or copied
+// from an lvalue) or from a buffer already shared, such as
+// pkg::PackedEnvironment::tar (never null); reads as const serde::Bytes&.
+class StagedFile {
+ public:
+  StagedFile() : StagedFile(serde::Bytes{}) {}
+  StagedFile(serde::Bytes bytes)  // NOLINT
+      : buffer_(std::make_shared<const serde::Bytes>(std::move(bytes))) {}
+  StagedFile(std::shared_ptr<const serde::Bytes> buffer)  // NOLINT
+      : buffer_(std::move(buffer)) {}
+
+  operator const serde::Bytes&() const { return *buffer_; }  // NOLINT
+  size_t size() const { return buffer_->size(); }
+  const std::shared_ptr<const serde::Bytes>& buffer() const { return buffer_; }
+
+ private:
+  std::shared_ptr<const serde::Bytes> buffer_;
+};
+
 // The task's transferable input files, by name (the paper's "function
 // inputs pickled into transferable files").
-using FileSet = std::map<std::string, serde::Bytes>;
+using FileSet = std::map<std::string, StagedFile>;
 
 struct LocalWorkerOptions {
   double poll_interval = 0.02;

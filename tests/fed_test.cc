@@ -854,6 +854,60 @@ TEST(Federation, StatsCountTheCacheableBytesAForemanHolds) {
   EXPECT_EQ(foreman.service().statusz_value().at("staged_bytes").as_int(), 0);
 }
 
+TEST(Federation, GroupsNamingOneArchiveHoldOneCopyPerTier) {
+  // Four groups of four echo tasks name one 1 MiB cacheable archive, and
+  // every group's file set is built from the same shared buffer. With no
+  // worker yet, all sixteen tasks wait at the foreman. The root holds the
+  // archive once for its four groups, and the foreman once for the sixteen
+  // tasks it relayed: each shares the buffer its uplink received instead of
+  // taking a copy of its own (16 MiB).
+  constexpr int64_t kArchive = 1 << 20;
+  constexpr int kGroups = 4, kPerGroup = 4;
+  obs::Metrics m("copies.");
+  net::EventLoop loop;
+  RootMasterConfig rc;
+  rc.metrics = &m;
+  rc.groups_per_foreman = kGroups;
+  RootMaster root(loop, rc);
+  ForemanConfig fc;
+  fc.name = "fc";
+  fc.root_port = root.port();
+  fc.metrics = &m;
+  fc.stats_interval = 0.01;
+  Foreman foreman(fc);
+  std::thread ft([&] { foreman.run(); });
+  await_foremen(loop, root, 1);
+
+  const auto archive = std::make_shared<const serde::Bytes>(kArchive, 0x7e);
+  uint64_t next_id = 1;
+  for (int g = 0; g < kGroups; ++g) {
+    TaskGroup group;
+    group.name = "env" + std::to_string(g);
+    for (int i = 0; i < kPerGroup; ++i) {
+      wq::TaskMessage t = echo_task(next_id++);
+      t.infiles.push_back({"env.tar", kArchive, true});
+      group.tasks.push_back(std::move(t));
+    }
+    group.files.emplace("env.tar", archive);
+    root.submit(std::move(group));
+  }
+  auto shard = [&] {
+    const std::map<std::string, wq::StatsMessage> all = root.shard_stats();
+    const auto it = all.find("fc");
+    return it == all.end() ? wq::StatsMessage{} : it->second;
+  };
+  EXPECT_TRUE(
+      run_until(loop, [&] { return shard().pending == kGroups * kPerGroup; }, 10.0))
+      << "no kStats frame counted every task";
+  EXPECT_EQ(root.statusz_value().at("staged_bytes").as_int(), kArchive);
+  // This test's own reference, and one per group.
+  EXPECT_EQ(archive.use_count(), 1 + kGroups);
+
+  foreman.stop();
+  ft.join();
+  EXPECT_EQ(foreman.service().statusz_value().at("staged_bytes").as_int(), kArchive);
+}
+
 TEST(Federation, ForemanHoldsNoModuleOfAPythonTaskItHandedOn) {
   // make_python_task ships each task's module one-shot: a foreman drops it
   // once the task's batch is submitted, so kStats counts no file held even
