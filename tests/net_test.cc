@@ -358,7 +358,9 @@ TEST(Connection, SplitFileFrameEqualsTheEncodedFrameByteForByte) {
     EXPECT_EQ(queued, unsent());
     stopped_in_header = stopped_in_header || (queued > kPayload && queued < total);
     stopped_in_payload = stopped_in_payload || (queued > 0 && queued < kPayload);
-    if (queued > 0) EXPECT_FALSE(held.expired()) << queued << " bytes unsent";
+    if (queued > 0) {
+      EXPECT_FALSE(held.expired()) << queued << " bytes unsent";
+    }
     for (std::string& f : split_all(splitter)) frames.push_back(std::move(f));
     if (!frames.empty()) loop.stop();
   });
