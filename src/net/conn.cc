@@ -2,12 +2,10 @@
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <utility>
 
 #include "net/socket.h"
 #include "obs/recorder.h"
@@ -19,8 +17,6 @@ namespace lfm::net {
 namespace {
 // The last flushed connection's backlog, set on every socket flush.
 obs::Level net_write_queue_bytes{"net.write_queue_bytes"};
-// Buffers gathered into one send: a header and a payload per queued frame.
-constexpr size_t kMaxGather = 64;
 }  // namespace
 
 Connection::Connection(EventLoop& loop, int fd, uint64_t id)
@@ -48,43 +44,22 @@ void Connection::update_interest() {
   loop_.modify_fd(fd_, EPOLLIN | (want ? EPOLLOUT : 0u));
 }
 
-void Connection::send(std::string frame) { send(std::move(frame), nullptr); }
-
-void Connection::send(std::string head, std::shared_ptr<const serde::Bytes> payload) {
+void Connection::send(std::string frame) {
   if (closed_ || close_after_flush_) return;
   messages_out_ += 1;
-  Outbound& out = outbound_.emplace_back(Outbound{std::move(head), std::move(payload)});
-  queued_bytes_ += out.size();
+  queued_bytes_ += frame.size();
+  outbound_.push_back(std::move(frame));
   flush_writes();
 }
 
 void Connection::flush_writes() {
   while (!outbound_.empty()) {
-    // The unsent parts of the queued frames, from where the last write
-    // stopped.
-    iovec iov[kMaxGather];
-    size_t parts = 0;
-    size_t skip = outbound_offset_;
-    const auto gather = [&](const void* data, size_t len) {
-      if (skip >= len) {
-        skip -= len;
-        return;
-      }
-      iov[parts++] = {const_cast<char*>(static_cast<const char*>(data) + skip),
-                      len - skip};
-      skip = 0;
-    };
-    for (const Outbound& out : outbound_) {
-      if (parts + 2 > kMaxGather) break;
-      gather(out.head.data(), out.head.size());
-      if (out.payload) gather(out.payload->data(), out.payload->size());
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = parts;
+    const std::string& head = outbound_.front();
+    const char* data = head.data() + outbound_offset_;
+    const size_t len = head.size() - outbound_offset_;
     // MSG_NOSIGNAL: a peer that vanished mid-write surfaces as EPIPE, not a
     // process-wide SIGPIPE.
-    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    const ssize_t n = ::send(fd_, data, len, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -93,13 +68,11 @@ void Connection::flush_writes() {
     }
     bytes_out_ += n;
     queued_bytes_ -= static_cast<size_t>(n);
-    // Drop what is now written, a payload's reference with its frame.
-    size_t written = outbound_offset_ + static_cast<size_t>(n);
-    while (!outbound_.empty() && written >= outbound_.front().size()) {
-      written -= outbound_.front().size();
+    outbound_offset_ += static_cast<size_t>(n);
+    if (outbound_offset_ == head.size()) {
       outbound_.pop_front();
+      outbound_offset_ = 0;
     }
-    outbound_offset_ = written;
   }
   net_write_queue_bytes.set(static_cast<double>(queued_bytes_));
   if (outbound_.empty() && close_after_flush_) {

@@ -16,12 +16,6 @@ constexpr uint8_t kFramePrefix[] = {wq::kFrameMagic0, wq::kFrameMagic1,
 }  // namespace
 
 void FrameSplitter::feed(const char* data, size_t size) {
-  if (spanning_ > 0) {
-    const size_t take = std::min(size, spanning_ - buffer_.size());
-    buffer_.append(data, take);
-    rest_.append(data + take, size - take);
-    return;
-  }
   // Lazy compaction: drop consumed bytes once they dominate the buffer, so
   // a long-lived connection doesn't grow without bound but extraction stays
   // amortized O(1) per message.
@@ -33,7 +27,7 @@ void FrameSplitter::feed(const char* data, size_t size) {
 }
 
 size_t FrameSplitter::probe() const {
-  const size_t available = buffer_.size() - consumed_;
+  const size_t available = buffered();
   const char* base = buffer_.data() + consumed_;
   for (size_t i = 0; i < sizeof kFramePrefix && i < available; ++i) {
     if (static_cast<uint8_t>(base[i]) != kFramePrefix[i]) {
@@ -58,31 +52,13 @@ size_t FrameSplitter::probe() const {
     throw Error("net: frame body length " + std::to_string(body_len) +
                 " exceeds limit " + std::to_string(wq::max_frame_body_bytes()));
   }
-  return wq::kFrameFixedHeader + last + 1 + static_cast<size_t>(body_len);
+  const size_t total = wq::kFrameFixedHeader + last + 1 + static_cast<size_t>(body_len);
+  return available >= total ? total : 0;
 }
 
 bool FrameSplitter::next(std::string& message) {
-  if (spanning_ > 0) {
-    if (buffer_.size() < spanning_) return false;
-    // Hand out the gathered frame itself; the bytes read past it go on.
-    message.swap(buffer_);
-    buffer_.swap(rest_);
-    rest_.clear();
-    consumed_ = 0;
-    spanning_ = 0;
-    return true;
-  }
   const size_t total = probe();
   if (total == 0) return false;
-  if (buffered() < total) {
-    // The frame spans reads: gather it from its first byte in a buffer
-    // reserved to its length, so the reads that follow append in place.
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
-    buffer_.reserve(total);
-    spanning_ = total;
-    return false;
-  }
   message.assign(buffer_, consumed_, total);
   consumed_ += total;
   if (consumed_ == buffer_.size()) {

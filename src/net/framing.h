@@ -13,11 +13,7 @@
 //     receiver allocate gigabytes.
 //
 // Both checks run before any body byte is waited for; a frame is handed
-// out once exactly header+body bytes are buffered. A frame that spans
-// reads (a staged file, typically) is gathered from its first byte in a
-// buffer reserved to its length once its header is parsed, and that buffer
-// itself is handed out: its bytes are copied once, from the read, whatever
-// its size. The reservation is bounded by the frame-body limit.
+// out once exactly header+body bytes are buffered.
 #pragma once
 
 #include <cstddef>
@@ -39,20 +35,15 @@ class FrameSplitter {
 
   // Bytes buffered but not yet forming a complete frame. Non-zero when
   // the peer closed mid-frame — the owner should treat that EOF as dirty.
-  size_t buffered() const { return buffer_.size() - consumed_ + rest_.size(); }
+  size_t buffered() const { return buffer_.size() - consumed_; }
 
  private:
-  // Returns the total byte length of the first buffered frame once its
-  // header is complete, or 0 if more header bytes are needed. Throws on a
-  // malformed/oversized header.
+  // Returns the total byte length of the first buffered frame, or 0 if
+  // more bytes are needed. Throws on a malformed/oversized header.
   size_t probe() const;
 
   std::string buffer_;
   size_t consumed_ = 0;  // bytes already handed out (compacted lazily)
-  // While a frame that spans reads gathers in buffer_ (from its first
-  // byte), its length; the bytes read past its end wait in rest_.
-  size_t spanning_ = 0;
-  std::string rest_;
 };
 
 }  // namespace lfm::net
