@@ -2,10 +2,12 @@
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "net/socket.h"
 #include "obs/recorder.h"
@@ -44,22 +46,40 @@ void Connection::update_interest() {
   loop_.modify_fd(fd_, EPOLLIN | (want ? EPOLLOUT : 0u));
 }
 
-void Connection::send(std::string frame) {
+void Connection::send(std::string frame) { send(std::move(frame), nullptr); }
+
+void Connection::send(std::string head, std::shared_ptr<const serde::Bytes> payload) {
   if (closed_ || close_after_flush_) return;
   messages_out_ += 1;
-  queued_bytes_ += frame.size();
-  outbound_.push_back(std::move(frame));
+  Outbound& out = outbound_.emplace_back(Outbound{std::move(head), std::move(payload)});
+  queued_bytes_ += out.size();
   flush_writes();
 }
 
 void Connection::flush_writes() {
   while (!outbound_.empty()) {
-    const std::string& head = outbound_.front();
-    const char* data = head.data() + outbound_offset_;
-    const size_t len = head.size() - outbound_offset_;
+    // The front frame's unsent bytes: the rest of its head, then of its
+    // payload.
+    const Outbound& front = outbound_.front();
+    iovec iov[2];
+    size_t parts = 0;
+    size_t into_payload = 0;
+    if (outbound_offset_ < front.head.size()) {
+      iov[parts++] = {const_cast<char*>(front.head.data()) + outbound_offset_,
+                      front.head.size() - outbound_offset_};
+    } else {
+      into_payload = outbound_offset_ - front.head.size();
+    }
+    if (front.payload) {
+      iov[parts++] = {const_cast<uint8_t*>(front.payload->data()) + into_payload,
+                      front.payload->size() - into_payload};
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = parts;
     // MSG_NOSIGNAL: a peer that vanished mid-write surfaces as EPIPE, not a
     // process-wide SIGPIPE.
-    const ssize_t n = ::send(fd_, data, len, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -69,7 +89,8 @@ void Connection::flush_writes() {
     bytes_out_ += n;
     queued_bytes_ -= static_cast<size_t>(n);
     outbound_offset_ += static_cast<size_t>(n);
-    if (outbound_offset_ == head.size()) {
+    if (outbound_offset_ == front.size()) {
+      // Drops the payload's reference with the frame.
       outbound_.pop_front();
       outbound_offset_ = 0;
     }

@@ -7,7 +7,9 @@
 // through send(): bytes are written immediately until the kernel buffer
 // fills, and the remainder queues in an outbound deque flushed on EPOLLOUT —
 // queued_bytes() is the backpressure signal the master's dispatcher consults
-// before assigning more work to a connection.
+// before assigning more work to a connection. A file frame queues as its
+// header plus the shared file buffer, and goes out from both with one
+// gathering send.
 //
 // Lifetime: connections are shared_ptr-owned. The epoll handler holds a
 // strong reference, so a connection stays alive through the callback that
@@ -25,6 +27,7 @@
 
 #include "net/event_loop.h"
 #include "net/framing.h"
+#include "serde/value.h"
 #include "wq/protocol.h"
 
 namespace lfm::net {
@@ -53,8 +56,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // Queue one encoded wire message; writes as much as the socket accepts
   // now, the rest drains on EPOLLOUT. No-op on a closed connection.
   void send(std::string frame);
+  // Queue one frame that goes out as `head` followed by the shared
+  // `payload` (a file frame: its encoded header, then the file's bytes).
+  // The payload is written from the buffer itself, never copied, and the
+  // connection holds a reference to it until its last byte is written.
+  void send(std::string head, std::shared_ptr<const serde::Bytes> payload);
 
-  // Outbound bytes accepted but not yet written to the kernel.
+  // Outbound bytes accepted but not yet written to the kernel, a queued
+  // payload's included.
   size_t queued_bytes() const { return queued_bytes_; }
 
   // Deregister, close the fd, fire on_close (once).
@@ -78,7 +87,15 @@ class Connection : public std::enable_shared_from_this<Connection> {
  private:
   void handle_events(uint32_t events);
   void handle_readable();
-  // Write queued data until empty or EAGAIN; manages EPOLLOUT interest.
+  // One queued frame: its bytes are `head`, then `payload`'s, if any.
+  struct Outbound {
+    std::string head;
+    std::shared_ptr<const serde::Bytes> payload;
+    size_t size() const { return head.size() + (payload ? payload->size() : 0); }
+  };
+
+  // Write queued data until empty or EAGAIN, one frame per send (its
+  // head and payload gathered); manages EPOLLOUT interest.
   void flush_writes();
   void update_interest();
   void shutdown_write();
@@ -89,7 +106,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   FrameSplitter splitter_;
   MessageFn on_message_;
   CloseFn on_close_;
-  std::deque<std::string> outbound_;
+  std::deque<Outbound> outbound_;
   size_t outbound_offset_ = 0;  // bytes of outbound_.front() already written
   size_t queued_bytes_ = 0;
   bool want_write_ = false;

@@ -338,14 +338,16 @@ void Dispatcher::assign(Link& l, size_t index) {
 
 void Dispatcher::ship_files(Link& l, const Unit& u) {
   // Each staged input in the order the unit's pending tasks name it; a
-  // cacheable one crosses each link once.
+  // cacheable one crosses each link once. The frame goes out as its header
+  // plus the file's own buffer.
   for (size_t i = u.first; i < u.first + u.count; ++i) {
     if (tasks_[i].done) continue;
     for (const wq::TaskMessage::FileStanza& s : tasks_[i].task.infiles) {
       auto f = u.files.find(s.name);
       if (f == u.files.end()) continue;  // not master-staged (peer-local)
       if (s.cacheable && l.shipped_files.count(s.name)) continue;
-      l.conn->send(wq::encode(wq::FileMessage{s.name, s.cacheable, f->second}));
+      l.conn->send(wq::encode_file_header(s.name, s.cacheable, f->second.size()),
+                   f->second.buffer());
       ++totals_.files_sent;
       m_.files_sent.add();
       m_.frames_out.add();

@@ -98,10 +98,6 @@ size_t hello_body_size(const HelloMessage& msg) {
   return str_field_size(msg.worker_name.size()) + 1 + 24;
 }
 
-size_t file_body_size(const FileMessage& msg) {
-  return str_field_size(msg.name.size()) + 1 + str_field_size(msg.content.size());
-}
-
 size_t control_body_size(const ControlMessage& msg) {
   return 1 + serde::varint_size(msg.nonce) + 8 +
          (msg.peer_time != 0.0 ? 8 : 0);
@@ -199,12 +195,6 @@ void write_hello_body(const HelloMessage& msg, FrameWriter& w) {
   w.real(msg.capacity.cores);
   w.real(msg.capacity.memory_bytes);
   w.real(msg.capacity.disk_bytes);
-}
-
-void write_file_body(const FileMessage& msg, FrameWriter& w) {
-  w.str(msg.name);
-  w.u8(msg.cacheable ? 1 : 0);
-  w.bytes(serde::BytesView(msg.content));
 }
 
 void write_control_body(const ControlMessage& msg, FrameWriter& w) {
@@ -596,9 +586,26 @@ std::string encode(const HelloMessage& msg) {
   return encode_frame(msg, kFrameHello, hello_body_size(msg), write_hello_body);
 }
 
+std::string encode_file_header(const std::string& name, bool cacheable,
+                               size_t content_size) {
+  if (!valid_token(name)) throw Error("protocol: invalid file name " + name);
+  const size_t body_len =
+      str_field_size(name.size()) + 1 + str_field_size(content_size);
+  std::string out;
+  out.reserve(frame_size(body_len) - content_size);
+  FrameWriter w(out);
+  write_frame_header(w, kFrameFile, body_len);
+  w.str(name);
+  w.u8(cacheable ? 1 : 0);
+  w.varint(content_size);
+  count_encoded(frame_size(body_len), 1);
+  return out;
+}
+
 std::string encode(const FileMessage& msg) {
-  if (!valid_token(msg.name)) throw Error("protocol: invalid file name " + msg.name);
-  return encode_frame(msg, kFrameFile, file_body_size(msg), write_file_body);
+  std::string out = encode_file_header(msg.name, msg.cacheable, msg.content.size());
+  out.append(reinterpret_cast<const char*>(msg.content.data()), msg.content.size());
+  return out;
 }
 
 std::string encode(const ControlMessage& msg) {

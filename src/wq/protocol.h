@@ -170,6 +170,14 @@ std::string encode(const ControlMessage& msg);
 std::string encode(const StatsMessage& msg);
 std::string encode(const TelemetryMessage& msg);
 
+// A file frame's header: every byte before the content. It and the
+// `content_size` content bytes that follow it make up exactly
+// encode(FileMessage{name, cacheable, content}), so a sender holding the
+// content in a shared buffer sends the two parts without joining them
+// (net::Connection::send(head, payload)).
+std::string encode_file_header(const std::string& name, bool cacheable,
+                               size_t content_size);
+
 // Serialize many messages into one batch frame (one network send).
 std::string encode_batch(const std::vector<TaskMessage>& msgs);
 std::string encode_batch(const std::vector<ResultMessage>& msgs);

@@ -6,8 +6,10 @@
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <signal.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -132,6 +134,36 @@ TEST(FrameSplitter, OversizedLengthRejectedFromHeaderAlone) {
         splitter.next(message);
       },
       Error);
+}
+
+TEST(FrameSplitter, DeclaredBodyIsNotReservedBeforeItArrives) {
+  // A header that declares the largest body the limit allows, then 4 KiB
+  // of it and silence: the splitter holds the bytes that arrived, not the
+  // 64 MiB the header declared, so a peer cannot make a receiver reserve
+  // memory it never sends.
+  std::string header{'\xF7', 'Q', 2, 1};
+  for (uint64_t v = wq::max_frame_body_bytes();; v >>= 7) {
+    if (v < 0x80) {
+      header.push_back(static_cast<char>(v));
+      break;
+    }
+    header.push_back(static_cast<char>(0x80 | (v & 0x7f)));
+  }
+  const std::string body(4096, 'x');
+  const auto allocated = [] {
+    const struct mallinfo2 m = ::mallinfo2();
+    return static_cast<int64_t>(m.uordblks + m.hblkhd);
+  };
+  const int64_t before = allocated();
+  FrameSplitter splitter;
+  std::string message;
+  splitter.feed(header);
+  EXPECT_FALSE(splitter.next(message));
+  splitter.feed(body);
+  EXPECT_FALSE(splitter.next(message));
+  const int64_t grew = allocated() - before;
+  EXPECT_EQ(splitter.buffered(), header.size() + body.size());
+  EXPECT_LT(grew, 1 << 20) << "allocated for body bytes that never came";
 }
 
 TEST(FrameSplitter, NonFrameBytesRejectedAsSoonAsFed) {
@@ -309,6 +341,77 @@ TEST(Connection, ProtocolErrorClosesWithDecoderMessage) {
   loop.run();
   ::close(fd);
   EXPECT_NE(close_reason.find("exceeds"), std::string::npos);
+}
+
+TEST(Connection, SplitFileFrameEqualsTheEncodedFrameByteForByte) {
+  // A 3 MiB file goes out as its encoded header plus the shared payload,
+  // over a socket pair whose send buffer is shrunk, so writes stop inside
+  // the header (its name is longer than the buffer) and inside the
+  // payload. The peer reads the frame wq::encode builds, the backlog counts
+  // the payload's unsent bytes, and the connection keeps the payload alive
+  // after the sender drops its own reference, until the last byte is out.
+  constexpr size_t kPayload = 3u << 20;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  const int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf), 0);
+  EventLoop loop;
+  auto conn = std::make_shared<Connection>(loop, fds[0], 1);
+  conn->start();
+
+  serde::Bytes content(kPayload);
+  for (size_t i = 0; i < kPayload; ++i) content[i] = static_cast<uint8_t>(i * 131 + 7);
+  const std::string name(16u << 10, 'n');
+  const std::string expected = wq::encode(wq::FileMessage{name, true, content});
+  const std::string head = wq::encode_file_header(name, true, kPayload);
+  const size_t total = head.size() + kPayload;
+  ASSERT_EQ(expected.size(), total);
+  ASSERT_EQ(expected.compare(0, head.size(), head), 0);
+
+  auto payload = std::make_shared<const serde::Bytes>(content);
+  const std::weak_ptr<const serde::Bytes> held = payload;
+  conn->send(head, std::move(payload));
+  const auto unsent = [&] { return total - static_cast<size_t>(conn->bytes_out()); };
+  EXPECT_EQ(conn->queued_bytes(), unsent());
+  EXPECT_LT(unsent(), total) << "nothing was written at once";
+  EXPECT_FALSE(held.expired());
+
+  bool stopped_in_header = false, stopped_in_payload = false;
+  FrameSplitter splitter;
+  std::vector<std::string> frames;
+  loop.add_fd(fds[1], EPOLLIN, [&](uint32_t) {
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(fds[1], chunk, sizeof chunk, MSG_DONTWAIT)) > 0) {
+      splitter.feed(chunk, static_cast<size_t>(n));
+    }
+    const size_t queued = conn->queued_bytes();
+    EXPECT_EQ(queued, unsent());
+    stopped_in_header = stopped_in_header || (queued > kPayload && queued < total);
+    stopped_in_payload = stopped_in_payload || (queued > 0 && queued < kPayload);
+    if (queued > 0) {
+      EXPECT_FALSE(held.expired()) << queued << " bytes unsent";
+    }
+    for (std::string& f : split_all(splitter)) frames.push_back(std::move(f));
+    if (!frames.empty()) loop.stop();
+  });
+  loop.run_after(10.0, [&] { loop.stop(); });  // watchdog
+  loop.run();
+  loop.remove_fd(fds[1]);
+  ::close(fds[1]);
+
+  EXPECT_TRUE(stopped_in_header);
+  EXPECT_TRUE(stopped_in_payload);
+  EXPECT_EQ(conn->queued_bytes(), 0u);
+  EXPECT_TRUE(held.expired()) << "the written frame still holds its payload";
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_TRUE(frames[0] == expected) << "the frame differs from wq::encode's";
+  const wq::FileMessage back = wq::decode_file(frames[0]);
+  EXPECT_EQ(back.name, name);
+  EXPECT_TRUE(back.cacheable);
+  EXPECT_TRUE(back.content == content);
+  EXPECT_EQ(splitter.buffered(), 0u);
+  conn->close("test done");
 }
 
 // --- end-to-end: master process <-> forked worker processes ------------------
