@@ -25,10 +25,10 @@ namespace lfm::wq {
 
 // One staged file's bytes: an immutable buffer that every holder in a
 // process shares — a task group, the dispatcher's units, an uplink, a
-// foreman's relay. Copying one copies the handle, not the bytes. Built
-// from serde::Bytes (moved in, or copied from an lvalue) or from a buffer
-// already shared, such as pkg::PackedEnvironment::tar (never null); reads
-// as const serde::Bytes&.
+// foreman's relay, a file frame still queued on a link. Copying one copies
+// the handle, not the bytes. Built from serde::Bytes (moved in, or copied
+// from an lvalue) or from a buffer already shared, such as
+// pkg::PackedEnvironment::tar (never null); reads as const serde::Bytes&.
 class StagedFile {
  public:
   StagedFile() : StagedFile(serde::Bytes{}) {}
